@@ -42,3 +42,32 @@ def two_degenerate_instance() -> InstanceSpec:
         grid=build_grid(4, 1.0),
         discount=DiscountSpec("linear", tau_max=1.0),
     )
+
+
+# a small config run through every policy kind; the determinism test and the
+# golden pins both use it
+BYTE_IDENTITY_CONFIG = {
+    "instance": {
+        "tau_max": 1.0,
+        "grid_m": 4,
+        "discount": {"kind": "linear"},
+        "objective": {"kind": "multiplicative"},
+        "arms": [
+            {"kind": "degenerate", "reward": 0.9, "cost": 0.2},
+            {"kind": "degenerate", "reward": 0.7, "cost": 0.45},
+            {"kind": "uniform_cost", "reward_mean": 0.8},
+        ],
+    },
+    "policies": [
+        {"kind": "rcucb", "alpha": 2.0},
+        {"kind": "klrcucb", "c": 3.0},
+        {"kind": "ucb", "alpha": 2.0},
+        {"kind": "ts", "prior": [1.0, 1.0], "indicator": "per_pair"},
+        {"kind": "uniform_random"},
+        {"kind": "fixed_oracle"},
+    ],
+    "horizon": 400,
+    "repetitions": 3,
+    "base_seed": 99,
+    "workers": 1,
+}

@@ -23,7 +23,7 @@ from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moment
 from rcbandit.policies import PolicySpec, make_policy
 from rcbandit.sim import concentration_audit, decomposition_check, run_episode, run_experiment
 
-from conftest import analytic_instance, gaussian_instance
+from conftest import BYTE_IDENTITY_CONFIG, analytic_instance, gaussian_instance
 
 CONFIG_NAMES = ("paper_synthetic_m10", "paper_synthetic_m50", "paper_synthetic_m100")
 
@@ -196,33 +196,6 @@ def test_oracle_exact_for_analytic_arms():
                 mu, se = true_mixed_moment(arm, tau, method)
                 assert mu == exact
                 assert se == 0.0
-
-
-BYTE_IDENTITY_CONFIG = {
-    "instance": {
-        "tau_max": 1.0,
-        "grid_m": 4,
-        "discount": {"kind": "linear"},
-        "objective": {"kind": "multiplicative"},
-        "arms": [
-            {"kind": "degenerate", "reward": 0.9, "cost": 0.2},
-            {"kind": "degenerate", "reward": 0.7, "cost": 0.45},
-            {"kind": "uniform_cost", "reward_mean": 0.8},
-        ],
-    },
-    "policies": [
-        {"kind": "rcucb", "alpha": 2.0},
-        {"kind": "klrcucb", "c": 3.0},
-        {"kind": "ucb", "alpha": 2.0},
-        {"kind": "ts", "prior": [1.0, 1.0], "indicator": "per_pair"},
-        {"kind": "uniform_random"},
-        {"kind": "fixed_oracle"},
-    ],
-    "horizon": 400,
-    "repetitions": 3,
-    "base_seed": 99,
-    "workers": 1,
-}
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
