@@ -155,7 +155,7 @@ def build_grid(m: int, tau_max: float) -> ResourceGrid:
     return ResourceGrid(points=points, tau_max=float(tau_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionPair:
     """One decision: an arm index (1-based) and a resource limit from the grid."""
 
@@ -163,7 +163,7 @@ class ActionPair:
     tau_prime: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Feedback:
     """Observation of one round: (cost, reward) if uncensored, nothing otherwise."""
 
@@ -180,7 +180,7 @@ class Feedback:
                 raise DomainError("uncensored feedback needs both cost and reward")
             if not 0.0 <= self.reward <= 1.0:
                 raise DomainError("reward must lie in [0, 1]")
-            if self.cost < 0.0:
+            if not self.cost >= 0.0:
                 raise DomainError("cost must be non-negative")
 
 

@@ -6,6 +6,8 @@ store counts and sums rather than running means, so queries are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .core import ConfigError, DomainError, Feedback, ResourceGrid
@@ -26,7 +28,6 @@ class CensoredMomentEstimator:
         self.sums = np.zeros((n, grid.m))
         self.last_update_touched = 0
         self.total_touched = 0
-        self._taus = grid.as_array()
 
     @property
     def n_arms(self) -> int:
@@ -39,10 +40,17 @@ class CensoredMomentEstimator:
         self.update_by_index(arm - 1, k, feedback)
 
     def update_by_index(self, arm0: int, k: int, feedback: Feedback) -> None:
-        """Fast path for policies: arm0 is 0-based, k = grid index of the play + 1."""
-        self.counts[arm0, :k] += 1.0
+        """Fast path for policies: arm0 is 0-based, k = grid index of the play + 1.
+
+        The grid points with cost <= tau' form the suffix that starts at
+        bisect_left(points, cost), so the reward is added to that slice alone.
+        """
+        touched = self.counts[arm0, :k]
+        touched += 1.0
         if not feedback.censored:
-            self.sums[arm0, :k] += feedback.reward * (feedback.cost <= self._taus[:k])
+            lo = bisect_left(self.grid.points, feedback.cost)
+            paid = self.sums[arm0, lo:k]
+            paid += feedback.reward
         self.last_update_touched = k
         self.total_touched += k
 

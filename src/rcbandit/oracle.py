@@ -9,6 +9,8 @@ Arms with closed-form moments are evaluated exactly under either method.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -91,9 +93,43 @@ def true_mixed_moment(arm, tau_prime: float, method: str = "quadrature", *,
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
+def _digest(obj) -> str:
+    """sha256 of a dataclass's type and compared fields; of repr() otherwise."""
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare}
+        text = json.dumps([type(obj).__name__, fields], sort_keys=True)
+    else:
+        text = repr(obj)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def table_fingerprint(instance: InstanceSpec, method: str, *, nodes: int,
+                      samples: int, seed: int) -> dict:
+    """What a table's values depend on besides its grid, keyed by config field.
+
+    Arms, discount and objective enter as digests. The node count enters
+    under quadrature; the sample count and the seed under Monte Carlo, the
+    only method that draws.
+    """
+    fp = {f"instance.arms[{i}]": _digest(arm) for i, arm in enumerate(instance.arms)}
+    fp["instance.discount"] = _digest(instance.discount)
+    fp["instance.objective"] = _digest(instance.objective)
+    fp["oracle.method"] = method
+    if method == "quadrature":
+        fp["oracle.nodes"] = nodes
+    else:
+        fp["oracle.samples"] = samples
+        fp["base_seed"] = seed
+    return fp
+
+
 @dataclass(frozen=True, eq=False)
 class NuTable:
-    """Per-pair ground truth: mu, objective value nu, and sub-optimality gap."""
+    """Per-pair ground truth: mu, objective value nu, and sub-optimality gap.
+
+    fingerprint (see table_fingerprint) records the inputs the table was
+    computed from, so a saved table is reused only for the same inputs.
+    """
 
     taus: tuple[float, ...]
     mu: np.ndarray
@@ -105,6 +141,7 @@ class NuTable:
     nu_star: float
     method: str
     budget: int
+    fingerprint: dict | None = None
 
     @property
     def n(self) -> int:
@@ -134,7 +171,7 @@ class NuTable:
             for i in range(self.n)
             for j in range(self.m)
         ]
-        return {
+        doc = {
             "method": self.method,
             "samples_or_nodes": self.budget,
             "pairs": pairs,
@@ -144,6 +181,9 @@ class NuTable:
                 "nu_star": self.nu_star,
             },
         }
+        if self.fingerprint is not None:
+            doc["fingerprint"] = self.fingerprint
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "NuTable":
@@ -170,6 +210,7 @@ class NuTable:
             optimal_arm=int(opt["arm"]), optimal_tau=float(opt["tau"]),
             nu_star=float(opt["nu_star"]),
             method=data["method"], budget=int(data["samples_or_nodes"]),
+            fingerprint=data.get("fingerprint"),
         )
 
     def save(self, path) -> None:
@@ -221,6 +262,8 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
         mu=mu, se=se, nu=nu, gap=gap,
         optimal_arm=arm0 + 1, optimal_tau=float(taus[j_opt]), nu_star=nu_star,
         method=method, budget=nodes if method == "quadrature" else samples,
+        fingerprint=table_fingerprint(instance, method, nodes=nodes, samples=samples,
+                                      seed=seed),
     )
 
 

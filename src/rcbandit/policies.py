@@ -3,6 +3,18 @@
 The optimism-based policies keep an index matrix of shape (n_arms, m) and
 pick its argmax; ties break to the smallest resource limit, then the
 smallest arm index, which keeps runs reproducible.
+
+Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
+wraps these callables from outside the package, so each must stay a separate
+call, looked up where the tracer patches it, once per round that uses it:
+
+- Policy.select and Policy.update, called by the episode loop;
+- each class's own index_matrix, called through self;
+- the module-global argmax_pair, looked up in this module at call time;
+- each estimator's own update_by_index, called through the estimator;
+- GaussianArm.sample (in envs), called through the arm.
+
+Inlining one of them silently zeroes its per-layer metric.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ def argmax_pair(index: np.ndarray) -> tuple[int, int]:
     Scanning the transpose row-major makes ties resolve to the smallest
     resource limit first and the smallest arm second.
     """
-    flat = int(np.argmax(index.T))
+    flat = int(index.T.argmax())
     n = index.shape[0]
     return flat % n, flat // n
 
@@ -152,6 +164,34 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
     return np.where(counts > 0, out, np.inf)
 
 
+def _optimistic_index(estimator, width: float, count_scale: float,
+                      scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """scale * (mu_hat + sqrt(width / (count_scale * N))) + offset per pair,
+    with an infinite index where N = 0.
+
+    When every N >= 1, which holds in every round after initialization, the
+    expression runs as a few in-place ufuncs on one fresh array, without the
+    masks and error-state switches that N = 0 needs. The operations and their
+    operands are those of the general expression, so both give the same bits;
+    N >= 1 rather than N > 0 keeps mu_hat = sums / N equal to mean_matrix(),
+    which divides by max(N, 1).
+    """
+    counts = estimator.counts
+    if counts.min() >= 1.0:
+        out = np.multiply(counts, count_scale)
+        np.divide(width, out, out=out)
+        np.sqrt(out, out=out)
+        out += estimator.sums / counts
+        out *= scale
+        out += offset
+        return out
+    mu = estimator.mean_matrix()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.sqrt(width / (count_scale * counts))
+        vals = scale * (mu + radius) + offset
+    return np.where(counts > 0, vals, np.inf)
+
+
 class Policy:
     """Base class: strict select/update alternation and round counting."""
 
@@ -187,7 +227,7 @@ class Policy:
     def update(self, action: ActionPair, feedback: Feedback) -> None:
         if self._pending is None:
             raise UsageError("update called before select")
-        if action != self._pending:
+        if action is not self._pending and action != self._pending:
             raise UsageError("update does not match the pending selection")
         self._absorb(action.arm - 1, self._pending_j, feedback)
         self._pending = None
@@ -223,12 +263,8 @@ class RCUCBPolicy(Policy):
 
     def index_matrix(self) -> np.ndarray:
         t = self.t + 1
-        counts = self.estimator.counts
-        mu = self.estimator.mean_matrix()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radius = np.sqrt(2.0 * self.alpha * math.log(t) / counts)
-            vals = self.scale * (mu + radius) + self.offset
-        return np.where(counts > 0, vals, np.inf)
+        return _optimistic_index(self.estimator, 2.0 * self.alpha * math.log(t), 1.0,
+                                 self.scale, self.offset)
 
     def _choose(self) -> tuple[int, int]:
         t = self.t + 1
@@ -294,12 +330,8 @@ class ModifiedUCBPolicy(Policy):
 
     def index_matrix(self) -> np.ndarray:
         t = self.t + 1
-        counts = self.estimator.counts
-        mu = self.estimator.mean_matrix()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radius = np.sqrt(self.alpha * math.log(t) / (2.0 * counts))
-            vals = self.scale * (mu + radius) + self.offset
-        return np.where(counts > 0, vals, np.inf)
+        return _optimistic_index(self.estimator, self.alpha * math.log(t), 2.0,
+                                 self.scale, self.offset)
 
     def _choose(self) -> tuple[int, int]:
         cursor = self.t

@@ -9,17 +9,25 @@ repetitions always happens in repetition-index order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .core import ConfigError, DomainError, Feedback, InstanceSpec, mix64
 from .envs import sample_episode
-from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moment
+from .oracle import (
+    NuTable,
+    concentration_bound,
+    nu_table,
+    table_fingerprint,
+    true_mixed_moment,
+)
 from .policies import PolicySpec, init_length, make_policy
 
 
@@ -102,12 +110,23 @@ class ExperimentConfig:
             )
 
 
+_CENSORED = Feedback(censored=True)
+
+
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
                 table: NuTable, seed: int, keep_state: bool = False) -> RunTrace:
     """Play one policy for `horizon` rounds; fully deterministic given seed.
 
     The environment stream and the policy stream are split off the seed, so
     two policies on the same seed face identical outcome matrices.
+
+    Per-round hook contract: every round calls policy.select() and
+    policy.update() through the policy object, and the policy reaches its
+    index_matrix, the module-global policies.argmax_pair and its estimator's
+    update_by_index through their owners; the draws come from each arm's
+    sample(). The benchmark trace (perfbench/tracer.py) wraps exactly these
+    callables to split a round's cost by layer, so inlining one of them
+    silently zeroes that layer's metrics.
     """
     n, m = instance.n, instance.grid.m
     if table.mu.shape != (n, m) or not np.allclose(table.taus,
@@ -127,21 +146,19 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
 
     arms0 = np.empty(horizon, dtype=np.int64)
     tau_idx = np.empty(horizon, dtype=np.int64)
-    censored = np.empty(horizon, dtype=bool)
-    observed = np.empty(horizon, dtype=float)
+    censored = np.zeros(horizon, dtype=bool)
+    observed = np.zeros(horizon, dtype=float)
     for t in range(horizon):
         action = policy.select()
         arm0, j = policy.pending_index
-        r = rewards[t, arm0]
-        c = costs[t, arm0]
+        c = costs.item(t, arm0)
         if c <= action.tau_prime:
-            feedback = Feedback(censored=False, cost=float(c), reward=float(r))
-            censored[t] = False
+            r = rewards.item(t, arm0)
+            feedback = Feedback(censored=False, cost=c, reward=r)
             observed[t] = r
         else:
-            feedback = Feedback(censored=True)
+            feedback = _CENSORED
             censored[t] = True
-            observed[t] = 0.0
         policy.update(action, feedback)
         arms0[t] = arm0
         tau_idx[t] = j
@@ -176,22 +193,61 @@ def _episode_task(payload):
     return run_episode(instance, spec, horizon, table, seed, keep_state)
 
 
-def _trace_rows(rep: int, trace: RunTrace):
-    cum = trace.cum_regret
-    for t in range(trace.horizon):
-        yield (
-            rep,
-            t + 1,
-            int(trace.arms[t]),
-            float(trace.taus[t]),
-            int(trace.censored[t]),
-            float(trace.rewards[t]),
-            float(trace.inst_regret[t]),
-            float(cum[t]),
-        )
+_TRACE_HEADER = "rep,round,arm,tau,censored,reward,inst_regret,cum_regret\n"
+_AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
+
+# rows converted to Python objects at a time: bounds the writers' memory
+_WRITE_CHUNK = 4096
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer renders it among other fields, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
+
+
+def _distinct_text(values: np.ndarray):
+    """repr of each float, formatting every distinct bit pattern once.
+
+    Keyed on the bits rather than the value, so 0.0 and -0.0 keep their text.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return map(text.__getitem__, inverse.tolist())
+
+
+def _write_lines(handle, columns) -> None:
+    """Write rows given as columns of field text, comma-separated, "\n"-ended."""
+    handle.write("\n".join(map(",".join, zip(*columns))))
+    handle.write("\n")
+
+
+def _write_trace(handle, rep: int, trace: RunTrace) -> None:
+    """Append one repetition's _TRACE_HEADER rows, in bytes equal to csv.writer's.
+
+    Numbers are written as str/repr, like csv.writer does; the few distinct
+    limits and gaps are formatted once per chunk.
+    """
+    rep_text = str(rep)
+    for start in range(0, trace.horizon, _WRITE_CHUNK):
+        part = slice(start, min(start + _WRITE_CHUNK, trace.horizon))
+        _write_lines(handle, (
+            repeat(rep_text),
+            map(str, range(part.start + 1, part.stop + 1)),
+            map(str, trace.arms[part].tolist()),
+            _distinct_text(trace.taus[part]),
+            map("01".__getitem__, trace.censored[part].tolist()),
+            map(repr, trace.rewards[part].tolist()),
+            _distinct_text(trace.inst_regret[part]),
+            map(repr, trace.cum_regret[part].tolist()),
+        ))
 
 
 def _resolve_table(config: ExperimentConfig) -> NuTable:
+    """The output directory's nu_table.json if it was computed from the same
+    inputs, else a fresh table saved there; a table from other inputs is
+    refused, naming the first field that differs, rather than overwritten."""
     out = config.output_dir
     if out is not None:
         path = Path(out) / "nu_table.json"
@@ -202,6 +258,17 @@ def _resolve_table(config: ExperimentConfig) -> NuTable:
                 table.taus, config.instance.grid.as_array()
             ):
                 raise ConfigError(f"existing {path} does not match the instance")
+            if table.fingerprint is None:
+                raise ConfigError(f"existing {path} does not match the run: "
+                                  "it records no fingerprint of its inputs")
+            wanted = table_fingerprint(
+                config.instance, config.oracle_method, nodes=config.oracle_nodes,
+                samples=config.oracle_samples, seed=config.base_seed,
+            )
+            for key, value in wanted.items():
+                if table.fingerprint.get(key) != value:
+                    raise ConfigError(f"existing {path} does not match the run: "
+                                      f"{key} differs")
             return table
     table = nu_table(
         config.instance, config.oracle_method,
@@ -247,7 +314,6 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     states: dict = {}
 
     executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    writer = None
     handle = None
     try:
         results = executor.map(_episode_task, payloads) if executor else map(_episode_task, payloads)
@@ -274,12 +340,8 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
                         handle.close()
                     handle = open(out / f"trace_{label}.csv", "w",
                                   encoding="utf-8", newline="")
-                    writer = csv.writer(handle, lineterminator="\n")
-                    writer.writerow(
-                        ["rep", "round", "arm", "tau", "censored",
-                         "reward", "inst_regret", "cum_regret"]
-                    )
-                writer.writerows(_trace_rows(rep, trace))
+                    handle.write(_TRACE_HEADER)
+                _write_trace(handle, rep, trace)
     finally:
         if handle is not None:
             handle.close()
@@ -316,16 +378,19 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
 
 def _write_aggregate(path: Path, agg: Aggregate) -> None:
+    """_AGGREGATE_HEADER rows, policy-major, in bytes equal to csv.writer's."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["round", "policy", "mean_cum_regret", "stderr"])
+        handle.write(_AGGREGATE_HEADER)
         for p, label in enumerate(agg.labels):
-            mean = agg.mean_cum_regret[p]
-            se = agg.stderr_cum_regret[p]
-            writer.writerows(
-                (t + 1, label, float(mean[t]), float(se[t]))
-                for t in range(agg.horizon)
-            )
+            label_text = _csv_field(label)
+            for start in range(0, agg.horizon, _WRITE_CHUNK):
+                part = slice(start, min(start + _WRITE_CHUNK, agg.horizon))
+                _write_lines(handle, (
+                    map(str, range(part.start + 1, part.stop + 1)),
+                    repeat(label_text),
+                    map(repr, agg.mean_cum_regret[p, part].tolist()),
+                    map(repr, agg.stderr_cum_regret[p, part].tolist()),
+                ))
 
 
 def _write_summary(path: Path, config: ExperimentConfig, agg: Aggregate) -> None:

@@ -222,6 +222,8 @@ def test_feedback_invariants():
         Feedback(censored=False, cost=0.3, reward=1.2)
     with pytest.raises(DomainError):
         Feedback(censored=False, cost=-0.1, reward=0.5)
+    with pytest.raises(DomainError):
+        Feedback(censored=False, cost=float("nan"), reward=0.5)
 
 
 def test_instance_spec_checks():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -32,6 +33,8 @@ from rcbandit.policies import (
     klucb_index,
     make_policy,
 )
+
+from conftest import gaussian_instance
 
 # independently evaluated index values at t=10, mu_hat=0.9, N=4, alpha=2,
 # linear discount with tau_max=1 on grid points 0.25 / 0.5
@@ -115,6 +118,43 @@ def test_argmax_pair_scan_order_and_scale_invariance():
         mat = rng.integers(0, 4, size=(5, 4)).astype(float)
         assert argmax_pair(mat) == argmax_pair(3.7 * mat)
         assert argmax_pair(mat) == argmax_pair(0.01 * mat)
+
+
+def _reference_index(pol):
+    """The general expression, written out as before the fast path existed."""
+    t = pol.t + 1
+    counts = pol.estimator.counts
+    mu = np.where(counts > 0, pol.estimator.sums / np.maximum(counts, 1.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if pol.kind == "rcucb":
+            radius = np.sqrt(2.0 * pol.alpha * math.log(t) / counts)
+        else:
+            radius = np.sqrt(pol.alpha * math.log(t) / (2.0 * counts))
+        vals = pol.scale * (mu + radius) + pol.offset
+    return np.where(counts > 0, vals, np.inf)
+
+
+@pytest.mark.parametrize("cls", [RCUCBPolicy, ModifiedUCBPolicy])
+@pytest.mark.parametrize("m", [10, 100])
+@pytest.mark.parametrize("objective", [MultiplicativeDiscount(),
+                                       AdditiveCost(scale=0.5, power=2.0)])
+def test_index_fast_path_is_bit_identical(cls, m, objective):
+    inst = dataclasses.replace(gaussian_instance(m), objective=objective)
+    pol = cls(inst, alpha=1.5 if cls is RCUCBPolicy else 2.5)
+    est = pol.estimator
+    rng = np.random.default_rng(m)
+    for trial in range(25):
+        est.counts[:] = rng.integers(1, 10**4, size=est.counts.shape)
+        est.sums[:] = est.counts * rng.random(est.counts.shape)
+        pol.t = int(rng.integers(inst.n * m, 10**6))
+        if trial % 5 == 4:
+            # one unplayed cell: only the general path gives it an infinite index
+            cell = (int(rng.integers(inst.n)), int(rng.integers(m)))
+            est.counts[cell] = 0.0
+            est.sums[cell] = 0.0
+        idx = pol.index_matrix()
+        assert np.array_equal(idx, _reference_index(pol))
+        assert np.isfinite(idx).sum() == est.counts.size - (trial % 5 == 4)
 
 
 def test_ucb_sweep_order():

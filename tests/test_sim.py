@@ -1,10 +1,15 @@
 """Episode runner, experiment aggregation, and tail-audit behavior."""
 
+import csv
+import dataclasses
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from rcbandit import sim
 from rcbandit.core import (
     ConfigError,
     DiscountSpec,
@@ -238,6 +243,88 @@ def test_stale_table_file_rejected(tmp_path):
     cfg = _small_config(output_dir=out)
     with pytest.raises(ConfigError, match="does not match"):
         run_experiment(cfg)
+
+
+def _changed_arm(cfg):
+    # arm 1 of analytic_instance() goes from (0.9, 0.2) to (0.1, 0.9), which
+    # moves the optimum; the old table would report the wrong regret
+    arms = (DegenerateArm(r0=0.1, c0=0.9),) + cfg.instance.arms[1:]
+    return {"instance": dataclasses.replace(cfg.instance, arms=arms)}
+
+
+@pytest.mark.parametrize(("change", "field"), [
+    (_changed_arm, "instance.arms[0]"),
+    (lambda cfg: {"instance": dataclasses.replace(
+        cfg.instance, discount=DiscountSpec("polynomial", k=2.0))}, "instance.discount"),
+    (lambda cfg: {"oracle_method": "monte_carlo"}, "oracle.method"),
+    (lambda cfg: {"oracle_nodes": 100}, "oracle.nodes"),
+])
+def test_table_from_other_inputs_rejected(tmp_path, change, field):
+    out = tmp_path / "exp"
+    cfg = _small_config(output_dir=out, policies=(PolicySpec("rcucb"),))
+    run_experiment(cfg)
+    before = (out / "nu_table.json").read_bytes()
+    changed = dataclasses.replace(cfg, **change(cfg))
+    with pytest.raises(ConfigError, match=f"does not match the run: {re.escape(field)}"):
+        run_experiment(changed)
+    assert (out / "nu_table.json").read_bytes() == before
+    # the seed does not enter a quadrature table, so it does not block reuse
+    run_experiment(dataclasses.replace(cfg, base_seed=6))
+
+
+def test_table_without_fingerprint_rejected(tmp_path):
+    out = tmp_path / "exp"
+    out.mkdir()
+    cfg = _small_config(output_dir=out)
+    table = nu_table(cfg.instance)
+    dataclasses.replace(table, fingerprint=None).save(out / "nu_table.json")
+    with pytest.raises(ConfigError, match="no fingerprint"):
+        run_experiment(cfg)
+
+
+def _csv_trace_reference(rep, trace):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        (rep, t + 1, int(trace.arms[t]), float(trace.taus[t]), int(trace.censored[t]),
+         float(trace.rewards[t]), float(trace.inst_regret[t]), float(trace.cum_regret[t]))
+        for t in range(trace.horizon)
+    )
+    return buf.getvalue()
+
+
+def test_trace_writer_matches_csv_writer(monkeypatch):
+    monkeypatch.setattr(sim, "_WRITE_CHUNK", 64)
+    inst = analytic_instance()
+    tab = nu_table(inst)
+    trace = run_episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
+    assert 0 < trace.censored.sum() < trace.horizon
+    signed = trace.inst_regret.copy()
+    signed[:4] = (0.0, -0.0, 0.0, -0.0)
+    for rep, case in ((0, trace), (11, dataclasses.replace(trace, inst_regret=signed))):
+        buf = io.StringIO()
+        sim._write_trace(buf, rep, case)
+        assert buf.getvalue() == _csv_trace_reference(rep, case)
+
+
+def test_aggregate_writer_matches_csv_writer(monkeypatch, tmp_path):
+    monkeypatch.setattr(sim, "_WRITE_CHUNK", 64)
+    horizon = 64 * 2 + 9
+    labels = ("plain", 'needs "quoting", twice', "")
+    rng = np.random.default_rng(3)
+    mean = np.cumsum(rng.random((3, horizon)), axis=1)
+    mean[0, :3] = (0.0, -0.0, 1e-300)
+    agg = Aggregate(labels=labels, horizon=horizon, repetitions=2,
+                    mean_cum_regret=mean, stderr_cum_regret=rng.random((3, horizon)),
+                    censored_share=np.zeros(3), mean_realized_total=np.zeros(3),
+                    max_residual=np.zeros(3), table=nu_table(analytic_instance()))
+    sim._write_aggregate(tmp_path / "aggregate.csv", agg)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["round", "policy", "mean_cum_regret", "stderr"])
+    for p, label in enumerate(labels):
+        writer.writerows((t + 1, label, float(mean[p, t]), float(agg.stderr_cum_regret[p, t]))
+                         for t in range(horizon))
+    assert (tmp_path / "aggregate.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_audit_degenerate_arm_is_exact():
