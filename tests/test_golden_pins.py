@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rcbandit.cli import config_from_dict
+from rcbandit.cli import config_from_dict, load_config
 from rcbandit.core import mix64
 from rcbandit.oracle import nu_table
 from rcbandit.policies import PolicySpec
@@ -46,6 +46,18 @@ GAUSSIAN_PINS = {
                 "3a904f07953c5ade968cf2c8e44db20dabd6ac73bbe5e55df283808e50fcaa63"),
 }
 
+# klrcucb on the bundled m = 100 instance, where many cells of the KL index
+# saturate near 1 and the argmax depends on the last bits of the bisection
+M100_KL_PIN = (400, "6e83936c33ef05c2cd846f7481b933ba6c1a6a146bd7b7e984927fa9e21d2acc")
+
+# the mu, nu and gap bytes of the oracle table of each bundled config
+TABLE_PINS = {
+    "paper_synthetic_m10":
+        "ccb83f34e092e41ba92fdb4d1a6d4fbb33a901db67ec5ae975192ba716badd25",
+    "paper_synthetic_m100":
+        "306091ebf341b8b67dfd02832b136f461e8baea733d1e40d9f22f67211934a28",
+}
+
 
 def _update(h, trace) -> None:
     h.update(np.ascontiguousarray(trace.arms, dtype=np.int64).tobytes())
@@ -56,10 +68,12 @@ def _update(h, trace) -> None:
 @pytest.fixture(scope="module")
 def small_setup():
     config = config_from_dict(BYTE_IDENTITY_CONFIG)
-    table = nu_table(config.instance, config.oracle_method,
-                     nodes=config.oracle_nodes, samples=config.oracle_samples,
-                     seed=config.base_seed)
-    return config, table
+    return config, _config_table(config)
+
+
+def _config_table(config):
+    return nu_table(config.instance, config.oracle_method, nodes=config.oracle_nodes,
+                    samples=config.oracle_samples, seed=config.base_seed)
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +100,21 @@ def test_gaussian_episode_pin(kind, gaussian_setup):
     h = hashlib.sha256()
     _update(h, run_episode(instance, PolicySpec(kind), horizon, table, GAUSSIAN_SEED))
     assert h.hexdigest() == digest
+
+
+def test_m100_klrcucb_pin():
+    config = load_config("paper_synthetic_m100")
+    horizon, digest = M100_KL_PIN
+    h = hashlib.sha256()
+    _update(h, run_episode(config.instance, PolicySpec("klrcucb"), horizon,
+                           _config_table(config), GAUSSIAN_SEED))
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PINS))
+def test_bundled_table_pin(name):
+    table = _config_table(load_config(name))
+    h = hashlib.sha256()
+    for values in (table.mu, table.nu, table.gap):
+        h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    assert h.hexdigest() == TABLE_PINS[name]
