@@ -6,6 +6,7 @@ processes without synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Protocol, Union
 
@@ -122,6 +123,11 @@ class ResourceGrid:
     def __post_init__(self) -> None:
         if len(self.points) == 0:
             raise ConfigError("grid needs at least one point")
+        # NaN fails every comparison below, so finiteness is checked first
+        if not all(math.isfinite(p) for p in self.points):
+            raise ConfigError("grid points must be finite")
+        if not math.isfinite(self.tau_max):
+            raise ConfigError("tau_max must be finite")
         if self.points[0] <= 0.0:
             raise ConfigError("grid points must be positive")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):

@@ -48,24 +48,34 @@ def _density_integral(arm, c_hi: float, nodes: int, weight_reward: bool) -> floa
     cn, cw = _gl_on(0.0, c_hi, nodes)
     dr = rn - arm.mean[0]
     dc = cn - arm.mean[1]
-    quad = (
-        inv00 * dr[:, None] ** 2
-        + 2.0 * inv01 * dr[:, None] * dc[None, :]
-        + inv11 * dc[None, :] ** 2
-    )
-    pdf = norm * np.exp(-0.5 * quad)
+    # norm * exp(-0.5 * quadratic form), evaluated in place on one nodes x nodes
+    # buffer in the operand order of the plain expression
+    pdf = np.multiply(2.0 * inv01 * dr[:, None], dc[None, :])
+    np.add(inv00 * dr[:, None] ** 2, pdf, out=pdf)
+    pdf += inv11 * dc[None, :] ** 2
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf *= norm
     r_weight = rw * rn if weight_reward else rw
     return float(np.einsum("i,j,ij->", r_weight, cw, pdf))
 
 
-def _quadrature_moment(arm, tau_prime: float, nodes: int) -> float:
+def _exact_moments(arm, taus, nodes: int) -> np.ndarray:
+    """E[R * 1{C <= tau'}] for each tau' in taus, by the arm's closed form if it
+    has one and by quadrature otherwise; the normalizer is integrated once."""
+    if hasattr(arm, "mixed_moment"):
+        return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
+    if nodes < 32:
+        raise DomainError("quadrature needs at least 32 nodes per axis")
     z = _density_integral(arm, 1.0, nodes, weight_reward=False)
     if z < 1e-12:
         raise DomainError(
             "truncation normalizer below 1e-12; the density is degenerate on [0,1]^2"
         )
-    num = _density_integral(arm, min(float(tau_prime), 1.0), nodes, weight_reward=True)
-    return num / z
+    return np.array([
+        _density_integral(arm, min(float(tau), 1.0), nodes, weight_reward=True) / z
+        for tau in taus
+    ])
 
 
 def true_mixed_moment(arm, tau_prime: float, method: str = "quadrature", *,
@@ -78,12 +88,8 @@ def true_mixed_moment(arm, tau_prime: float, method: str = "quadrature", *,
     """
     if method not in ORACLE_METHODS:
         raise DomainError(f"unknown oracle method {method!r}")
-    if hasattr(arm, "mixed_moment"):
-        return float(arm.mixed_moment(tau_prime)), 0.0
-    if method == "quadrature":
-        if nodes < 32:
-            raise DomainError("quadrature needs at least 32 nodes per axis")
-        return _quadrature_moment(arm, tau_prime, nodes), 0.0
+    if method == "quadrature" or hasattr(arm, "mixed_moment"):
+        return float(_exact_moments(arm, (tau_prime,), nodes)[0]), 0.0
     if samples < 10_000:
         raise DomainError("Monte Carlo needs at least 10^4 samples")
     if rng is None:
@@ -225,10 +231,14 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
              nodes: int = 200, samples: int = 1_000_000, seed: int = 0) -> NuTable:
     """Evaluate every pair of the instance and locate the optimum.
 
-    Monte Carlo reuses one sample batch per arm across all grid points, with
-    per-arm streams derived from the seed; the same draws therefore produce
-    monotone mu estimates in tau'. The optimum uses the policies' tie-break
-    (smallest tau', then smallest arm).
+    Closed-form and quadrature rows depend on the arm alone, so each distinct
+    arm (arms are frozen dataclasses, equal when their fields are) is evaluated
+    once and its row copied to the arms equal to it. Monte Carlo draws one
+    sample batch per arm from its own stream mix64(seed, i) and reuses it
+    across all grid points, so the same draws produce monotone mu estimates in
+    tau'; equal arms get different streams and different rows, so Monte Carlo
+    rows are not shared. The optimum uses the policies' tie-break (smallest
+    tau', then smallest arm).
     """
     if method not in ORACLE_METHODS:
         raise DomainError(f"unknown oracle method {method!r}")
@@ -237,6 +247,7 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
     n, m = instance.n, grid.m
     mu = np.empty((n, m))
     se = np.zeros((n, m))
+    exact_rows: dict = {}
     for i, arm in enumerate(instance.arms):
         if method == "monte_carlo" and not hasattr(arm, "mixed_moment"):
             if samples < 10_000:
@@ -248,10 +259,9 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
                 mu[i, j] = vals.mean()
                 se[i, j] = vals.std(ddof=1) / math.sqrt(samples)
         else:
-            for j, tau in enumerate(taus):
-                mu[i, j], se[i, j] = true_mixed_moment(
-                    arm, float(tau), method, nodes=nodes, samples=samples
-                )
+            if arm not in exact_rows:
+                exact_rows[arm] = _exact_moments(arm, taus, nodes)
+            mu[i] = exact_rows[arm]
     scale, offset = objective_vectors(instance.objective, instance.discount, grid)
     nu = scale * mu + offset
     arm0, j_opt = argmax_pair(nu)

@@ -110,14 +110,31 @@ def kl_bernoulli(p: float, q: float) -> float:
     """
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise DomainError("p and q must lie in [0, 1]")
-    return float(_kl_bernoulli_arr(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
-
-
-def _kl_bernoulli_arr(p, q):
+    w = np.array([p, 1.0 - p])
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(p > 0.0, p * np.log(p / q), 0.0)
-        right = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
-    return left + right
+        return float(_kl_bernoulli_arr(w, np.array([q, 1.0 - q]), _zero_weights(w)))
+
+
+def _kl_bernoulli_arr(w: np.ndarray, v: np.ndarray, zero: np.ndarray | None) -> np.ndarray:
+    """d(p, q) = p log(p / q) + (1 - p) log((1 - p) / (1 - q)), elementwise.
+
+    w stacks (p, 1 - p) and v stacks (q, 1 - q) on a leading axis of length 2.
+    A term with weight 0 counts as 0 (0 log 0 := 0); zero is the mask w == 0
+    from _zero_weights, None when no weight is 0. The caller opens
+    np.errstate(divide="ignore", invalid="ignore"), since the weightless terms
+    evaluate to nan before the mask clears them.
+    """
+    terms = np.divide(w, v)
+    np.log(terms, out=terms)
+    terms *= w
+    if zero is not None:
+        np.putmask(terms, zero, 0.0)
+    return terms[0] + terms[1]
+
+
+def _zero_weights(w: np.ndarray) -> np.ndarray | None:
+    zero = w == 0.0
+    return zero if zero.any() else None
 
 
 def _exploration_budget(t: int, c: float) -> float:
@@ -151,17 +168,55 @@ def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
 
 
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
-    """Vectorized bisection of klucb_index over all pairs (40 halvings < 1e-9)."""
-    target = _exploration_budget(t, c) / np.maximum(counts, 1.0)
-    lo = mu_eff.copy()
-    hi = np.ones_like(mu_eff)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        too_far = _kl_bernoulli_arr(mu_eff, mid) > target
-        hi = np.where(too_far, mid, hi)
-        lo = np.where(too_far, lo, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(counts > 0, out, np.inf)
+    """klucb_index of every pair that can attain the maximum; -inf elsewhere.
+
+    Each cell runs the 40 halvings of [mu_eff, 1] (width below 1e-9) with the
+    operands and operation order of an unpruned vectorized bisection over all
+    cells, so every finite value returned has that bisection's bits; bounds are
+    updated in place under one errstate. After each halving a cell
+    whose hi lies below the largest lo is dropped: its final value is at most
+    its hi, and the final maximum at least that lo, so the cell can be neither
+    the argmax nor a tie, and it reads -inf. The arrays are compacted once at
+    most half of their cells remain. Cells with N = 0 read +inf; if there is
+    one, no finite cell can attain the maximum and nothing is bisected.
+    """
+    played = counts > 0
+    if not played.all():
+        return np.where(played, -np.inf, np.inf)
+    p = mu_eff.ravel()
+    budget = _exploration_budget(t, c)
+    # one column per live cell; rows p, 1 - p, lo, hi, target
+    state = np.stack((p, 1.0 - p, p, np.ones_like(p),
+                      (budget / np.maximum(counts, 1.0)).ravel()))
+    cells = np.arange(p.size)
+    compacted = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(40):
+            if compacted:
+                w, (lo, hi, target) = state[:2], state[2:]
+                zero = _zero_weights(w)
+                v = np.empty_like(w)
+                mid, mid_bar = v
+                compacted = False
+            np.add(lo, hi, out=mid)
+            np.multiply(mid, 0.5, out=mid)
+            np.subtract(1.0, mid, out=mid_bar)
+            too_far = _kl_bernoulli_arr(w, v, zero) > target
+            np.putmask(hi, too_far, mid)
+            np.logical_not(too_far, out=too_far)
+            np.putmask(lo, too_far, mid)
+            if cells.size > 1:
+                keep = hi >= lo.max()
+                if 2 * np.count_nonzero(keep) <= keep.size:
+                    keep = np.flatnonzero(keep)
+                    state = state.take(keep, axis=1)
+                    cells = cells[keep]
+                    compacted = True
+    lo, hi = state[2:4]
+    keep = hi >= lo.max()
+    out = np.full(counts.size, -np.inf)
+    out[cells[keep]] = 0.5 * (lo[keep] + hi[keep])
+    return out.reshape(counts.shape)
 
 
 def _optimistic_index(estimator, width: float, count_scale: float,
@@ -296,6 +351,13 @@ class KLRCUCBPolicy(Policy):
         self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
 
     def index_matrix(self) -> np.ndarray:
+        """The KL index of every pair that can attain the maximum.
+
+        Those cells carry the exact bits of the full bisection; a cell shown to
+        lie strictly below the maximum reads -inf, and an unplayed cell +inf,
+        so argmax_pair picks the pair the full matrix would, ties included.
+        See _klucb_index_matrix.
+        """
         t = self.t + 1
         mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
         return _klucb_index_matrix(mu_eff, self.estimator.counts, t, self.c)

@@ -135,6 +135,24 @@ def test_short_horizon_exits_2(tmp_path, capsys):
     assert "initialization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_points", [float("nan")]),
+    ("grid_points", [0.5, float("inf")]),
+    ("tau_max", float("nan")),
+    ("tau_max", float("inf")),
+])
+def test_non_finite_grid_exits_2(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    if field == "grid_points":
+        del doc["instance"]["grid_m"]
+    doc["instance"][field] = value
+    doc["output_dir"] = str(tmp_path / "out")
+    path = _write_config(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    assert f"instance.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_output_dir(tmp_path, capsys):
     path = _write_config(tmp_path, SMALL_CONFIG)
     assert main(["run", str(path)]) == 2

@@ -160,6 +160,19 @@ def test_grid_validation():
         ResourceGrid(points=(), tau_max=1.0)
 
 
+@pytest.mark.parametrize("points, tau_max", [
+    ((math.nan,), 1.0),
+    ((0.25, math.nan, 0.75), 1.0),
+    ((0.5, math.inf), math.inf),
+    ((0.5,), math.nan),
+    ((0.5,), math.inf),
+])
+def test_grid_rejects_non_finite(points, tau_max):
+    # each ordering check is a comparison that NaN fails
+    with pytest.raises(ConfigError, match="finite"):
+        ResourceGrid(points=points, tau_max=tau_max)
+
+
 def test_objective_value_examples():
     disc = DiscountSpec("linear", tau_max=1.0)
     mult = MultiplicativeDiscount()

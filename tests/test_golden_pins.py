@@ -31,7 +31,8 @@ SMALL_PINS = {
 }
 
 # one episode per kind on the m = 10 Gaussian instance: (horizon, digest);
-# klrcucb costs about 1 ms per round, so its episode is shorter
+# the klrcucb index bisects every pair each round, at many times the per-round
+# cost of the other kinds, so its episode is shorter
 GAUSSIAN_SEED = 20201102
 GAUSSIAN_PINS = {
     "rcucb": (50_000,

@@ -11,6 +11,7 @@ from rcbandit.core import (
     DomainError,
     InstanceSpec,
     build_grid,
+    objective_vectors,
 )
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
 from rcbandit.oracle import (
@@ -147,6 +148,44 @@ def test_monte_carlo_table_is_seed_deterministic():
     # Shared draws per arm keep the estimates monotone in tau'.
     assert np.all(np.diff(a.mu, axis=1) >= 0)
     assert np.all(a.se > 0)
+
+
+def _repeated_arms_instance() -> InstanceSpec:
+    a = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
+    b = GaussianArm(mean=(0.5, 0.5), x=0.6, sigma=0.1)
+    d = DegenerateArm(r0=0.7, c0=0.45)
+    return InstanceSpec(
+        # equal by value, not only by identity
+        arms=(a, b, GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1), d, b, a,
+              DegenerateArm(r0=0.7, c0=0.45)),
+        grid=build_grid(7, 1.0),
+        discount=DiscountSpec("linear"),
+    )
+
+
+def test_table_of_repeated_arms_matches_per_cell_moments():
+    inst = _repeated_arms_instance()
+    tab = nu_table(inst, nodes=64)
+    mu = np.array([[true_mixed_moment(arm, float(tau), "quadrature", nodes=64)[0]
+                    for tau in inst.grid.points] for arm in inst.arms])
+    scale, offset = objective_vectors(inst.objective, inst.discount, inst.grid)
+    nu = scale * mu + offset
+    assert np.array_equal(tab.mu, mu)
+    assert np.array_equal(tab.nu, nu)
+    assert np.array_equal(tab.gap, nu.max() - nu)
+    assert np.all(tab.se == 0.0)
+    assert np.array_equal(tab.mu[0], tab.mu[2])
+    assert np.array_equal(tab.mu[3], tab.mu[6])
+
+
+def test_monte_carlo_rows_of_repeated_arms_differ():
+    # each arm index draws from its own stream, so equal arms get their own rows
+    tab = nu_table(_repeated_arms_instance(), "monte_carlo", samples=10_000, seed=3)
+    for i, k in ((0, 2), (0, 5), (1, 4)):
+        assert not np.array_equal(tab.mu[i], tab.mu[k])
+        assert not np.array_equal(tab.se[i], tab.se[k])
+    # closed-form arms are exact under either method
+    assert np.array_equal(tab.mu[3], tab.mu[6])
 
 
 def test_monte_carlo_table_near_truth():

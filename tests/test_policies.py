@@ -27,6 +27,7 @@ from rcbandit.policies import (
     PolicySpec,
     RCUCBPolicy,
     UniformRandomPolicy,
+    _exploration_budget,
     argmax_pair,
     init_length,
     kl_bernoulli,
@@ -250,9 +251,78 @@ def test_klrcucb_smaller_count_larger_index():
     pol = KLRCUCBPolicy(inst)
     _inject(pol, counts=5.0, mu=0.4, t=50)
     pol.estimator.counts[1, 0] = 2.0
-    pol.estimator.sums[1, 0] = 0.8  # same mu_hat = 0.4
+    pol.estimator.sums[1, 0] = 0.8  # same mu_hat = 0.4, so mu_eff = 0.2 for both
     idx = pol.index_matrix()
-    assert idx[1, 0] > idx[0, 0] + 1e-6
+    # compared with the scalar index of the larger count, not with idx[0, 0],
+    # which the pruned bisection may leave at -inf
+    assert idx[1, 0] == pytest.approx(klucb_index(0.2, 2, 50, 3.0), abs=1e-9)
+    assert idx[1, 0] > klucb_index(0.2, 5, 50, 3.0) + 1e-6
+    a = pol.select()
+    assert (a.arm, a.tau_prime) == (2, 0.5)
+
+
+def _reference_klucb_matrix(mu_eff, counts, t, c):
+    """The unpruned vectorized bisection, written out as before pruning existed."""
+    target = _exploration_budget(t, c) / np.maximum(counts, 1.0)
+    lo = mu_eff.copy()
+    hi = np.ones_like(mu_eff)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = np.where(mu_eff > 0.0, mu_eff * np.log(mu_eff / mid), 0.0)
+            right = np.where(mu_eff < 1.0,
+                             (1.0 - mu_eff) * np.log((1.0 - mu_eff) / (1.0 - mid)), 0.0)
+        too_far = left + right > target
+        hi = np.where(too_far, mid, hi)
+        lo = np.where(too_far, lo, mid)
+    return np.where(counts > 0, 0.5 * (lo + hi), np.inf)
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_klucb_pruning_is_bit_identical(m):
+    pol = KLRCUCBPolicy(gaussian_instance(m))
+    est = pol.estimator
+    n = est.counts.shape[0]
+    rng = np.random.default_rng(100 + m)
+    case_seen = set()
+    for trial in range(30):
+        case = trial % 6
+        # small counts, as early in an episode, leave many cells near 1
+        est.counts[:] = rng.integers(1, 3 if case == 5 else 60, size=est.counts.shape)
+        est.sums[:] = est.counts * rng.random(est.counts.shape)
+        pol.t = 1 if case == 4 else int(rng.integers(n, 2000))  # t = 2: budget 0
+        if case == 1:
+            est.counts[rng.integers(n), rng.integers(m)] = 0.0
+        elif case == 2:
+            # mu_hat above 1 / gamma(tau') clips mu_eff to exactly 1
+            i = rng.integers(n)
+            est.sums[i, 0] = 2.0 * est.counts[i, 0]
+        mu_eff = np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
+        if case == 3:
+            # copy the top cell to another arm: the same (p, N) gives an exact tie
+            a, j = argmax_pair(_reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c))
+            other = (a + 1 + int(rng.integers(n - 1))) % n
+            est.counts[other, j] = est.counts[a, j]
+            est.sums[other, j] = est.sums[a, j]
+            mu_eff = np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
+
+        ref = _reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c)
+        idx = pol.index_matrix()
+        assert argmax_pair(idx) == argmax_pair(ref)
+        finite = np.isfinite(idx)
+        assert np.array_equal(idx[finite], ref[finite])
+        assert np.all(ref[np.isneginf(idx)] < ref.max())
+        assert np.array_equal(np.isposinf(idx), est.counts == 0)
+        for i, j in zip(*np.nonzero(finite)):
+            scalar = klucb_index(float(mu_eff[i, j]), int(est.counts[i, j]), pol.t + 1, pol.c)
+            assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
+        if case == 3:
+            assert idx[a, j] == idx[other, j] == ref.max()
+        case_seen.add(case)
+        case_seen.add("p0" if np.any(mu_eff == 0.0) else None)
+        case_seen.add("p1" if np.any(mu_eff == 1.0) else None)
+        case_seen.add("pruned" if np.any(np.isneginf(idx)) and case != 1 else None)
+    assert case_seen >= {0, 1, 2, 3, 4, 5, "p0", "p1", "pruned"}
 
 
 def test_klrcucb_matches_scalar_index():
