@@ -88,7 +88,9 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
     tau_max = float(obj.get("tau_max", 1.0))
     if not (math.isfinite(tau_max) and tau_max > 0):
-        raise ConfigError(f"instance.tau_max: expected a positive finite number, got {tau_max}")
+        raise ConfigError(
+            f"instance.tau_max: expected a positive finite number, got {tau_max}"
+        )
     if "grid_m" in obj and "grid_points" in obj:
         raise ConfigError("instance: give grid_m or grid_points, not both")
     if "grid_m" in obj:

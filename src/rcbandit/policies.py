@@ -170,15 +170,14 @@ def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
     """klucb_index of every pair that can attain the maximum; -inf elsewhere.
 
-    Each cell runs the 40 halvings of [mu_eff, 1] (width below 1e-9) with the
-    operands and operation order of an unpruned vectorized bisection over all
-    cells, so every finite value returned has that bisection's bits; bounds are
-    updated in place under one errstate. After each halving a cell
-    whose hi lies below the largest lo is dropped: its final value is at most
-    its hi, and the final maximum at least that lo, so the cell can be neither
-    the argmax nor a tie, and it reads -inf. The arrays are compacted once at
-    most half of their cells remain. Cells with N = 0 read +inf; if there is
-    one, no finite cell can attain the maximum and nothing is bisected.
+    Each cell runs 40 halvings of [mu_eff, 1] (width below 1e-9) with the
+    operands and operation order of an unpruned bisection over all cells, so
+    every finite value returned has that bisection's bits. After each halving,
+    a cell whose hi lies below the largest lo is dropped and reads -inf: its
+    final value is at most its hi and the final maximum at least that lo, so
+    it can be neither the argmax nor a tie. The live cells are compacted once
+    at most half of them remain. Cells with N = 0 read +inf; if there is one,
+    no finite cell can attain the maximum and nothing is bisected.
     """
     played = counts > 0
     if not played.all():

@@ -66,15 +66,15 @@ def _update(h, trace) -> None:
     h.update(np.ascontiguousarray(trace.censored, dtype=np.bool_).tobytes())
 
 
+def _config_table(config):
+    return nu_table(config.instance, config.oracle_method, nodes=config.oracle_nodes,
+                    samples=config.oracle_samples, seed=config.base_seed)
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     config = config_from_dict(BYTE_IDENTITY_CONFIG)
     return config, _config_table(config)
-
-
-def _config_table(config):
-    return nu_table(config.instance, config.oracle_method, nodes=config.oracle_nodes,
-                    samples=config.oracle_samples, seed=config.base_seed)
 
 
 @pytest.fixture(scope="module")
