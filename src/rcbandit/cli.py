@@ -48,35 +48,72 @@ ARM_KINDS = ("gaussian", "degenerate", "uniform_cost", "trace")
 OBJECTIVE_KINDS = ("multiplicative", "additive_cost")
 
 
-def _need(obj: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
+    """obj[key] converted by cast, or default when the key is absent.
+
+    Every config value is read through here, so a missing field, a container
+    that is not an object, or a value cast rejects (ValueError, TypeError or
+    OverflowError, e.g. int(inf)) becomes a ConfigError naming the field path.
+    """
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object")
     if key not in obj:
-        raise ConfigError(f"{where}.{key}: required field is missing")
-    return obj[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: required field is missing")
+        return default
+    if cast is None:
+        return obj[key]
+    try:
+        return cast(obj[key])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _build(where: str, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs), with its validation errors prefixed by the field path."""
+    try:
+        return ctor(*args, **kwargs)
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _float_pair(value) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError("expected a list of two numbers")
+    return float(value[0]), float(value[1])
+
+
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("expected a list of numbers")
+    return tuple(float(v) for v in value)
 
 
 def _parse_arm(obj: dict, where: str, base_dir: Path):
-    kind = _need(obj, "kind", where)
+    kind = _read(obj, "kind", where)
     if kind == "gaussian":
-        mean = _need(obj, "mean", where)
-        if not (isinstance(mean, list) and len(mean) == 2):
-            raise ConfigError(f"{where}.mean: expected [reward_mean, cost_mean]")
-        return GaussianArm(mean=(float(mean[0]), float(mean[1])),
-                           x=float(_need(obj, "x", where)),
-                           sigma=float(_need(obj, "sigma", where)))
+        return _build(where, GaussianArm, mean=_read(obj, "mean", where, _float_pair),
+                      x=_read(obj, "x", where, float),
+                      sigma=_read(obj, "sigma", where, float))
     if kind == "degenerate":
-        return DegenerateArm(r0=float(_need(obj, "reward", where)),
-                             c0=float(_need(obj, "cost", where)))
+        return _build(where, DegenerateArm, r0=_read(obj, "reward", where, float),
+                      c0=_read(obj, "cost", where, float))
     if kind == "uniform_cost":
-        return UniformCostArm(reward_mean=float(_need(obj, "reward_mean", where)))
+        return _build(where, UniformCostArm,
+                      reward_mean=_read(obj, "reward_mean", where, float))
     if kind == "trace":
-        replay = obj.get("replay", "sample")
+        replay = _read(obj, "replay", where, default="sample")
         if replay not in REPLAY_MODES:
             raise ConfigError(f"{where}.replay: must be one of {REPLAY_MODES}")
-        path = Path(_need(obj, "path", where))
+        path = _read(obj, "path", where, Path)
         if not path.is_absolute():
             path = base_dir / path
-        arms = trace_env_load(path, replay=replay)
-        idx = int(obj.get("arm", 1))
+        arms = _build(where, trace_env_load, path, replay=replay)
+        idx = _read(obj, "arm", where, int, 1)
         if not 1 <= idx <= len(arms):
             raise ConfigError(
                 f"{where}.arm: trace file holds arms 1..{len(arms)}, got {idx}"
@@ -86,44 +123,42 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    tau_max = float(obj.get("tau_max", 1.0))
+    tau_max = _read(obj, "tau_max", "instance", float, 1.0)
     if not (math.isfinite(tau_max) and tau_max > 0):
         raise ConfigError(
             f"instance.tau_max: expected a positive finite number, got {tau_max}"
         )
     if "grid_m" in obj and "grid_points" in obj:
         raise ConfigError("instance: give grid_m or grid_points, not both")
-    if "grid_m" in obj:
-        grid = build_grid(int(obj["grid_m"]), tau_max)
-    elif "grid_points" in obj:
-        try:
-            grid = ResourceGrid(tuple(float(p) for p in obj["grid_points"]), tau_max)
-        except ConfigError as exc:
-            raise ConfigError(f"instance.grid_points: {exc}") from None
+    if "grid_points" in obj:
+        grid = _build("instance.grid_points", ResourceGrid,
+                      _read(obj, "grid_points", "instance", _floats), tau_max)
     else:
-        raise ConfigError("instance.grid_m: required field is missing")
+        grid = _build("instance.grid_m", build_grid,
+                      _read(obj, "grid_m", "instance", int), tau_max)
 
-    disc_obj = _need(obj, "discount", "instance")
-    kind = _need(disc_obj, "kind", "instance.discount")
+    disc_obj = _read(obj, "discount", "instance")
+    kind = _read(disc_obj, "kind", "instance.discount")
     if kind not in DISCOUNT_KINDS:
         raise ConfigError(f"instance.discount.kind: unknown kind {kind!r}")
-    discount = DiscountSpec(
-        kind, tau_max=tau_max,
-        k=float(disc_obj["k"]) if "k" in disc_obj else None,
-        rho=float(disc_obj["rho"]) if "rho" in disc_obj else None,
+    discount = _build(
+        "instance.discount", DiscountSpec, kind, tau_max=tau_max,
+        k=_read(disc_obj, "k", "instance.discount", float, None),
+        rho=_read(disc_obj, "rho", "instance.discount", float, None),
     )
 
-    objv = obj.get("objective", {"kind": "multiplicative"})
-    okind = _need(objv, "kind", "instance.objective")
+    objv = _read(obj, "objective", "instance", default={"kind": "multiplicative"})
+    okind = _read(objv, "kind", "instance.objective")
     if okind == "multiplicative":
         objective = MultiplicativeDiscount()
     elif okind == "additive_cost":
-        objective = AdditiveCost(scale=float(objv.get("scale", 1.0)),
-                                 power=float(objv.get("power", 1.0)))
+        objective = _build("instance.objective", AdditiveCost,
+                           scale=_read(objv, "scale", "instance.objective", float, 1.0),
+                           power=_read(objv, "power", "instance.objective", float, 1.0))
     else:
         raise ConfigError(f"instance.objective.kind: unknown kind {okind!r}")
 
-    arms_obj = _need(obj, "arms", "instance")
+    arms_obj = _read(obj, "arms", "instance")
     if not isinstance(arms_obj, list) or not arms_obj:
         raise ConfigError("instance.arms: expected a non-empty list")
     arms = tuple(
@@ -135,54 +170,46 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
 
 
 def _parse_policy(obj: dict, where: str) -> PolicySpec:
-    kind = _need(obj, "kind", where)
+    kind = _read(obj, "kind", where)
     if kind not in POLICY_KINDS:
         raise ConfigError(f"{where}.kind: unknown policy kind {kind!r}")
     kwargs = {}
-    if "label" in obj:
-        kwargs["label"] = str(obj["label"])
-    if "alpha" in obj:
-        kwargs["alpha"] = float(obj["alpha"])
-    if "c" in obj:
-        kwargs["c"] = float(obj["c"])
-    if "prior" in obj:
-        prior = obj["prior"]
-        if not (isinstance(prior, list) and len(prior) == 2):
-            raise ConfigError(f"{where}.prior: expected [a, b]")
-        kwargs["prior"] = (float(prior[0]), float(prior[1]))
-    if "indicator" in obj:
-        kwargs["ts_indicator"] = str(obj["indicator"])
-    return PolicySpec(kind, **kwargs)
+    for key, field, cast in (("label", "label", str), ("alpha", "alpha", float),
+                             ("c", "c", float), ("prior", "prior", _float_pair),
+                             ("indicator", "ts_indicator", str)):
+        if key in obj:
+            kwargs[field] = _read(obj, key, where, cast)
+    return _build(where, PolicySpec, kind, **kwargs)
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a decoded JSON document."""
     if base_dir is None:
         base_dir = Path.cwd()
-    instance = _parse_instance(_need(doc, "instance", "config"), base_dir)
-    pol_obj = _need(doc, "policies", "config")
+    instance = _parse_instance(_read(doc, "instance", ""), base_dir)
+    pol_obj = _read(doc, "policies", "")
     if not isinstance(pol_obj, list) or not pol_obj:
         raise ConfigError("policies: expected a non-empty list")
     policies = tuple(
         _parse_policy(p, f"policies[{i}]") for i, p in enumerate(pol_obj)
     )
-    oracle = doc.get("oracle", {})
-    method = oracle.get("method", "quadrature")
+    oracle = _read(doc, "oracle", "", default={})
+    method = _read(oracle, "method", "oracle", default="quadrature")
     if method not in ("quadrature", "monte_carlo"):
         raise ConfigError(f"oracle.method: unknown method {method!r}")
-    out = doc.get("output_dir")
+    out = _read(doc, "output_dir", "", default=None)
     return ExperimentConfig(
         instance=instance,
         policies=policies,
-        horizon=int(_need(doc, "horizon", "config")),
-        repetitions=int(doc.get("repetitions", 20)),
-        base_seed=int(doc.get("base_seed", 0)),
+        horizon=_read(doc, "horizon", "", int),
+        repetitions=_read(doc, "repetitions", "", int, 20),
+        base_seed=_read(doc, "base_seed", "", int, 0),
         oracle_method=method,
-        oracle_nodes=int(oracle.get("nodes", 200)),
-        oracle_samples=int(oracle.get("samples", 1_000_000)),
-        workers=int(doc.get("workers", 1)),
-        output_dir=Path(out) if out is not None else None,
-        dump_state=bool(doc.get("dump_state", False)),
+        oracle_nodes=_read(oracle, "nodes", "oracle", int, 200),
+        oracle_samples=_read(oracle, "samples", "oracle", int, 1_000_000),
+        workers=_read(doc, "workers", "", int, 1),
+        output_dir=None if out is None else _read(doc, "output_dir", "", Path),
+        dump_state=_read(doc, "dump_state", "", bool, False),
     )
 
 

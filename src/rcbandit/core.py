@@ -1,12 +1,14 @@
 """Shared domain types: discounts, resource grids, actions, feedback, instances.
 
 Everything here is an immutable value object, safe to share across worker
-processes without synchronization.
+processes without synchronization. The censoring rule lives here too, once:
+admits() for one limit and ResourceGrid.first_admitting() for a whole grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Protocol, Union
 
@@ -46,6 +48,17 @@ def mix64(*parts: int) -> int:
         h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
         h = h ^ (h >> 31)
     return h
+
+
+def admits(cost, tau):
+    """The censoring rule: a limit tau admits a cost, and the round's reward is
+    observed, iff cost <= tau. Takes scalars or numpy arrays (elementwise).
+
+    ResourceGrid.first_admitting is the same rule over a sorted grid, by
+    bisection: bisect_left pairs with <=, bisect_right would pair with <. A
+    change to the rule changes both.
+    """
+    return cost <= tau
 
 
 DISCOUNT_KINDS = ("linear", "polynomial", "sublinear", "geometric", "exponential")
@@ -141,6 +154,11 @@ class ResourceGrid:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
+
+    def first_admitting(self, cost: float) -> int:
+        """Index of the smallest grid point that admits cost, m if none does:
+        limit j admits cost iff first_admitting(cost) <= j (see admits)."""
+        return bisect_left(self.points, cost)
 
     def index_of(self, tau: float) -> int:
         """Index of the grid point equal to tau (tolerance 1e-9 * tau_max)."""

@@ -3,24 +3,27 @@
 Three families of arms: bivariate Gaussians truncated to the unit square
 (sampled by rejection), analytic arms with closed-form mixed moments for
 oracle cross-checks, and replay of recorded (reward, cost) traces.
+
+Arms only draw (reward, cost) pairs; whether a draw is censored is decided by
+core.admits, which the episode loop and the closed-form moments here call.
+DegenerateArm, TraceArm and trace_env_load reject a NaN or negative cost:
+admits() would censor a NaN cost at every limit while first_admitting()
+would admit it at every limit.
+
+Per-round hook contract: GaussianArm.sample stays in the class body and is
+called through the arm, because the per-layer benchmark trace wraps it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    ActionPair,
-    ConfigError,
-    DomainError,
-    Feedback,
-    InstanceSpec,
-    SamplingError,
-)
+from .core import ConfigError, DomainError, InstanceSpec, SamplingError, admits
 
 # rejection sampling budget: attempts allowed per requested draw
 MAX_ATTEMPTS_PER_DRAW = 10**6
@@ -58,6 +61,9 @@ class GaussianArm:
     def __post_init__(self) -> None:
         if len(self.mean) != 2:
             raise ConfigError("mean must have exactly two components")
+        # a NaN mean would only show as a rejection sampler that never accepts
+        if not all(math.isfinite(v) for v in self.mean):
+            raise ConfigError("mean must be finite")
         make_cov(self.x, self.sigma)  # validates
 
     def cov(self) -> np.ndarray:
@@ -91,14 +97,6 @@ def _truncated_batch(mean, cov, rng, size, cap_per_draw=MAX_ATTEMPTS_PER_DRAW):
     return rewards, costs
 
 
-def truncated_gauss_sample(spec: GaussianArm, rng: np.random.Generator, size: int | None = None):
-    """Draw from the truncated law; a single (reward, cost) pair, or arrays."""
-    if size is None:
-        r, c = spec.sample(rng, 1)
-        return float(r[0]), float(c[0])
-    return spec.sample(rng, size)
-
-
 @dataclass(frozen=True)
 class DegenerateArm:
     """Point mass at (r0, c0); handy because every moment is exact."""
@@ -109,14 +107,14 @@ class DegenerateArm:
     def __post_init__(self) -> None:
         if not 0.0 <= self.r0 <= 1.0:
             raise ConfigError("r0 must lie in [0, 1]")
-        if self.c0 < 0.0:
+        if not self.c0 >= 0.0:
             raise ConfigError("c0 must be non-negative")
 
     def sample(self, rng, size):
         return np.full(size, self.r0), np.full(size, self.c0)
 
     def mixed_moment(self, tau_prime: float) -> float:
-        return self.r0 if self.c0 <= tau_prime else 0.0
+        return self.r0 if admits(self.c0, tau_prime) else 0.0
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class TraceArm:
             raise ConfigError("rewards and costs must have equal length")
         if any(not 0.0 <= r <= 1.0 for r in self.rewards):
             raise ConfigError("trace rewards must lie in [0, 1]")
-        if any(c < 0.0 for c in self.costs):
+        if any(not c >= 0.0 for c in self.costs):
             raise ConfigError("trace costs must be non-negative")
         if self.replay not in REPLAY_MODES:
             raise ConfigError(f"unknown replay mode {self.replay!r}")
@@ -176,31 +174,7 @@ class TraceArm:
     def mixed_moment(self, tau_prime: float) -> float:
         r = np.asarray(self.rewards)
         c = np.asarray(self.costs)
-        return float(np.mean(r * (c <= tau_prime)))
-
-
-@dataclass(frozen=True, eq=False)
-class RoundOutcome:
-    """The latent (reward, cost) of every arm for one round."""
-
-    rewards: np.ndarray
-    costs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.rewards)
-
-
-def sample_round(instance: InstanceSpec, rng: np.random.Generator) -> RoundOutcome:
-    """One independent draw per arm; arms are mutually independent."""
-    n = instance.n
-    rewards = np.empty(n)
-    costs = np.empty(n)
-    for i, arm in enumerate(instance.arms):
-        r, c = arm.sample(rng, 1)
-        rewards[i] = r[0]
-        costs[i] = c[0]
-    return RoundOutcome(rewards, costs)
+        return float(np.mean(r * admits(c, tau_prime)))
 
 
 def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
@@ -217,16 +191,6 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
         rewards[:, i] = r
         costs[:, i] = c
     return rewards, costs
-
-
-def observe(outcome: RoundOutcome, action: ActionPair) -> Feedback:
-    """Censor the chosen arm's outcome against the chosen limit (C <= tau' passes)."""
-    if not 1 <= action.arm <= outcome.n:
-        raise DomainError(f"arm {action.arm} outside 1..{outcome.n}")
-    cost = float(outcome.costs[action.arm - 1])
-    if cost <= action.tau_prime:
-        return Feedback(censored=False, cost=cost, reward=float(outcome.rewards[action.arm - 1]))
-    return Feedback(censored=True)
 
 
 def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> tuple[TraceArm, ...]:
@@ -255,8 +219,8 @@ def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> t
                 raise ConfigError(f"{path}:{lineno}: arm index must be >= 1")
             if not 0.0 <= reward <= 1.0:
                 raise ConfigError(f"{path}:{lineno}: reward {reward} outside [0, 1]")
-            if cost < 0.0:
-                raise ConfigError(f"{path}:{lineno}: cost {cost} is negative")
+            if not cost >= 0.0:
+                raise ConfigError(f"{path}:{lineno}: cost {cost} must be non-negative")
             rows.setdefault(arm, []).append((reward, cost))
     if not rows:
         raise ConfigError(f"{path}: no data rows")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, InstanceSpec, mix64, objective_vectors
+from .core import DomainError, InstanceSpec, admits, mix64, objective_vectors
 from .policies import argmax_pair
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
@@ -95,7 +95,7 @@ def true_mixed_moment(arm, tau_prime: float, method: str = "quadrature", *,
     if rng is None:
         rng = np.random.default_rng(0)
     r, c = arm.sample(rng, samples)
-    vals = r * (c <= tau_prime)
+    vals = r * admits(c, tau_prime)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -255,7 +255,7 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
             rng = np.random.default_rng(mix64(seed, i))
             r, c = arm.sample(rng, samples)
             for j, tau in enumerate(taus):
-                vals = r * (c <= tau)
+                vals = r * admits(c, tau)
                 mu[i, j] = vals.mean()
                 se[i, j] = vals.std(ddof=1) / math.sqrt(samples)
         else:

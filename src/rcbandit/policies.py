@@ -4,12 +4,19 @@ The optimism-based policies keep an index matrix of shape (n_arms, m) and
 pick its argmax; ties break to the smallest resource limit, then the
 smallest arm index, which keeps runs reproducible.
 
+Every policy starts with the schedule of init_limits, written once here:
+Policy.select plays it, and init_length (which the runners check the horizon
+against) counts it. The censoring rule is not applied here; the estimators
+take it from core (ResourceGrid.first_admitting).
+
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
 call, looked up where the tracer patches it, once per round that uses it:
 
-- Policy.select and Policy.update, called by the episode loop;
-- each class's own index_matrix, called through self;
+- Policy.select and Policy.update, in Policy's class body, called by the
+  episode loop;
+- index_matrix in the class bodies of RCUCBPolicy, KLRCUCBPolicy and
+  ModifiedUCBPolicy, called through self;
 - the module-global argmax_pair, looked up in this module at call time;
 - each estimator's own update_by_index, called through the estimator;
 - GaussianArm.sample (in envs), called through the arm.
@@ -83,13 +90,24 @@ class PolicySpec:
                 raise ConfigError(f"unknown TS indicator {self.ts_indicator!r}")
 
 
+def init_limits(kind: str, m: int) -> range:
+    """Grid indices that each arm plays in turn before the policy's own rule.
+
+    rcucb and klrcucb play every arm once at the largest limit, which gives
+    every cell of the censored estimator a count; ucb and ts sweep every
+    limit, because their per-pair statistics learn only from the pair played.
+    Round t (0-based) of the schedule plays arm t // len, limit [t % len].
+    """
+    if kind in ("rcucb", "klrcucb"):
+        return range(m - 1, m)
+    if kind in ("ucb", "ts"):
+        return range(m)
+    return range(0)
+
+
 def init_length(kind: str, instance: InstanceSpec) -> int:
     """Number of prescribed initialization rounds before the index takes over."""
-    if kind in ("rcucb", "klrcucb"):
-        return instance.n
-    if kind in ("ucb", "ts"):
-        return instance.n * instance.grid.m
-    return 0
+    return instance.n * len(init_limits(kind, instance.grid.m))
 
 
 def argmax_pair(index: np.ndarray) -> tuple[int, int]:
@@ -247,7 +265,8 @@ def _optimistic_index(estimator, width: float, count_scale: float,
 
 
 class Policy:
-    """Base class: strict select/update alternation and round counting."""
+    """Base class: strict select/update alternation, round counting, the
+    initialization schedule, and the argmax of index_matrix afterwards."""
 
     kind = "base"
 
@@ -255,8 +274,11 @@ class Policy:
         self.instance = instance
         self.grid = instance.grid
         self.t = 0
+        self.estimator = None
         self._pending: ActionPair | None = None
         self._pending_j = -1
+        self._init = init_limits(self.kind, instance.grid.m)
+        self._init_rounds = init_length(self.kind, instance)
         scale, offset = objective_vectors(instance.objective, instance.discount,
                                           instance.grid)
         self.scale = scale
@@ -265,7 +287,11 @@ class Policy:
     def select(self) -> ActionPair:
         if self._pending is not None:
             raise UsageError("select called twice without an update in between")
-        arm0, j = self._choose()
+        if self.t < self._init_rounds:
+            arm0, step = divmod(self.t, len(self._init))
+            j = self._init[step]
+        else:
+            arm0, j = self._choose()
         action = ActionPair(arm=arm0 + 1, tau_prime=self.grid.points[j])
         self._pending = action
         self._pending_j = j
@@ -288,17 +314,29 @@ class Policy:
         self.t += 1
 
     def _choose(self) -> tuple[int, int]:
-        raise NotImplementedError
+        return argmax_pair(self.index_matrix())
 
     def _absorb(self, arm0: int, j: int, feedback: Feedback) -> None:
         pass
 
     def snapshot(self) -> list[dict]:
         """JSON-ready estimator state; empty for estimator-free policies."""
-        return []
+        return [] if self.estimator is None else self.estimator.snapshot()
 
 
-class RCUCBPolicy(Policy):
+class _CensoredPolicy(Policy):
+    """What rcucb and klrcucb share: the censored moment estimator, fed every
+    cell at or below the played limit."""
+
+    def __init__(self, instance: InstanceSpec):
+        super().__init__(instance)
+        self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
+
+    def _absorb(self, arm0, j, feedback):
+        self.estimator.update_by_index(arm0, j + 1, feedback)
+
+
+class RCUCBPolicy(_CensoredPolicy):
     """Optimistic index over all pairs, fed by the censored moment estimator.
 
     Index: scale * (mu_hat + sqrt(2 alpha ln t / N)) + offset, which under
@@ -313,27 +351,14 @@ class RCUCBPolicy(Policy):
     def __init__(self, instance: InstanceSpec, alpha: float = 2.0):
         super().__init__(instance)
         self.alpha = alpha
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
 
     def index_matrix(self) -> np.ndarray:
         t = self.t + 1
         return _optimistic_index(self.estimator, 2.0 * self.alpha * math.log(t), 1.0,
                                  self.scale, self.offset)
 
-    def _choose(self) -> tuple[int, int]:
-        t = self.t + 1
-        if t <= self.instance.n:
-            return t - 1, self.grid.m - 1
-        return argmax_pair(self.index_matrix())
 
-    def _absorb(self, arm0, j, feedback):
-        self.estimator.update_by_index(arm0, j + 1, feedback)
-
-    def snapshot(self):
-        return self.estimator.snapshot()
-
-
-class KLRCUCBPolicy(Policy):
+class KLRCUCBPolicy(_CensoredPolicy):
     """Divergence-based variant of the censored-estimator policy.
 
     Each pair's index is the largest q with N * d(mu_eff, q) below the
@@ -347,7 +372,6 @@ class KLRCUCBPolicy(Policy):
     def __init__(self, instance: InstanceSpec, c: float = 3.0):
         super().__init__(instance)
         self.c = c
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
 
     def index_matrix(self) -> np.ndarray:
         """The KL index of every pair that can attain the maximum.
@@ -360,18 +384,6 @@ class KLRCUCBPolicy(Policy):
         t = self.t + 1
         mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
         return _klucb_index_matrix(mu_eff, self.estimator.counts, t, self.c)
-
-    def _choose(self) -> tuple[int, int]:
-        t = self.t + 1
-        if t <= self.instance.n:
-            return t - 1, self.grid.m - 1
-        return argmax_pair(self.index_matrix())
-
-    def _absorb(self, arm0, j, feedback):
-        self.estimator.update_by_index(arm0, j + 1, feedback)
-
-    def snapshot(self):
-        return self.estimator.snapshot()
 
 
 class ModifiedUCBPolicy(Policy):
@@ -394,18 +406,8 @@ class ModifiedUCBPolicy(Policy):
         return _optimistic_index(self.estimator, self.alpha * math.log(t), 2.0,
                                  self.scale, self.offset)
 
-    def _choose(self) -> tuple[int, int]:
-        cursor = self.t
-        m = self.grid.m
-        if cursor < self.instance.n * m:
-            return cursor // m, cursor % m
-        return argmax_pair(self.index_matrix())
-
     def _absorb(self, arm0, j, feedback):
         self.estimator.update_by_index(arm0, j, feedback)
-
-    def snapshot(self):
-        return self.estimator.snapshot()
 
 
 class ModifiedTSPolicy(Policy):
@@ -426,19 +428,12 @@ class ModifiedTSPolicy(Policy):
                                        indicator=indicator)
 
     def _choose(self) -> tuple[int, int]:
-        cursor = self.t
-        m = self.grid.m
-        if cursor < self.instance.n * m:
-            return cursor // m, cursor % m
         a, b = self.estimator.posterior_params()
         theta = self.rng.beta(a, b)
         return argmax_pair(self.scale * theta + self.offset)
 
     def _absorb(self, arm0, j, feedback):
         self.estimator.update_by_index(arm0, j + 1, feedback, self.rng)
-
-    def snapshot(self):
-        return self.estimator.snapshot()
 
 
 class UniformRandomPolicy(Policy):

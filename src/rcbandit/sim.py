@@ -4,6 +4,10 @@ Episodes are independent: each gets an environment stream and a policy
 stream derived from its seed, so repetitions can run in worker processes
 and still aggregate exactly as in serial execution. The fold over
 repetitions always happens in repetition-index order.
+
+A round is censored by core.admits, the one statement of the censoring rule;
+the initialization schedule a horizon must cover comes from
+policies.init_length. run_episode states the per-round hook contract.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DomainError, Feedback, InstanceSpec, mix64
+from .core import ConfigError, DomainError, Feedback, InstanceSpec, admits, mix64
 from .envs import sample_episode
 from .oracle import (
     NuTable,
@@ -113,6 +117,15 @@ class ExperimentConfig:
 _CENSORED = Feedback(censored=True)
 
 
+def _check_table(table: NuTable, instance: InstanceSpec, what: str) -> None:
+    """Raise ConfigError "<what> does not match the instance" unless the table
+    has one row per arm and one column per grid point, at the same limits."""
+    if table.mu.shape != (instance.n, instance.grid.m) or not np.allclose(
+        table.taus, instance.grid.as_array()
+    ):
+        raise ConfigError(f"{what} does not match the instance")
+
+
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
                 table: NuTable, seed: int, keep_state: bool = False) -> RunTrace:
     """Play one policy for `horizon` rounds; fully deterministic given seed.
@@ -128,10 +141,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     callables to split a round's cost by layer, so inlining one of them
     silently zeroes that layer's metrics.
     """
-    n, m = instance.n, instance.grid.m
-    if table.mu.shape != (n, m) or not np.allclose(table.taus,
-                                                   instance.grid.as_array()):
-        raise ConfigError("nu table does not match the instance")
+    _check_table(table, instance, "nu table")
     need = init_length(spec.kind, instance)
     if horizon < need:
         raise ConfigError(
@@ -152,7 +162,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
         action = policy.select()
         arm0, j = policy.pending_index
         c = costs.item(t, arm0)
-        if c <= action.tau_prime:
+        if admits(c, action.tau_prime):
             r = rewards.item(t, arm0)
             feedback = Feedback(censored=False, cost=c, reward=r)
             observed[t] = r
@@ -163,7 +173,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
         arms0[t] = arm0
         tau_idx[t] = j
 
-    counts = np.zeros((n, m), dtype=np.int64)
+    counts = np.zeros((instance.n, instance.grid.m), dtype=np.int64)
     np.add.at(counts, (arms0, tau_idx), 1)
     inst_regret = table.gap[arms0, tau_idx]
     grid = instance.grid.as_array()
@@ -253,11 +263,7 @@ def _resolve_table(config: ExperimentConfig) -> NuTable:
         path = Path(out) / "nu_table.json"
         if path.exists():
             table = NuTable.load(path)
-            n, m = config.instance.n, config.instance.grid.m
-            if table.mu.shape != (n, m) or not np.allclose(
-                table.taus, config.instance.grid.as_array()
-            ):
-                raise ConfigError(f"existing {path} does not match the instance")
+            _check_table(table, config.instance, f"existing {path}")
             if table.fingerprint is None:
                 raise ConfigError(f"existing {path} does not match the run: "
                                   "it records no fingerprint of its inputs")
@@ -442,7 +448,7 @@ def concentration_audit(arm_spec, tau_prime: float, alpha: float = 2.0,
     for r in range(runs):
         rng = np.random.default_rng(mix64(base_seed, r))
         rew, cost = arm_spec.sample(rng, t_check)
-        dev = float(np.mean(rew * (cost <= tau_prime))) - mu
+        dev = float(np.mean(rew * admits(cost, tau_prime))) - mu
         if dev > radius:
             upper += 1
         elif dev < -radius:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rcbandit.cli import load_config, main
-from rcbandit.core import Feedback, mix64
+from rcbandit.core import Feedback, admits, mix64
 from rcbandit.envs import GaussianArm
 from rcbandit.estimators import CensoredMomentEstimator
 from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moment
@@ -140,18 +140,18 @@ def test_estimator_matches_oracle_under_full_limit():
             estimator.update_by_index(
                 i, m, Feedback(censored=False, cost=c, reward=r)
             )
-        realized = rewards[None, :] * (costs[None, :] <= grid[:, None])
+        realized = rewards[None, :] * admits(costs[None, :], grid[:, None])
         se = realized.std(axis=1, ddof=1) / math.sqrt(draws)
         for j, tau in enumerate(grid):
             mu, _ = true_mixed_moment(arm, float(tau))
-            mu_hat, count = estimator.query(i + 1, float(tau))
-            assert count == draws
+            mu_hat = estimator.mean_matrix()[i, j]
+            assert estimator.counts[i, j] == draws
             assert abs(mu_hat - mu) <= 3.0 * se[j]
 
 
 @pytest.mark.parametrize(("kind", "salt"), [("rcucb", 0), ("klrcucb", 1)])
 def test_update_touch_budget(kind, salt):
-    """Every update touches between 1 and m pairs, and the totals reconcile."""
+    """Every update touches between 1 and m pairs, and they add up to the counts."""
     instance = gaussian_instance()
     m = instance.grid.m
     env = np.random.default_rng(mix64(77, salt, 0))
@@ -163,15 +163,15 @@ def test_update_touch_budget(kind, salt):
         arm0, _ = policy.pending_index
         r, c = instance.arms[arm0].sample(env, 1)
         r, c = float(r[0]), float(c[0])
-        if c <= action.tau_prime:
+        if admits(c, action.tau_prime):
             feedback = Feedback(censored=False, cost=c, reward=r)
         else:
             feedback = Feedback(censored=True)
+        before = policy.estimator.counts.sum()
         policy.update(action, feedback)
-        touched = policy.estimator.last_update_touched
+        touched = policy.estimator.counts.sum() - before
         assert 1 <= touched <= m
         total += touched
-    assert policy.estimator.total_touched == total
     assert policy.estimator.counts.sum() == total
     assert total >= rounds
 

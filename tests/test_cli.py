@@ -153,6 +153,59 @@ def test_non_finite_grid_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+def _one_arm(arm):
+    doc = dict(SMALL_CONFIG, instance=dict(SMALL_CONFIG["instance"], arms=[arm]))
+    return json.loads(json.dumps(doc))
+
+
+def _set(path, value, arm=None):
+    """A one-arm SMALL_CONFIG with the field at path (keys and indices) set."""
+    doc = _one_arm(arm or {"kind": "degenerate", "reward": 0.9, "cost": 0.2})
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_set(["horizon"], float("inf")), "horizon"),
+    (_set(["horizon"], "abc"), "horizon"),
+    (_set(["horizon"], None), "horizon"),
+    (_set(["repetitions"], "x"), "repetitions"),
+    (_set(["base_seed"], float("nan")), "base_seed"),
+    (_set(["oracle"], 5), "oracle"),
+    (_set(["oracle", "nodes"], "many"), "oracle.nodes"),
+    (_set(["instance", "grid_m"], "x"), "instance.grid_m"),
+    (_set(["instance", "grid_m"], 0), "instance.grid_m"),
+    (_set(["instance", "discount"], {"kind": "polynomial", "k": 0.5}), "instance.discount"),
+    (_set(["instance", "discount"], {"kind": "geometric", "rho": "x"}),
+     "instance.discount.rho"),
+    (_set(["instance", "objective"], {"kind": "additive_cost", "scale": 2.0}),
+     "instance.objective"),
+    (_set(["policies", 0, "alpha"], "x"), "policies[0].alpha"),
+    (_set(["policies", 0, "alpha"], -1.0), "policies[0]"),
+    (_set(["policies", 0], 7), "policies[0]"),
+    (_set(["instance", "arms", 0], 3), "instance.arms[0]"),
+    (_set(["instance", "arms", 0, "cost"], float("nan")), "instance.arms[0]"),
+    (_set(["instance", "arms", 0, "reward"], "x"), "instance.arms[0].reward"),
+    (_set(["instance", "arms", 0, "sigma"], -1.0, GAUSSIAN), "instance.arms[0]"),
+    (_set(["instance", "arms", 0, "mean"], [float("nan"), 0.5], GAUSSIAN),
+     "instance.arms[0]"),
+    (_set(["instance", "arms", 0, "mean"], ["x", 0.5], GAUSSIAN), "instance.arms[0].mean"),
+])
+def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    path = _write_config(tmp_path, doc)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_output_dir(tmp_path, capsys):
     path = _write_config(tmp_path, SMALL_CONFIG)
     assert main(["run", str(path)]) == 2

@@ -13,6 +13,7 @@ from rcbandit.core import (
     InstanceSpec,
     MultiplicativeDiscount,
     ResourceGrid,
+    admits,
     build_grid,
     cost_eval,
     discount_eval,
@@ -147,6 +148,26 @@ def test_grid_index_of():
     assert g.index_of(1.0) == 9
     with pytest.raises(DomainError):
         g.index_of(0.35)
+
+
+@pytest.mark.parametrize("grid", [build_grid(10, 1.0), build_grid(7, 2.0),
+                                  ResourceGrid((0.1, 0.15, 0.6), 1.0)])
+def test_admits_agrees_with_first_admitting(grid):
+    points = grid.as_array()
+    rng = np.random.default_rng(grid.m)
+    costs = [*rng.uniform(0.0, 1.2 * grid.tau_max, 200).tolist(), *grid.points,
+             0.0, grid.tau_max * 1.5, math.inf]
+    for cost in costs:
+        lo = grid.first_admitting(cost)
+        assert 0 <= lo <= grid.m
+        for j, tau in enumerate(grid.points):
+            assert admits(cost, tau) == (lo <= j)
+        # the array form gives the same answer for every limit at once
+        np.testing.assert_array_equal(admits(cost, points), np.arange(grid.m) >= lo)
+    # a cost equal to a limit is admitted by it, not by the one below
+    for j, tau in enumerate(grid.points):
+        assert grid.first_admitting(tau) == j
+    assert grid.first_admitting(math.inf) == grid.m
 
 
 def test_grid_validation():

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import gaussian_instance
 from rcbandit.core import (
-    ActionPair,
     ConfigError,
     DiscountSpec,
     DomainError,
@@ -14,15 +13,11 @@ from rcbandit.core import (
 from rcbandit.envs import (
     DegenerateArm,
     GaussianArm,
-    RoundOutcome,
     TraceArm,
     UniformCostArm,
     make_cov,
-    observe,
     sample_episode,
-    sample_round,
     trace_env_load,
-    truncated_gauss_sample,
 )
 
 # hand-evaluated 0.1 * 2 * 0.2 * sqrt(0.96)
@@ -77,13 +72,6 @@ def test_truncated_attempt_cap():
         arm.sample(np.random.default_rng(3), 1)
 
 
-def test_truncated_single_draw_helper():
-    arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
-    r, c = truncated_gauss_sample(arm, np.random.default_rng(4))
-    assert isinstance(r, float) and isinstance(c, float)
-    assert 0 <= r <= 1 and 0 <= c <= 1
-
-
 def test_correlation_uncorrelated_arm():
     arm = GaussianArm(mean=(0.5, 0.5), x=0.0, sigma=0.1)
     r, c = arm.sample(np.random.default_rng(5), 1_000_000)
@@ -110,16 +98,9 @@ def test_degenerate_instance_rounds():
     arms = (DegenerateArm(r0=1.0, c0=0.3), DegenerateArm(r0=1.0, c0=0.3))
     inst = InstanceSpec(arms=arms, grid=build_grid(2, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
-    out = sample_round(inst, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.rewards, [1.0, 1.0])
-    np.testing.assert_array_equal(out.costs, [0.3, 0.3])
-
-
-def test_sample_round_shape():
-    inst = gaussian_instance(10)
-    out = sample_round(inst, np.random.default_rng(0))
-    assert out.n == 10
-    assert out.rewards.shape == out.costs.shape == (10,)
+    rewards, costs = sample_episode(inst, np.random.default_rng(0), 1)
+    np.testing.assert_array_equal(rewards, [[1.0, 1.0]])
+    np.testing.assert_array_equal(costs, [[0.3, 0.3]])
 
 
 def test_sample_episode_deterministic_and_shaped():
@@ -131,24 +112,16 @@ def test_sample_episode_deterministic_and_shaped():
     np.testing.assert_array_equal(c1, c2)
 
 
-def test_observe_rules():
-    out = RoundOutcome(rewards=np.array([0.9]), costs=np.array([0.3]))
-    fb = observe(out, ActionPair(arm=1, tau_prime=0.5))
-    assert (fb.censored, fb.cost, fb.reward) == (False, 0.3, 0.9)
-
-    out = RoundOutcome(rewards=np.array([0.9]), costs=np.array([0.6]))
-    fb = observe(out, ActionPair(arm=1, tau_prime=0.5))
-    assert fb.censored and fb.cost is None and fb.reward is None
-
-    # equality is not censored
-    out = RoundOutcome(rewards=np.array([0.9]), costs=np.array([0.5]))
-    assert not observe(out, ActionPair(arm=1, tau_prime=0.5)).censored
-
-
-def test_observe_bad_arm():
-    out = RoundOutcome(rewards=np.array([0.9]), costs=np.array([0.5]))
-    with pytest.raises(DomainError):
-        observe(out, ActionPair(arm=2, tau_prime=0.5))
+@pytest.mark.parametrize("make", [
+    lambda: DegenerateArm(r0=0.5, c0=float("nan")),
+    lambda: DegenerateArm(r0=0.5, c0=-0.1),
+    lambda: GaussianArm(mean=(float("nan"), 0.5), x=0.2, sigma=0.1),
+    lambda: GaussianArm(mean=(0.5, float("inf")), x=0.2, sigma=0.1),
+], ids=["degenerate-nan-cost", "degenerate-negative-cost", "gaussian-nan-mean",
+        "gaussian-inf-mean"])
+def test_arms_reject_non_finite_inputs(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_uniform_cost_arm():
@@ -188,6 +161,8 @@ def test_trace_arm_validation():
     with pytest.raises(ConfigError):
         TraceArm(rewards=(0.5,), costs=(-0.1,))
     with pytest.raises(ConfigError):
+        TraceArm(rewards=(0.5, 0.5), costs=(0.1, float("nan")))
+    with pytest.raises(ConfigError):
         TraceArm(rewards=(0.5,), costs=(0.1,), replay="shuffle")
 
 
@@ -206,9 +181,11 @@ def test_trace_env_load_roundtrip(tmp_path):
 
 
 def test_trace_env_load_reward_range(tmp_path):
-    p = _write(tmp_path, "arm,reward,cost\n1,0.1,0.5\n1,1.2,0.6\n")
-    with pytest.raises(ConfigError, match=":3:"):
-        trace_env_load(p)
+    # an out-of-range reward, and a cost no limit can be compared with
+    for row in ("1,1.2,0.6", "1,0.2,nan", "1,0.2,-0.1"):
+        p = _write(tmp_path, f"arm,reward,cost\n1,0.1,0.5\n{row}\n")
+        with pytest.raises(ConfigError, match=":3:"):
+            trace_env_load(p)
 
 
 def test_trace_env_load_missing_arm(tmp_path):

@@ -122,8 +122,29 @@ def test_run_episode_horizon_validation():
 def test_run_episode_table_mismatch():
     inst = analytic_instance()
     other = nu_table(two_degenerate_instance())
-    with pytest.raises(ConfigError, match="does not match"):
+    with pytest.raises(ConfigError, match="nu table does not match the instance"):
         run_episode(inst, PolicySpec("rcucb"), 100, other, seed=0)
+
+
+def test_cost_at_a_grid_point_is_censored_only_below_it():
+    grid = build_grid(4, 1.0)
+    inst = InstanceSpec(arms=(DegenerateArm(r0=0.8, c0=grid.points[1]),), grid=grid,
+                        discount=DiscountSpec("linear"))
+    tab = nu_table(inst)
+    played = run_episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
+    at_or_above = played.taus >= grid.points[1]
+    assert at_or_above.any() and not at_or_above.all()
+    np.testing.assert_array_equal(played.censored, ~at_or_above)
+    np.testing.assert_array_equal(played.rewards, np.where(at_or_above, 0.8, 0.0))
+    # the estimator credits the reward to the cells that admit the cost, which
+    # the oracle's closed form agrees with
+    rcucb = run_episode(inst, PolicySpec("rcucb"), 50, tab, seed=2, keep_state=True)
+    for cell, mu in zip(rcucb.final_state, tab.mu[0]):
+        if cell["tau"] >= grid.points[1]:
+            assert cell["sum"] == pytest.approx(0.8 * cell["n"]) and cell["n"] > 0
+        else:
+            assert cell["sum"] == 0.0 and cell["n"] > 0
+        assert mu == (0.8 if cell["tau"] >= grid.points[1] else 0.0)
 
 
 def _small_config(**overrides):
@@ -241,7 +262,7 @@ def test_stale_table_file_rejected(tmp_path):
     out.mkdir()
     nu_table(two_degenerate_instance()).save(out / "nu_table.json")
     cfg = _small_config(output_dir=out)
-    with pytest.raises(ConfigError, match="does not match"):
+    with pytest.raises(ConfigError, match="nu_table.json does not match the instance"):
         run_experiment(cfg)
 
 
