@@ -197,7 +197,6 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     method = _read(oracle, "method", "oracle", default="quadrature")
     if method not in ("quadrature", "monte_carlo"):
         raise ConfigError(f"oracle.method: unknown method {method!r}")
-    out = _read(doc, "output_dir", "", default=None)
     return ExperimentConfig(
         instance=instance,
         policies=policies,
@@ -208,7 +207,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
         oracle_nodes=_read(oracle, "nodes", "oracle", int, 200),
         oracle_samples=_read(oracle, "samples", "oracle", int, 1_000_000),
         workers=_read(doc, "workers", "", int, 1),
-        output_dir=None if out is None else _read(doc, "output_dir", "", Path),
+        output_dir=_read(doc, "output_dir", "", lambda v: v if v is None else Path(v), None),
         dump_state=_read(doc, "dump_state", "", bool, False),
     )
 

@@ -38,8 +38,8 @@ def make_cov(x: float, sigma: float) -> np.ndarray:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise DomainError("sigma must be positive and finite")
     r = 2.0 * x * np.sqrt(1.0 - x * x)
     if r >= 1.0 - 1e-12:
         raise DomainError(f"correlation parameter x={x} makes the covariance singular")

@@ -117,10 +117,11 @@ def test_sample_episode_deterministic_and_shaped():
     lambda: DegenerateArm(r0=0.5, c0=-0.1),
     lambda: GaussianArm(mean=(float("nan"), 0.5), x=0.2, sigma=0.1),
     lambda: GaussianArm(mean=(0.5, float("inf")), x=0.2, sigma=0.1),
+    lambda: GaussianArm(mean=(0.5, 0.5), x=0.2, sigma=float("inf")),
 ], ids=["degenerate-nan-cost", "degenerate-negative-cost", "gaussian-nan-mean",
-        "gaussian-inf-mean"])
+        "gaussian-inf-mean", "gaussian-inf-sigma"])
 def test_arms_reject_non_finite_inputs(make):
-    with pytest.raises(ConfigError):
+    with pytest.raises((ConfigError, DomainError)):
         make()
 
 
