@@ -81,6 +81,21 @@ def _build(where: str, ctor, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _int(value) -> int:
+    """A JSON integer; an integral float such as 3.0 passes, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _float_pair(value) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValueError("expected a list of two numbers")
@@ -112,8 +127,11 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
         path = _read(obj, "path", where, Path)
         if not path.is_absolute():
             path = base_dir / path
-        arms = _build(where, trace_env_load, path, replay=replay)
-        idx = _read(obj, "arm", where, int, 1)
+        try:
+            arms = _build(where, trace_env_load, path, replay=replay)
+        except OSError as exc:
+            raise ConfigError(f"{where}.path: {exc}") from None
+        idx = _read(obj, "arm", where, _int, 1)
         if not 1 <= idx <= len(arms):
             raise ConfigError(
                 f"{where}.arm: trace file holds arms 1..{len(arms)}, got {idx}"
@@ -135,7 +153,7 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
                       _read(obj, "grid_points", "instance", _floats), tau_max)
     else:
         grid = _build("instance.grid_m", build_grid,
-                      _read(obj, "grid_m", "instance", int), tau_max)
+                      _read(obj, "grid_m", "instance", _int), tau_max)
 
     disc_obj = _read(obj, "discount", "instance")
     kind = _read(disc_obj, "kind", "instance.discount")
@@ -200,15 +218,15 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     return ExperimentConfig(
         instance=instance,
         policies=policies,
-        horizon=_read(doc, "horizon", "", int),
-        repetitions=_read(doc, "repetitions", "", int, 20),
-        base_seed=_read(doc, "base_seed", "", int, 0),
+        horizon=_read(doc, "horizon", "", _int),
+        repetitions=_read(doc, "repetitions", "", _int, 20),
+        base_seed=_read(doc, "base_seed", "", _int, 0),
         oracle_method=method,
-        oracle_nodes=_read(oracle, "nodes", "oracle", int, 200),
-        oracle_samples=_read(oracle, "samples", "oracle", int, 1_000_000),
-        workers=_read(doc, "workers", "", int, 1),
+        oracle_nodes=_read(oracle, "nodes", "oracle", _int, 200),
+        oracle_samples=_read(oracle, "samples", "oracle", _int, 1_000_000),
+        workers=_read(doc, "workers", "", _int, 1),
         output_dir=_read(doc, "output_dir", "", lambda v: v if v is None else Path(v), None),
-        dump_state=_read(doc, "dump_state", "", bool, False),
+        dump_state=_read(doc, "dump_state", "", _bool, False),
     )
 
 

@@ -1,4 +1,4 @@
-"""Shared domain types: discounts, resource grids, actions, feedback, instances.
+"""Shared domain types: discounts, resource grids, objectives, instances.
 
 Everything here is an immutable value object, safe to share across worker
 processes without synchronization. The censoring rule lives here too, once:
@@ -157,7 +157,11 @@ class ResourceGrid:
 
     def first_admitting(self, cost: float) -> int:
         """Index of the smallest grid point that admits cost, m if none does:
-        limit j admits cost iff first_admitting(cost) <= j (see admits)."""
+        limit j admits cost iff first_admitting(cost) <= j (see admits), so a
+        round played at limit j is censored iff first_admitting(cost) > j.
+
+        A NaN cost gives 0, admitted everywhere, where admits() censors it;
+        sample_episode therefore rejects NaN costs before any round runs."""
         return bisect_left(self.points, cost)
 
     def index_of(self, tau: float) -> int:
@@ -177,35 +181,6 @@ def build_grid(m: int, tau_max: float) -> ResourceGrid:
         raise DomainError("tau_max must be positive")
     points = tuple((j / m) * tau_max for j in range(1, m + 1))
     return ResourceGrid(points=points, tau_max=float(tau_max))
-
-
-@dataclass(frozen=True, slots=True)
-class ActionPair:
-    """One decision: an arm index (1-based) and a resource limit from the grid."""
-
-    arm: int
-    tau_prime: float
-
-
-@dataclass(frozen=True, slots=True)
-class Feedback:
-    """Observation of one round: (cost, reward) if uncensored, nothing otherwise."""
-
-    censored: bool
-    cost: float | None = None
-    reward: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.censored:
-            if self.cost is not None or self.reward is not None:
-                raise DomainError("censored feedback carries no cost or reward")
-        else:
-            if self.cost is None or self.reward is None:
-                raise DomainError("uncensored feedback needs both cost and reward")
-            if not 0.0 <= self.reward <= 1.0:
-                raise DomainError("reward must lie in [0, 1]")
-            if not self.cost >= 0.0:
-                raise DomainError("cost must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ Three families of arms: bivariate Gaussians truncated to the unit square
 oracle cross-checks, and replay of recorded (reward, cost) traces.
 
 Arms only draw (reward, cost) pairs; whether a draw is censored is decided by
-core.admits, which the episode loop and the closed-form moments here call.
-DegenerateArm, TraceArm and trace_env_load reject a NaN or negative cost:
-admits() would censor a NaN cost at every limit while first_admitting()
-would admit it at every limit.
+the censoring rule in core: ResourceGrid.first_admitting in the episode loop,
+admits in the closed-form moments here. DegenerateArm, TraceArm and
+trace_env_load reject a NaN or negative cost, and sample_episode checks every
+episode's draws, which covers user-defined arms too: admits() would censor a
+NaN cost at every limit while first_admitting() would admit it at every limit.
 
 Per-round hook contract: GaussianArm.sample stays in the class body and is
 called through the arm, because the per-layer benchmark trace wraps it.
@@ -182,7 +183,9 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
     """Pre-draw a whole episode: (horizon, n) reward and cost matrices.
 
     Arms are drawn one after the other (arm-major), so the stream is
-    reproducible regardless of how rounds are consumed later.
+    reproducible regardless of how rounds are consumed later. Raises
+    DomainError naming the first arm that drew a reward outside [0, 1] or a
+    cost that is negative or NaN.
     """
     rewards = np.empty((horizon, instance.n))
     costs = np.empty((horizon, instance.n))
@@ -190,6 +193,14 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
         r, c = arm.sample(rng, horizon)
         rewards[:, i] = r
         costs[:, i] = c
+    # written so that NaN fails every comparison
+    ok = ((rewards >= 0.0) & (rewards <= 1.0) & (costs >= 0.0)).all(axis=0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DomainError(
+            f"arm {i + 1} ({type(instance.arms[i]).__name__}) drew a reward outside "
+            "[0, 1] or a negative or NaN cost"
+        )
     return rewards, costs
 
 

@@ -1,24 +1,29 @@
-"""Online sufficient statistics fed by (possibly censored) round feedback.
+"""Online sufficient statistics fed by (possibly censored) rounds.
 
 All three estimators keep (n_arms, m) arrays indexed [arm, grid point] and
 store counts and sums rather than running means, so reads are exact. Callers
 read the arrays (counts, sums, successes, failures) or mean_matrix() directly.
 
-Which cells an uncensored cost credits is decided by
-core.ResourceGrid.first_admitting, the bisect form of the censoring rule
-core.admits; no comparison of a cost with a limit is written here.
+A round reaches an estimator as grid indices only: the arm, the played limit
+and lo = core.ResourceGrid.first_admitting(cost), the bisect form of the
+censoring rule core.admits, computed once per round by the episode loop. The
+cells whose limit admits the cost are those from lo on, and the round is
+censored iff lo lies beyond the played limit; its reward is then passed as
+0.0 and no estimator reads it. No comparison of a cost with a limit is
+written here.
 
 Per-round hook contract: each estimator's update_by_index stays in its own
-class body, with the 0-based arm first and, for the censored and Beta
-estimators, the touched-cell count k third; the per-layer benchmark trace
-wraps it there and reads k as the number of cells a round touches.
+class body, called as update_by_index(arm0, k, lo, reward[, rng]) with the
+0-based arm first and, for the censored and Beta estimators, the
+touched-cell count k third; the per-layer benchmark trace wraps it there and
+reads k as the number of cells a round touches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, Feedback, ResourceGrid
+from .core import ConfigError, ResourceGrid
 
 
 def _snapshot(grid: ResourceGrid, columns) -> list[dict]:
@@ -61,17 +66,17 @@ class CensoredMomentEstimator(_CountSumEstimator):
     single round feed up to m cells instead of one.
     """
 
-    def update_by_index(self, arm0: int, k: int, feedback: Feedback) -> None:
-        """Count the round in cells [0, k) of arm0, k = grid index of the play + 1.
+    def update_by_index(self, arm0: int, k: int, lo: int, reward: float) -> None:
+        """Count the round in cells [0, k) of arm0, k = grid index of the play + 1,
+        and add the reward to the admitting cells [lo, k).
 
-        The cells whose limit admits the cost form the suffix that starts at
-        first_admitting(cost), so the reward is added to that slice alone.
+        A censored round has lo >= k: the slice is empty, and adding to no
+        cells leaves every bit as it was, so no branch is needed.
         """
         touched = self.counts[arm0, :k]
         touched += 1.0
-        if not feedback.censored:
-            paid = self.sums[arm0, self.grid.first_admitting(feedback.cost):k]
-            paid += feedback.reward
+        paid = self.sums[arm0, lo:k]
+        paid += reward
 
 
 class NaiveEstimator(_CountSumEstimator):
@@ -79,10 +84,10 @@ class NaiveEstimator(_CountSumEstimator):
 
     count_key = "t"
 
-    def update_by_index(self, arm0: int, j: int, feedback: Feedback) -> None:
+    def update_by_index(self, arm0: int, j: int, lo: int, reward: float) -> None:
         self.counts[arm0, j] += 1.0
-        if not feedback.censored:
-            self.sums[arm0, j] += feedback.reward
+        if lo <= j:
+            self.sums[arm0, j] += reward
 
 
 TS_INDICATORS = ("per_pair", "chosen_limit")
@@ -112,13 +117,13 @@ class BetaPosterior:
         self.successes = np.zeros((n, grid.m))
         self.failures = np.zeros((n, grid.m))
 
-    def update_by_index(self, arm0: int, k: int, feedback: Feedback,
+    def update_by_index(self, arm0: int, k: int, lo: int, reward: float,
                         rng: np.random.Generator) -> None:
-        """One trial in each of the cells [0, k) of arm0, k = grid index of the play + 1."""
+        """One trial in each of the cells [0, k) of arm0, k = grid index of the play + 1;
+        the round is uncensored iff lo < k."""
         prob = np.zeros(k)
-        if not feedback.censored:
-            lo = self.grid.first_admitting(feedback.cost) if self.indicator == "per_pair" else 0
-            prob[lo:] = feedback.reward
+        if lo < k:
+            prob[lo if self.indicator == "per_pair" else 0:] = reward
         hit = rng.random(k) < prob
         self.successes[arm0, :k] += hit
         self.failures[arm0, :k] += ~hit

@@ -4,21 +4,28 @@ The optimism-based policies keep an index matrix of shape (n_arms, m) and
 pick its argmax; ties break to the smallest resource limit, then the
 smallest arm index, which keeps runs reproducible.
 
+A round is one pair of plain values in each direction: Policy.select()
+returns (arm0, j), the 0-based arm and the grid index of the played limit,
+and Policy.update(lo, reward) takes lo = grid.first_admitting(cost) and the
+reward (0.0 when censored). The round is censored iff lo > j, the bisect
+form of the censoring rule in core; the episode loop computes lo and the
+estimators read it, so no cost is compared with a limit here.
+
 Every policy starts with the schedule of init_limits, written once here:
 Policy.select plays it, and init_length (which the runners check the horizon
-against) counts it. The censoring rule is not applied here; the estimators
-take it from core (ResourceGrid.first_admitting).
+against) counts it.
 
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
 call, looked up where the tracer patches it, once per round that uses it:
 
-- Policy.select and Policy.update, in Policy's class body, called by the
-  episode loop;
+- Policy.select() and Policy.update(lo, reward), in Policy's class body,
+  called by the episode loop; the trace reads the policy kind from self;
 - index_matrix in the class bodies of RCUCBPolicy, KLRCUCBPolicy and
   ModifiedUCBPolicy, called through self;
 - the module-global argmax_pair, looked up in this module at call time;
-- each estimator's own update_by_index, called through the estimator;
+- each estimator's own update_by_index(arm0, k, lo, reward[, rng]), called
+  through the estimator, with the touched-cell count k third;
 - GaussianArm.sample (in envs), called through the arm.
 
 Inlining one of them silently zeroes its per-layer metric.
@@ -32,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ActionPair,
-    ConfigError,
-    DomainError,
-    Feedback,
-    InstanceSpec,
-    UsageError,
-    objective_vectors,
-)
+from .core import ConfigError, InstanceSpec, UsageError, objective_vectors
 from .estimators import (
     TS_INDICATORS,
     BetaPosterior,
@@ -121,18 +120,6 @@ def argmax_pair(index: np.ndarray) -> tuple[int, int]:
     return flat % n, flat // n
 
 
-def kl_bernoulli(p: float, q: float) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q), with 0*log 0 := 0.
-
-    Endpoint q in {0, 1} gives +inf unless p sits on the same endpoint.
-    """
-    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
-        raise DomainError("p and q must lie in [0, 1]")
-    w = np.array([p, 1.0 - p])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_kl_bernoulli_arr(w, np.array([q, 1.0 - q]), _zero_weights(w)))
-
-
 def _kl_bernoulli_arr(w: np.ndarray, v: np.ndarray, zero: np.ndarray | None) -> np.ndarray:
     """d(p, q) = p log(p / q) + (1 - p) log((1 - p) / (1 - q)), elementwise.
 
@@ -161,32 +148,9 @@ def _exploration_budget(t: int, c: float) -> float:
     return max(0.0, math.log(t) + c * math.log(math.log(t)))
 
 
-def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
-    """Largest q in [mu_eff, 1] with n * d(mu_eff, q) <= ln t + c ln ln t.
-
-    Bisection to absolute tolerance 1e-9.
-    """
-    if not 0.0 <= mu_eff <= 1.0:
-        raise DomainError("mu_eff must lie in [0, 1]")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if t < 2:
-        raise DomainError("t must be >= 2")
-    if c < 0:
-        raise DomainError("c must be non-negative")
-    target = _exploration_budget(t, c) / n
-    lo, hi = mu_eff, 1.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if kl_bernoulli(mu_eff, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
-    """klucb_index of every pair that can attain the maximum; -inf elsewhere.
+    """The KL-UCB index (largest q in [mu_eff, 1] with N d(mu_eff, q) <= ln t +
+    c ln ln t) of every pair that can attain the maximum; -inf elsewhere.
 
     Each cell runs 40 halvings of [mu_eff, 1] (width below 1e-9) with the
     operands and operation order of an unpruned bisection over all cells, so
@@ -275,8 +239,8 @@ class Policy:
         self.grid = instance.grid
         self.t = 0
         self.estimator = None
-        self._pending: ActionPair | None = None
-        self._pending_j = -1
+        self._arm0 = 0
+        self._j = -1  # grid index of the selection awaiting its update; -1 if none
         self._init = init_limits(self.kind, instance.grid.m)
         self._init_rounds = init_length(self.kind, instance)
         scale, offset = objective_vectors(instance.objective, instance.discount,
@@ -284,39 +248,33 @@ class Policy:
         self.scale = scale
         self.offset = offset
 
-    def select(self) -> ActionPair:
-        if self._pending is not None:
+    def select(self) -> tuple[int, int]:
+        """(arm0, j): the 0-based arm and the grid index of the limit to play."""
+        if self._j >= 0:
             raise UsageError("select called twice without an update in between")
         if self.t < self._init_rounds:
             arm0, step = divmod(self.t, len(self._init))
             j = self._init[step]
         else:
             arm0, j = self._choose()
-        action = ActionPair(arm=arm0 + 1, tau_prime=self.grid.points[j])
-        self._pending = action
-        self._pending_j = j
-        return action
+        self._arm0 = arm0
+        self._j = j
+        return arm0, j
 
-    @property
-    def pending_index(self) -> tuple[int, int] | None:
-        """(arm0, grid index) of the selection awaiting its update, if any."""
-        if self._pending is None:
-            return None
-        return self._pending.arm - 1, self._pending_j
-
-    def update(self, action: ActionPair, feedback: Feedback) -> None:
-        if self._pending is None:
+    def update(self, lo: int, reward: float) -> None:
+        """Absorb the selected round: lo = grid.first_admitting(cost), so the
+        round was censored iff lo > j, and then reward is 0.0."""
+        j = self._j
+        if j < 0:
             raise UsageError("update called before select")
-        if action is not self._pending and action != self._pending:
-            raise UsageError("update does not match the pending selection")
-        self._absorb(action.arm - 1, self._pending_j, feedback)
-        self._pending = None
+        self._absorb(self._arm0, j, lo, reward)
+        self._j = -1
         self.t += 1
 
     def _choose(self) -> tuple[int, int]:
         return argmax_pair(self.index_matrix())
 
-    def _absorb(self, arm0: int, j: int, feedback: Feedback) -> None:
+    def _absorb(self, arm0: int, j: int, lo: int, reward: float) -> None:
         pass
 
     def snapshot(self) -> list[dict]:
@@ -332,8 +290,8 @@ class _CensoredPolicy(Policy):
         super().__init__(instance)
         self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
 
-    def _absorb(self, arm0, j, feedback):
-        self.estimator.update_by_index(arm0, j + 1, feedback)
+    def _absorb(self, arm0, j, lo, reward):
+        self.estimator.update_by_index(arm0, j + 1, lo, reward)
 
 
 class RCUCBPolicy(_CensoredPolicy):
@@ -406,8 +364,8 @@ class ModifiedUCBPolicy(Policy):
         return _optimistic_index(self.estimator, self.alpha * math.log(t), 2.0,
                                  self.scale, self.offset)
 
-    def _absorb(self, arm0, j, feedback):
-        self.estimator.update_by_index(arm0, j, feedback)
+    def _absorb(self, arm0, j, lo, reward):
+        self.estimator.update_by_index(arm0, j, lo, reward)
 
 
 class ModifiedTSPolicy(Policy):
@@ -432,8 +390,8 @@ class ModifiedTSPolicy(Policy):
         theta = self.rng.beta(a, b)
         return argmax_pair(self.scale * theta + self.offset)
 
-    def _absorb(self, arm0, j, feedback):
-        self.estimator.update_by_index(arm0, j + 1, feedback, self.rng)
+    def _absorb(self, arm0, j, lo, reward):
+        self.estimator.update_by_index(arm0, j + 1, lo, reward, self.rng)
 
 
 class UniformRandomPolicy(Policy):
@@ -457,13 +415,12 @@ class FixedOraclePolicy(Policy):
 
     def __init__(self, instance: InstanceSpec, arm: int, tau_prime: float):
         super().__init__(instance)
-        self._arm0 = arm - 1
-        self._j = instance.grid.index_of(tau_prime)
+        self._pair = (arm - 1, instance.grid.index_of(tau_prime))
         if not 1 <= arm <= instance.n:
             raise ConfigError(f"arm {arm} outside 1..{instance.n}")
 
     def _choose(self) -> tuple[int, int]:
-        return self._arm0, self._j
+        return self._pair
 
 
 def make_policy(spec: PolicySpec, instance: InstanceSpec,

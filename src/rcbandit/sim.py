@@ -5,8 +5,10 @@ stream derived from its seed, so repetitions can run in worker processes
 and still aggregate exactly as in serial execution. The fold over
 repetitions always happens in repetition-index order.
 
-A round is censored by core.admits, the one statement of the censoring rule;
-the initialization schedule a horizon must cover comes from
+A round is censored by the one statement of the censoring rule in core: the
+episode loop takes lo = ResourceGrid.first_admitting(cost) once per round,
+and the play at grid index j is censored iff lo > j (the audit calls
+core.admits). The initialization schedule a horizon must cover comes from
 policies.init_length. run_episode states the per-round hook contract.
 """
 
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DomainError, Feedback, InstanceSpec, admits, mix64
+from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
 from .envs import sample_episode
 from .oracle import (
     NuTable,
@@ -114,9 +116,6 @@ class ExperimentConfig:
             )
 
 
-_CENSORED = Feedback(censored=True)
-
-
 def _check_table(table: NuTable, instance: InstanceSpec, what: str) -> None:
     """Raise ConfigError "<what> does not match the instance" unless the table
     has one row per arm and one column per grid point, at the same limits."""
@@ -133,8 +132,10 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     The environment stream and the policy stream are split off the seed, so
     two policies on the same seed face identical outcome matrices.
 
-    Per-round hook contract: every round calls policy.select() and
-    policy.update() through the policy object, and the policy reaches its
+    Per-round hook contract: every round calls policy.select() -> (arm0, j)
+    and policy.update(lo, reward) through the policy object, with
+    lo = grid.first_admitting(cost) and reward 0.0 on a censored round (lo > j),
+    so no estimator can read a censored reward. The policy reaches its
     index_matrix, the module-global policies.argmax_pair and its estimator's
     update_by_index through their owners; the draws come from each arm's
     sample(). The benchmark trace (perfbench/tracer.py) wraps exactly these
@@ -158,18 +159,17 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     tau_idx = np.empty(horizon, dtype=np.int64)
     censored = np.zeros(horizon, dtype=bool)
     observed = np.zeros(horizon, dtype=float)
+    first_admitting = instance.grid.first_admitting
     for t in range(horizon):
-        action = policy.select()
-        arm0, j = policy.pending_index
-        c = costs.item(t, arm0)
-        if admits(c, action.tau_prime):
+        arm0, j = policy.select()
+        lo = first_admitting(costs.item(t, arm0))
+        if lo <= j:
             r = rewards.item(t, arm0)
-            feedback = Feedback(censored=False, cost=c, reward=r)
             observed[t] = r
         else:
-            feedback = _CENSORED
+            r = 0.0
             censored[t] = True
-        policy.update(action, feedback)
+        policy.update(lo, r)
         arms0[t] = arm0
         tau_idx[t] = j
 

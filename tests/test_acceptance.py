@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rcbandit.cli import load_config, main
-from rcbandit.core import Feedback, admits, mix64
+from rcbandit.core import admits, mix64
 from rcbandit.envs import GaussianArm
 from rcbandit.estimators import CensoredMomentEstimator
 from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moment
@@ -137,9 +137,7 @@ def test_estimator_matches_oracle_under_full_limit():
         rng = np.random.default_rng(mix64(606, i))
         rewards, costs = arm.sample(rng, draws)
         for r, c in zip(rewards.tolist(), costs.tolist()):
-            estimator.update_by_index(
-                i, m, Feedback(censored=False, cost=c, reward=r)
-            )
+            estimator.update_by_index(i, m, instance.grid.first_admitting(c), r)
         realized = rewards[None, :] * admits(costs[None, :], grid[:, None])
         se = realized.std(axis=1, ddof=1) / math.sqrt(draws)
         for j, tau in enumerate(grid):
@@ -159,16 +157,11 @@ def test_update_touch_budget(kind, salt):
     total = 0
     rounds = 2000
     for _ in range(rounds):
-        action = policy.select()
-        arm0, _ = policy.pending_index
+        arm0, j = policy.select()
         r, c = instance.arms[arm0].sample(env, 1)
-        r, c = float(r[0]), float(c[0])
-        if admits(c, action.tau_prime):
-            feedback = Feedback(censored=False, cost=c, reward=r)
-        else:
-            feedback = Feedback(censored=True)
+        lo = instance.grid.first_admitting(float(c[0]))
         before = policy.estimator.counts.sum()
-        policy.update(action, feedback)
+        policy.update(lo, float(r[0]) if lo <= j else 0.0)
         touched = policy.estimator.counts.sum() - before
         assert 1 <= touched <= m
         total += touched

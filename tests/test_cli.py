@@ -197,6 +197,12 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["instance", "arms", 0, "mean"], [float("nan"), 0.5], GAUSSIAN),
      "instance.arms[0]"),
     (_set(["instance", "arms", 0, "mean"], ["x", 0.5], GAUSSIAN), "instance.arms[0].mean"),
+    (_set(["instance", "grid_m"], 2.7), "instance.grid_m"),
+    # uniform_random has no initialization that a one-round horizon would fail
+    (dict(_set(["horizon"], True), policies=[{"kind": "uniform_random"}]), "horizon"),
+    (_set(["repetitions"], 2.5), "repetitions"),
+    (_set(["dump_state"], "no"), "dump_state"),
+    (_one_arm({"kind": "trace", "path": "missing.csv"}), "instance.arms[0].path"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from rcbandit.core import (
-    ActionPair,
     AdditiveCost,
     ConfigError,
     DiscountSpec,
     DomainError,
-    Feedback,
     InstanceSpec,
     MultiplicativeDiscount,
     ResourceGrid,
@@ -21,6 +19,7 @@ from rcbandit.core import (
     objective_value,
     objective_vectors,
 )
+from rcbandit.envs import sample_episode
 
 
 def test_linear_discount_boundaries():
@@ -245,19 +244,33 @@ def test_additive_cost_eval_and_validation():
         AdditiveCost(power=0.0)
 
 
-def test_feedback_invariants():
-    Feedback(censored=True)
-    Feedback(censored=False, cost=0.3, reward=0.9)
-    with pytest.raises(DomainError):
-        Feedback(censored=True, cost=0.3, reward=0.9)
-    with pytest.raises(DomainError):
-        Feedback(censored=False, cost=0.3, reward=None)
-    with pytest.raises(DomainError):
-        Feedback(censored=False, cost=0.3, reward=1.2)
-    with pytest.raises(DomainError):
-        Feedback(censored=False, cost=-0.1, reward=0.5)
-    with pytest.raises(DomainError):
-        Feedback(censored=False, cost=float("nan"), reward=0.5)
+class _FixedDrawArm:
+    """A user-defined ArmModel that draws one fixed (reward, cost) pair."""
+
+    def __init__(self, reward, cost):
+        self.reward, self.cost = reward, cost
+
+    def sample(self, rng, size):
+        return np.full(size, self.reward), np.full(size, self.cost)
+
+
+def test_sample_episode_rejects_bad_draws():
+    """Draws outside the model are refused before any round runs: bisection
+    would admit a NaN cost at every limit, where admits() censors it."""
+    grid = build_grid(4, 1.0)
+    disc = DiscountSpec("linear", tau_max=1.0)
+    rng = np.random.default_rng(0)
+
+    def episode(*arms):
+        return sample_episode(InstanceSpec(arms=arms, grid=grid, discount=disc), rng, 5)
+
+    rewards, costs = episode(_FixedDrawArm(0.0, 0.0), _FixedDrawArm(1.0, 3.0))
+    assert rewards[:, 1].tolist() == [1.0] * 5 and costs[:, 1].tolist() == [3.0] * 5
+    assert grid.first_admitting(float("nan")) == 0
+    for reward, cost in ((0.9, float("nan")), (1.5, 0.3), (-0.1, 0.3),
+                         (float("nan"), 0.3), (0.5, -0.1)):
+        with pytest.raises(DomainError, match=r"arm 2 \(_FixedDrawArm\)"):
+            episode(_FixedDrawArm(0.5, 0.5), _FixedDrawArm(reward, cost))
 
 
 def test_instance_spec_checks():
@@ -270,11 +283,6 @@ def test_instance_spec_checks():
     with pytest.raises(ConfigError):
         InstanceSpec(arms=(object(),), grid=grid,
                      discount=DiscountSpec("linear", tau_max=2.0))
-
-
-def test_action_pair_is_plain_value():
-    a = ActionPair(arm=1, tau_prime=0.5)
-    assert a == ActionPair(1, 0.5)
 
 
 def test_mix64_is_stable_and_spreads():

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from rcbandit.core import ConfigError, Feedback, admits, build_grid
+from rcbandit.core import ConfigError, build_grid
 from rcbandit.estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator
 
 GRID2 = build_grid(2, 1.0)  # {0.5, 1.0}; a play at 0.5 touches k = 1 cell, at 1.0 k = 2
 
 
-def uncensored(cost, reward):
-    return Feedback(censored=False, cost=cost, reward=reward)
+def admitted(cost, reward, grid=GRID2):
+    """(lo, reward) of a round whose cost the played limit admits."""
+    return grid.first_admitting(cost), reward
 
 
-CENSORED = Feedback(censored=True)
+CENSORED = (GRID2.m, 0.0)  # a cost above every limit: censored at any k
 
 
 def cell(est, arm0, j):
@@ -26,20 +27,20 @@ def trials(post, arm0, j):
 
 def test_censored_update_running_mean():
     est = CensoredMomentEstimator(1, GRID2)
-    est.update_by_index(0, 1, uncensored(0.4, 0.5))
-    est.update_by_index(0, 1, uncensored(0.4, 0.5))
+    est.update_by_index(0, 1, *admitted(0.4, 0.5))
+    est.update_by_index(0, 1, *admitted(0.4, 0.5))
     assert cell(est, 0, 0) == (0.5, 2)
 
-    est.update_by_index(0, 1, uncensored(0.4, 0.8))
+    est.update_by_index(0, 1, *admitted(0.4, 0.8))
     mu, n = cell(est, 0, 0)
     assert n == 3 and mu == pytest.approx((2 * 0.5 + 0.8) / 3)
 
 
 def test_censored_update_censored_branch():
     est = CensoredMomentEstimator(1, GRID2)
-    est.update_by_index(0, 1, uncensored(0.4, 0.5))
-    est.update_by_index(0, 1, uncensored(0.4, 0.5))
-    est.update_by_index(0, 1, CENSORED)
+    est.update_by_index(0, 1, *admitted(0.4, 0.5))
+    est.update_by_index(0, 1, *admitted(0.4, 0.5))
+    est.update_by_index(0, 1, *CENSORED)
     mu, n = cell(est, 0, 0)
     assert n == 3 and mu == pytest.approx(1.0 / 3.0)
 
@@ -48,7 +49,7 @@ def test_censored_update_per_point_indicator():
     # play at 1.0 with cost 0.6: the 1.0 cell gets the reward, the 0.5 cell
     # gets the count but no reward
     est = CensoredMomentEstimator(1, GRID2)
-    est.update_by_index(0, 2, uncensored(0.6, 0.9))
+    est.update_by_index(0, 2, *admitted(0.6, 0.9))
     assert cell(est, 0, 1) == (0.9, 1)
     assert cell(est, 0, 0) == (0.0, 1)
 
@@ -56,27 +57,27 @@ def test_censored_update_per_point_indicator():
 def test_censored_query_fresh_and_censored_history():
     est = CensoredMomentEstimator(1, GRID2)
     assert cell(est, 0, 0) == (0.0, 0)
-    est.update_by_index(0, 2, uncensored(0.2, 0.7))
+    est.update_by_index(0, 2, *admitted(0.2, 0.7))
     assert cell(est, 0, 1) == (0.7, 1)
 
     est2 = CensoredMomentEstimator(1, GRID2)
     for _ in range(5):
-        est2.update_by_index(0, 2, CENSORED)
+        est2.update_by_index(0, 2, *CENSORED)
     assert cell(est2, 0, 1) == (0.0, 5)
 
 
 def test_censored_update_only_below_chosen():
     est = CensoredMomentEstimator(1, GRID2)
-    est.update_by_index(0, 1, uncensored(0.1, 1.0))
+    est.update_by_index(0, 1, *admitted(0.1, 1.0))
     assert cell(est, 0, 1) == (0.0, 0)
 
 
 def test_touch_counter():
     grid = build_grid(4, 1.0)
     est = CensoredMomentEstimator(2, grid)
-    est.update_by_index(0, 3, CENSORED)
+    est.update_by_index(0, 3, grid.m, 0.0)  # censored
     assert est.counts.sum() == 3
-    est.update_by_index(1, 1, uncensored(0.2, 1.0))
+    est.update_by_index(1, 1, *admitted(0.2, 1.0, grid))
     assert est.counts[1].sum() == 1
     assert est.counts.sum() == 4
     assert est.counts[1].sum() <= grid.m
@@ -84,19 +85,19 @@ def test_touch_counter():
 
 def test_naive_update_touches_one_pair():
     est = NaiveEstimator(1, GRID2)
-    est.update_by_index(0, 1, uncensored(0.6, 0.9))
+    est.update_by_index(0, 1, *admitted(0.6, 0.9))
     assert cell(est, 0, 0) == (0.0, 0)
     assert cell(est, 0, 1) == (0.9, 1)
 
 
 def test_naive_running_mean_and_censored():
     est = NaiveEstimator(1, GRID2)
-    est.update_by_index(0, 0, uncensored(0.3, 0.4))
+    est.update_by_index(0, 0, *admitted(0.3, 0.4))
     assert cell(est, 0, 0) == (0.4, 1)
-    est.update_by_index(0, 0, uncensored(0.3, 0.8))
+    est.update_by_index(0, 0, *admitted(0.3, 0.8))
     mu, t = cell(est, 0, 0)
     assert t == 2 and mu == pytest.approx(0.6)
-    est.update_by_index(0, 0, CENSORED)
+    est.update_by_index(0, 0, *CENSORED)
     mu, t = cell(est, 0, 0)
     assert t == 3 and mu == pytest.approx(1.2 / 3)
 
@@ -104,11 +105,11 @@ def test_naive_running_mean_and_censored():
 def test_beta_update_certainties():
     rng = np.random.default_rng(0)
     post = BetaPosterior(1, GRID2)
-    post.update_by_index(0, 2, CENSORED, rng)
+    post.update_by_index(0, 2, *CENSORED, rng)
     assert trials(post, 0, 0) == (0, 1)
     assert trials(post, 0, 1) == (0, 1)
 
-    post.update_by_index(0, 1, uncensored(0.4, 1.0), rng)
+    post.update_by_index(0, 1, *admitted(0.4, 1.0), rng)
     assert trials(post, 0, 0) == (1, 1)
 
 
@@ -117,7 +118,7 @@ def test_beta_update_monte_carlo_rate():
     post = BetaPosterior(1, GRID2)
     trials_run = 100_000
     for _ in range(trials_run):
-        post.update_by_index(0, 1, uncensored(0.4, 0.5), rng)
+        post.update_by_index(0, 1, *admitted(0.4, 0.5), rng)
     s, f = trials(post, 0, 0)
     assert s + f == trials_run
     assert s / trials_run == pytest.approx(0.5, abs=3 * np.sqrt(0.25 / trials_run))
@@ -125,19 +126,19 @@ def test_beta_update_monte_carlo_rate():
 
 def test_beta_indicator_variants():
     grid = build_grid(2, 1.0)
-    fb = uncensored(0.6, 1.0)  # cost above the 0.5 cell, reward 1
+    fb = admitted(0.6, 1.0, grid)  # cost above the 0.5 cell, reward 1
 
     per_pair = BetaPosterior(1, grid, indicator="per_pair")
     rng = np.random.default_rng(1)
     for _ in range(50):
-        per_pair.update_by_index(0, 2, fb, rng)
+        per_pair.update_by_index(0, 2, *fb, rng)
     # cell 0.5 never completes under its own limit: all failures
     assert trials(per_pair, 0, 0) == (0, 50)
     assert trials(per_pair, 0, 1) == (50, 0)
 
     shared = BetaPosterior(1, grid, indicator="chosen_limit")
     for _ in range(50):
-        shared.update_by_index(0, 2, fb, np.random.default_rng(2))
+        shared.update_by_index(0, 2, *fb, np.random.default_rng(2))
     # the played limit's indicator is shared: certain success everywhere
     assert trials(shared, 0, 0) == (50, 0)
     assert trials(shared, 0, 1) == (50, 0)
@@ -150,11 +151,13 @@ def test_beta_validation():
         BetaPosterior(1, GRID2, indicator="other")
 
 
-def _random_feedback(rng, tau_chosen):
+def _random_round(rng, grid, j):
+    """(lo, reward) of a random play at limit j; a reward is drawn only if admitted."""
     cost = float(rng.uniform(0, 1.2))
-    if not admits(cost, tau_chosen):
-        return CENSORED
-    return uncensored(cost, float(rng.uniform(0, 1)))
+    lo = grid.first_admitting(cost)
+    if lo > j:
+        return lo, 0.0
+    return lo, float(rng.uniform(0, 1))
 
 
 def test_invariants_under_random_play():
@@ -166,11 +169,11 @@ def test_invariants_under_random_play():
     for _ in range(2000):
         arm0 = int(rng.integers(1, 4)) - 1
         j = int(rng.integers(0, grid.m))
-        fb = _random_feedback(rng, grid.points[j])
+        lo, reward = _random_round(rng, grid, j)
         before = cen.counts.sum()
-        cen.update_by_index(arm0, j + 1, fb)
-        nai.update_by_index(arm0, j, fb)
-        beta.update_by_index(arm0, j + 1, fb, rng)
+        cen.update_by_index(arm0, j + 1, lo, reward)
+        nai.update_by_index(arm0, j, lo, reward)
+        beta.update_by_index(arm0, j + 1, lo, reward, rng)
 
         assert cen.counts.sum() - before <= grid.m
 
@@ -192,7 +195,7 @@ def test_invariants_under_random_play():
 def test_snapshots():
     grid = build_grid(2, 1.0)
     cen = CensoredMomentEstimator(1, grid)
-    cen.update_by_index(0, 2, uncensored(0.6, 0.9))
+    cen.update_by_index(0, 2, *admitted(0.6, 0.9))
     snap = cen.snapshot()
     assert snap == [
         {"arm": 1, "tau": 0.5, "n": 1, "sum": 0.0},
@@ -200,14 +203,14 @@ def test_snapshots():
     ]
 
     nai = NaiveEstimator(1, grid)
-    nai.update_by_index(0, 1, uncensored(0.6, 0.9))
+    nai.update_by_index(0, 1, *admitted(0.6, 0.9))
     assert nai.snapshot() == [
         {"arm": 1, "tau": 0.5, "t": 0, "sum": 0.0},
         {"arm": 1, "tau": 1.0, "t": 1, "sum": 0.9},
     ]
 
     beta = BetaPosterior(1, grid)
-    beta.update_by_index(0, 1, uncensored(0.4, 1.0), np.random.default_rng(0))
+    beta.update_by_index(0, 1, *admitted(0.4, 1.0), np.random.default_rng(0))
     assert beta.snapshot() == [
         {"arm": 1, "tau": 0.5, "s": 1, "f": 0},
         {"arm": 1, "tau": 1.0, "s": 0, "f": 0},

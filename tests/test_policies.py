@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from rcbandit.core import (
-    ActionPair,
     AdditiveCost,
     ConfigError,
     DiscountSpec,
     DomainError,
-    Feedback,
     InstanceSpec,
     MultiplicativeDiscount,
     ResourceGrid,
@@ -28,10 +26,10 @@ from rcbandit.policies import (
     RCUCBPolicy,
     UniformRandomPolicy,
     _exploration_budget,
+    _kl_bernoulli_arr,
+    _zero_weights,
     argmax_pair,
     init_length,
-    kl_bernoulli,
-    klucb_index,
     make_policy,
 )
 
@@ -49,7 +47,47 @@ KL_0_05 = 0.6931471805599453
 # largest q with 10 * d(0.5, q) <= ln 100 (dense-scan cross-check)
 KLUCB_IDX = 0.887908699795822
 
-CENSORED = Feedback(censored=True)
+# update(lo, reward) of a round censored at every limit: lo lies beyond every grid index
+CENSORED = (10**6, 0.0)
+
+
+def kl_bernoulli(p: float, q: float) -> float:
+    """KL divergence between Bernoulli(p) and Bernoulli(q), with 0*log 0 := 0.
+
+    Endpoint q in {0, 1} gives +inf unless p sits on the same endpoint. The
+    scalar reference for the matrix index, on the package's one divergence
+    formula.
+    """
+    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
+        raise DomainError("p and q must lie in [0, 1]")
+    w = np.array([p, 1.0 - p])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_kl_bernoulli_arr(w, np.array([q, 1.0 - q]), _zero_weights(w)))
+
+
+def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
+    """Largest q in [mu_eff, 1] with n * d(mu_eff, q) <= ln t + c ln ln t.
+
+    Scalar bisection to absolute tolerance 1e-9: the reference the matrix
+    index of KLRCUCBPolicy is compared against.
+    """
+    if not 0.0 <= mu_eff <= 1.0:
+        raise DomainError("mu_eff must lie in [0, 1]")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if t < 2:
+        raise DomainError("t must be >= 2")
+    if c < 0:
+        raise DomainError("c must be non-negative")
+    target = _exploration_budget(t, c) / n
+    lo, hi = mu_eff, 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if kl_bernoulli(mu_eff, mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _inst(n_arms=1, points=(0.25, 0.5), objective=MultiplicativeDiscount(),
@@ -75,10 +113,9 @@ def test_rcucb_initialization_order():
     pol = RCUCBPolicy(inst)
     seen = []
     for _ in range(3):
-        a = pol.select()
-        seen.append((a.arm, a.tau_prime))
-        pol.update(a, CENSORED)
-    assert seen == [(1, 0.5), (2, 0.5), (3, 0.5)]
+        seen.append(pol.select())
+        pol.update(*CENSORED)
+    assert seen == [(0, 1), (1, 1), (2, 1)]
     # every cell was fed by the maximal-limit plays
     assert np.all(pol.estimator.counts >= 1)
 
@@ -89,8 +126,7 @@ def test_rcucb_index_values():
     idx = pol.index_matrix()
     assert idx[0, 0] == pytest.approx(RCUCB_IDX_A, abs=1e-12)
     assert idx[0, 1] == pytest.approx(RCUCB_IDX_B, abs=1e-12)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (1, 0.25)
+    assert pol.select() == (0, 0)
 
 
 def test_rcucb_unplayed_pair_wins():
@@ -98,8 +134,7 @@ def test_rcucb_unplayed_pair_wins():
     _inject(pol, counts=4.0, mu=0.9, t=10)
     pol.estimator.counts[1, 1] = 0.0
     assert pol.index_matrix()[1, 1] == np.inf
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (2, 0.5)
+    assert pol.select() == (1, 1)
 
 
 def test_rcucb_tie_break_smallest_tau_then_arm():
@@ -107,8 +142,7 @@ def test_rcucb_tie_break_smallest_tau_then_arm():
     inst = _inst(n_arms=2, objective=AdditiveCost(scale=0.0))
     pol = RCUCBPolicy(inst)
     _inject(pol, counts=4.0, mu=0.5, t=10)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (1, 0.25)
+    assert pol.select() == (0, 0)
 
 
 def test_argmax_pair_scan_order_and_scale_invariance():
@@ -163,10 +197,9 @@ def test_ucb_sweep_order():
     pol = ModifiedUCBPolicy(inst)
     seen = []
     for _ in range(4):
-        a = pol.select()
-        seen.append((a.arm, a.tau_prime))
-        pol.update(a, CENSORED)
-    assert seen == [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)]
+        seen.append(pol.select())
+        pol.update(*CENSORED)
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_ucb_index_value():
@@ -179,8 +212,7 @@ def test_ucb_tie_break():
     inst = _inst(n_arms=3, objective=AdditiveCost(scale=0.0))
     pol = ModifiedUCBPolicy(inst)
     _inject(pol, counts=2.0, mu=0.3, t=20)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (1, 0.25)
+    assert pol.select() == (0, 0)
 
 
 def test_kl_bernoulli_values():
@@ -233,17 +265,14 @@ def test_klucb_index_domain():
 def test_klrcucb_select_and_init():
     inst = _inst(n_arms=2, points=(0.5,))
     pol = KLRCUCBPolicy(inst)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (1, 0.5)
-    pol.update(a, CENSORED)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (2, 0.5)
-    pol.update(a, CENSORED)
+    assert pol.select() == (0, 0)
+    pol.update(*CENSORED)
+    assert pol.select() == (1, 0)
+    pol.update(*CENSORED)
 
     # equal statistics: tie-break to arm 1
     _inject(pol, counts=3.0, mu=0.4, t=10)
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (1, 0.5)
+    assert pol.select() == (0, 0)
 
 
 def test_klrcucb_smaller_count_larger_index():
@@ -257,8 +286,7 @@ def test_klrcucb_smaller_count_larger_index():
     # which the pruned bisection may leave at -inf
     assert idx[1, 0] == pytest.approx(klucb_index(0.2, 2, 50, 3.0), abs=1e-9)
     assert idx[1, 0] > klucb_index(0.2, 5, 50, 3.0) + 1e-6
-    a = pol.select()
-    assert (a.arm, a.tau_prime) == (2, 0.5)
+    assert pol.select() == (1, 0)
 
 
 def _reference_klucb_matrix(mu_eff, counts, t, c):
@@ -338,21 +366,20 @@ def test_ts_single_pair_always_selected():
     inst = _inst(n_arms=1, points=(0.5,))
     pol = ModifiedTSPolicy(inst, np.random.default_rng(0))
     for _ in range(10):
-        a = pol.select()
-        assert (a.arm, a.tau_prime) == (1, 0.5)
-        pol.update(a, CENSORED)
+        assert pol.select() == (0, 0)
+        pol.update(*CENSORED)
 
 
 def test_ts_zero_discount_pair_never_selected():
     inst = _inst(n_arms=1, points=(0.5, 1.0))  # linear discount: gamma(1.0) = 0
     pol = ModifiedTSPolicy(inst, np.random.default_rng(1))
-    taus = []
+    limits = []
     for t in range(200):
-        a = pol.select()
+        _, j = pol.select()
         if t >= 2:  # past the sweep
-            taus.append(a.tau_prime)
-        pol.update(a, Feedback(censored=False, cost=0.1, reward=1.0))
-    assert set(taus) == {0.5}
+            limits.append(j)
+        pol.update(inst.grid.first_admitting(0.1), 1.0)  # cost 0.1, reward 1
+    assert set(limits) == {0}  # the limit 0.5
 
 
 def test_ts_posterior_concentration():
@@ -364,9 +391,9 @@ def test_ts_posterior_concentration():
     wins = 0
     rounds = 10_000
     for _ in range(rounds):
-        a = pol.select()
-        wins += a.arm == 1
-        pol.update(a, CENSORED)
+        arm0, _ = pol.select()
+        wins += arm0 == 0
+        pol.update(*CENSORED)
     assert wins / rounds >= 0.999
 
 
@@ -375,23 +402,22 @@ def test_ts_sweep_matches_ucb_sweep():
     pol = ModifiedTSPolicy(inst, np.random.default_rng(3))
     seen = []
     for _ in range(4):
-        a = pol.select()
-        seen.append((a.arm, a.tau_prime))
-        pol.update(a, CENSORED)
-    assert seen == [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)]
+        seen.append(pol.select())
+        pol.update(*CENSORED)
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_alternation_enforced():
     pol = RCUCBPolicy(_inst())
     with pytest.raises(UsageError):
-        pol.update(ActionPair(1, 0.25), CENSORED)
-    a = pol.select()
+        pol.update(*CENSORED)
+    pol.select()
     with pytest.raises(UsageError):
         pol.select()
+    pol.update(*CENSORED)
+    assert pol.t == 1
     with pytest.raises(UsageError):
-        pol.update(ActionPair(arm=a.arm, tau_prime=0.25 if a.tau_prime != 0.25 else 0.5),
-                   CENSORED)
-    pol.update(a, CENSORED)
+        pol.update(*CENSORED)
     assert pol.t == 1
 
 
@@ -399,8 +425,8 @@ def test_t_counts_cycles():
     pol = ModifiedUCBPolicy(_inst(n_arms=2))
     for k in range(6):
         assert pol.t == k
-        a = pol.select()
-        pol.update(a, CENSORED)
+        pol.select()
+        pol.update(*CENSORED)
 
 
 def test_uniform_random_covers_pairs():
@@ -409,9 +435,9 @@ def test_uniform_random_covers_pairs():
     counts = {}
     rounds = 4000
     for _ in range(rounds):
-        a = pol.select()
-        counts[(a.arm, a.tau_prime)] = counts.get((a.arm, a.tau_prime), 0) + 1
-        pol.update(a, CENSORED)
+        pair = pol.select()
+        counts[pair] = counts.get(pair, 0) + 1
+        pol.update(*CENSORED)
     assert len(counts) == 8
     for c in counts.values():
         assert abs(c / rounds - 0.125) < 0.021
@@ -421,9 +447,8 @@ def test_fixed_oracle_policy():
     inst = _inst(n_arms=2)
     pol = FixedOraclePolicy(inst, arm=2, tau_prime=0.25)
     for _ in range(5):
-        a = pol.select()
-        assert (a.arm, a.tau_prime) == (2, 0.25)
-        pol.update(a, CENSORED)
+        assert pol.select() == (1, 0)
+        pol.update(*CENSORED)
     with pytest.raises(ConfigError):
         FixedOraclePolicy(inst, arm=3, tau_prime=0.25)
 
@@ -479,8 +504,8 @@ def test_make_policy_dispatch():
 def test_snapshot_shapes():
     inst = _inst(n_arms=1)
     pol = RCUCBPolicy(inst)
-    a = pol.select()
-    pol.update(a, CENSORED)
+    pol.select()
+    pol.update(*CENSORED)
     snap = pol.snapshot()
     assert len(snap) == 2 and {"arm", "tau", "n", "sum"} == set(snap[0])
     assert UniformRandomPolicy(inst, np.random.default_rng(0)).snapshot() == []
