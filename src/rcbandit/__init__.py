@@ -13,7 +13,6 @@ from .core import (
     build_grid,
     discount_eval,
     mix64,
-    objective_value,
 )
 from .envs import (
     DegenerateArm,
@@ -83,7 +82,6 @@ __all__ = [
     "make_policy",
     "mix64",
     "nu_table",
-    "objective_value",
     "regret_upper_bound",
     "run_episode",
     "run_experiment",

@@ -36,11 +36,10 @@ from .envs import (
     DegenerateArm,
     GaussianArm,
     REPLAY_MODES,
-    TraceArm,
     UniformCostArm,
     trace_env_load,
 )
-from .oracle import nu_table
+from .oracle import MIN_NODES, MIN_SAMPLES, ORACLE_METHODS, nu_table
 from .policies import POLICY_KINDS, PolicySpec
 from .sim import ExperimentConfig, concentration_audit, run_experiment
 
@@ -93,6 +92,12 @@ def _int(value) -> int:
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
@@ -192,7 +197,7 @@ def _parse_policy(obj: dict, where: str) -> PolicySpec:
     if kind not in POLICY_KINDS:
         raise ConfigError(f"{where}.kind: unknown policy kind {kind!r}")
     kwargs = {}
-    for key, field, cast in (("label", "label", str), ("alpha", "alpha", float),
+    for key, field, cast in (("label", "label", _str), ("alpha", "alpha", float),
                              ("c", "c", float), ("prior", "prior", _float_pair),
                              ("indicator", "ts_indicator", str)):
         if key in obj:
@@ -213,8 +218,16 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     )
     oracle = _read(doc, "oracle", "", default={})
     method = _read(oracle, "method", "oracle", default="quadrature")
-    if method not in ("quadrature", "monte_carlo"):
+    if method not in ORACLE_METHODS:
         raise ConfigError(f"oracle.method: unknown method {method!r}")
+    nodes = _read(oracle, "nodes", "oracle", _int, 200)
+    samples = _read(oracle, "samples", "oracle", _int, 1_000_000)
+    # checked here for every instance, not only for those with a Gaussian arm
+    if method == "quadrature" and nodes < MIN_NODES:
+        raise ConfigError(f"oracle.nodes: quadrature needs at least {MIN_NODES}, got {nodes}")
+    if method == "monte_carlo" and samples < MIN_SAMPLES:
+        raise ConfigError(f"oracle.samples: Monte Carlo needs at least {MIN_SAMPLES}, "
+                          f"got {samples}")
     return ExperimentConfig(
         instance=instance,
         policies=policies,
@@ -222,69 +235,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
         repetitions=_read(doc, "repetitions", "", _int, 20),
         base_seed=_read(doc, "base_seed", "", _int, 0),
         oracle_method=method,
-        oracle_nodes=_read(oracle, "nodes", "oracle", _int, 200),
-        oracle_samples=_read(oracle, "samples", "oracle", _int, 1_000_000),
+        oracle_nodes=nodes,
+        oracle_samples=samples,
         workers=_read(doc, "workers", "", _int, 1),
         output_dir=_read(doc, "output_dir", "", lambda v: v if v is None else Path(v), None),
         dump_state=_read(doc, "dump_state", "", _bool, False),
     )
-
-
-def _arm_to_dict(arm) -> dict:
-    if isinstance(arm, GaussianArm):
-        return {"kind": "gaussian", "mean": [arm.mean[0], arm.mean[1]],
-                "x": arm.x, "sigma": arm.sigma}
-    if isinstance(arm, DegenerateArm):
-        return {"kind": "degenerate", "reward": arm.r0, "cost": arm.c0}
-    if isinstance(arm, UniformCostArm):
-        return {"kind": "uniform_cost", "reward_mean": arm.reward_mean}
-    if isinstance(arm, TraceArm):
-        if arm.source is None:
-            raise ConfigError("trace arm has no source path to serialize")
-        return {"kind": "trace", "path": arm.source, "replay": arm.replay,
-                "arm": arm.source_arm}
-    raise ConfigError(f"cannot serialize arm of type {type(arm).__name__}")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """Inverse of config_from_dict: parse(serialize(cfg)) == cfg."""
-    inst = config.instance
-    disc = {"kind": inst.discount.kind}
-    if inst.discount.k is not None:
-        disc["k"] = inst.discount.k
-    if inst.discount.rho is not None:
-        disc["rho"] = inst.discount.rho
-    if isinstance(inst.objective, AdditiveCost):
-        objective = {"kind": "additive_cost", "scale": inst.objective.scale,
-                     "power": inst.objective.power}
-    else:
-        objective = {"kind": "multiplicative"}
-    policies = []
-    for spec in config.policies:
-        entry = {"kind": spec.kind, "label": spec.label, "alpha": spec.alpha,
-                 "c": spec.c, "prior": list(spec.prior),
-                 "indicator": spec.ts_indicator}
-        policies.append(entry)
-    doc = {
-        "instance": {
-            "tau_max": inst.grid.tau_max,
-            "grid_points": list(inst.grid.points),
-            "discount": disc,
-            "objective": objective,
-            "arms": [_arm_to_dict(a) for a in inst.arms],
-        },
-        "policies": policies,
-        "horizon": config.horizon,
-        "repetitions": config.repetitions,
-        "base_seed": config.base_seed,
-        "oracle": {"method": config.oracle_method, "nodes": config.oracle_nodes,
-                   "samples": config.oracle_samples},
-        "workers": config.workers,
-        "dump_state": config.dump_state,
-    }
-    if config.output_dir is not None:
-        doc["output_dir"] = str(config.output_dir)
-    return doc
 
 
 def _locate_config(name: str) -> tuple[str, Path]:

@@ -220,16 +220,6 @@ def cost_eval(objective: AdditiveCost, tau_max: float, tau_tilde):
     return float(out)
 
 
-def objective_value(objective: Objective, discount: DiscountSpec, mu: float,
-                    tau_prime: float) -> float:
-    """The objective nu for one (mu, tau') cell under the given objective."""
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError("mu must lie in [0, 1]")
-    if isinstance(objective, MultiplicativeDiscount):
-        return discount_eval(discount, tau_prime) * mu
-    return mu - cost_eval(objective, discount.tau_max, tau_prime)
-
-
 def objective_vectors(objective: Objective, discount: DiscountSpec,
                       grid: ResourceGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-grid-point (scale, offset) such that nu = scale * mu + offset.

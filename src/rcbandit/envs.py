@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +74,18 @@ class GaussianArm:
         return _truncated_batch(np.asarray(self.mean, dtype=float), self.cov(), rng, size)
 
 
-def _truncated_batch(mean, cov, rng, size, cap_per_draw=MAX_ATTEMPTS_PER_DRAW):
+def _truncated_batch(mean, cov, rng, size):
     chol = np.linalg.cholesky(cov)
     rewards = np.empty(size)
     costs = np.empty(size)
     filled = 0
-    budget = cap_per_draw * size
+    budget = MAX_ATTEMPTS_PER_DRAW * size
     while filled < size:
         need = size - filled
         batch = min(max(2 * need, 256), _BATCH_CAP, budget)
         if batch <= 0:
             raise SamplingError(
-                f"rejection sampling exceeded {cap_per_draw} attempts per draw"
+                f"rejection sampling exceeded {MAX_ATTEMPTS_PER_DRAW} attempts per draw"
             )
         z = rng.standard_normal((batch, 2)) @ chol.T + mean
         ok = (z[:, 0] >= 0.0) & (z[:, 0] <= 1.0) & (z[:, 1] >= 0.0) & (z[:, 1] <= 1.0)
@@ -149,9 +149,6 @@ class TraceArm:
     rewards: tuple[float, ...]
     costs: tuple[float, ...]
     replay: str = "sample"
-    # Where the rows came from, for config serialization; not part of identity.
-    source: str | None = field(default=None, compare=False)
-    source_arm: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rewards) == 0:
@@ -241,8 +238,7 @@ def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> t
         if i not in rows:
             raise ConfigError(f"{path}: no rows for arm {i}")
         rewards, costs = zip(*rows[i])
-        arms.append(TraceArm(rewards=rewards, costs=costs, replay=replay,
-                             source=str(path), source_arm=i))
+        arms.append(TraceArm(rewards=rewards, costs=costs, replay=replay))
     if n_arms is not None and max(rows) > n_arms:
         raise ConfigError(f"{path}: arm index {max(rows)} exceeds instance size {n_arms}")
     return tuple(arms)

@@ -23,6 +23,9 @@ from .core import DomainError, InstanceSpec, admits, mix64, objective_vectors
 from .policies import argmax_pair
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
+# smallest budgets the oracle accepts: quadrature nodes per axis, Monte Carlo draws
+MIN_NODES = 32
+MIN_SAMPLES = 10_000
 
 
 @lru_cache(maxsize=8)
@@ -65,8 +68,8 @@ def _exact_moments(arm, taus, nodes: int) -> np.ndarray:
     has one and by quadrature otherwise; the normalizer is integrated once."""
     if hasattr(arm, "mixed_moment"):
         return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
-    if nodes < 32:
-        raise DomainError("quadrature needs at least 32 nodes per axis")
+    if nodes < MIN_NODES:
+        raise DomainError(f"quadrature needs at least {MIN_NODES} nodes per axis")
     z = _density_integral(arm, 1.0, nodes, weight_reward=False)
     if z < 1e-12:
         raise DomainError(
@@ -78,25 +81,13 @@ def _exact_moments(arm, taus, nodes: int) -> np.ndarray:
     ])
 
 
-def true_mixed_moment(arm, tau_prime: float, method: str = "quadrature", *,
-                      nodes: int = 200, samples: int = 1_000_000,
-                      rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Ground-truth E[R * 1{C <= tau'}] with its standard error.
+def true_mixed_moment(arm, tau_prime: float, *, nodes: int = 200) -> float:
+    """Ground-truth E[R * 1{C <= tau'}]: the arm's closed form (``mixed_moment``)
+    if it has one, quadrature with `nodes` points per axis otherwise.
 
-    Arms exposing a closed form (``mixed_moment``) are evaluated exactly with
-    SE 0 under either method. Quadrature also has SE 0 by convention.
+    nu_table(..., "monte_carlo") is the Monte Carlo oracle.
     """
-    if method not in ORACLE_METHODS:
-        raise DomainError(f"unknown oracle method {method!r}")
-    if method == "quadrature" or hasattr(arm, "mixed_moment"):
-        return float(_exact_moments(arm, (tau_prime,), nodes)[0]), 0.0
-    if samples < 10_000:
-        raise DomainError("Monte Carlo needs at least 10^4 samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    r, c = arm.sample(rng, samples)
-    vals = r * admits(c, tau_prime)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    return float(_exact_moments(arm, (tau_prime,), nodes)[0])
 
 
 def _digest(obj) -> str:
@@ -156,9 +147,6 @@ class NuTable:
     @property
     def m(self) -> int:
         return self.mu.shape[1]
-
-    def optimal_pair(self) -> tuple[int, float]:
-        return self.optimal_arm, self.optimal_tau
 
     def min_positive_gap(self) -> float:
         pos = self.gap[self.gap > 0]
@@ -242,6 +230,8 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
     """
     if method not in ORACLE_METHODS:
         raise DomainError(f"unknown oracle method {method!r}")
+    if method == "monte_carlo" and samples < MIN_SAMPLES:
+        raise DomainError(f"Monte Carlo needs at least {MIN_SAMPLES} samples")
     grid = instance.grid
     taus = grid.as_array()
     n, m = instance.n, grid.m
@@ -250,8 +240,6 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
     exact_rows: dict = {}
     for i, arm in enumerate(instance.arms):
         if method == "monte_carlo" and not hasattr(arm, "mixed_moment"):
-            if samples < 10_000:
-                raise DomainError("Monte Carlo needs at least 10^4 samples")
             rng = np.random.default_rng(mix64(seed, i))
             r, c = arm.sample(rng, samples)
             for j, tau in enumerate(taus):

@@ -13,7 +13,9 @@ estimators read it, so no cost is compared with a limit here.
 
 Every policy starts with the schedule of init_limits, written once here:
 Policy.select plays it, and init_length (which the runners check the horizon
-against) counts it.
+against) counts it. The schedule gives every pair a count N >= 1 of the
+estimator its index reads, and the index functions require that: an index
+matrix holds no +inf cell, and an unplayed pair raises UsageError.
 
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
@@ -70,6 +72,11 @@ class PolicySpec:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
+        # the label names the run's trace_<label>.csv
+        if not (isinstance(self.label, str) and self.label) or any(
+                ch in self.label for ch in "/\\\0"):
+            raise ConfigError(f"label {self.label!r} must be a non-empty file name "
+                              "part, without /, \\ or NUL")
         if self.kind in ("rcucb", "ucb"):
             if not self.alpha > 0:
                 raise ConfigError("alpha must be positive")
@@ -148,6 +155,13 @@ def _exploration_budget(t: int, c: float) -> float:
     return max(0.0, math.log(t) + c * math.log(math.log(t)))
 
 
+def _require_played(counts: np.ndarray) -> None:
+    """The index precondition: every pair has N >= 1, which the init_limits
+    schedule guarantees before Policy.select first asks for an index."""
+    if counts.min() < 1.0:
+        raise UsageError("index asked for before every pair has a count (N >= 1)")
+
+
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
     """The KL-UCB index (largest q in [mu_eff, 1] with N d(mu_eff, q) <= ln t +
     c ln ln t) of every pair that can attain the maximum; -inf elsewhere.
@@ -158,17 +172,14 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
     a cell whose hi lies below the largest lo is dropped and reads -inf: its
     final value is at most its hi and the final maximum at least that lo, so
     it can be neither the argmax nor a tie. The live cells are compacted once
-    at most half of them remain. Cells with N = 0 read +inf; if there is one,
-    no finite cell can attain the maximum and nothing is bisected.
+    at most half of them remain. Every N must be >= 1 (see _require_played).
     """
-    played = counts > 0
-    if not played.all():
-        return np.where(played, -np.inf, np.inf)
+    _require_played(counts)
     p = mu_eff.ravel()
     budget = _exploration_budget(t, c)
     # one column per live cell; rows p, 1 - p, lo, hi, target
     state = np.stack((p, 1.0 - p, p, np.ones_like(p),
-                      (budget / np.maximum(counts, 1.0)).ravel()))
+                      (budget / counts).ravel()))
     cells = np.arange(p.size)
     compacted = True
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -202,30 +213,21 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
 
 def _optimistic_index(estimator, width: float, count_scale: float,
                       scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """scale * (mu_hat + sqrt(width / (count_scale * N))) + offset per pair,
-    with an infinite index where N = 0.
+    """scale * (mu_hat + sqrt(width / (count_scale * N))) + offset per pair.
 
-    When every N >= 1, which holds in every round after initialization, the
-    expression runs as a few in-place ufuncs on one fresh array, without the
-    masks and error-state switches that N = 0 needs. The operations and their
-    operands are those of the general expression, so both give the same bits;
-    N >= 1 rather than N > 0 keeps mu_hat = sums / N equal to mean_matrix(),
-    which divides by max(N, 1).
+    Every N must be >= 1 (see _require_played), so mu_hat = sums / N equals
+    mean_matrix(), which divides by max(N, 1). The expression runs as a few
+    in-place ufuncs on one fresh array.
     """
     counts = estimator.counts
-    if counts.min() >= 1.0:
-        out = np.multiply(counts, count_scale)
-        np.divide(width, out, out=out)
-        np.sqrt(out, out=out)
-        out += estimator.sums / counts
-        out *= scale
-        out += offset
-        return out
-    mu = estimator.mean_matrix()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.sqrt(width / (count_scale * counts))
-        vals = scale * (mu + radius) + offset
-    return np.where(counts > 0, vals, np.inf)
+    _require_played(counts)
+    out = np.multiply(counts, count_scale)
+    np.divide(width, out, out=out)
+    np.sqrt(out, out=out)
+    out += estimator.sums / counts
+    out *= scale
+    out += offset
+    return out
 
 
 class Policy:
@@ -300,8 +302,7 @@ class RCUCBPolicy(_CensoredPolicy):
     Index: scale * (mu_hat + sqrt(2 alpha ln t / N)) + offset, which under
     multiplicative discounting is gamma(tau') * mu_hat plus the equally
     discounted confidence radius. Rounds 1..n play (arm t, largest grid
-    point), after which every cell has N >= 1. Cells with N = 0 get an
-    infinite index.
+    point), after which every cell has N >= 1.
     """
 
     kind = "rcucb"
@@ -334,10 +335,9 @@ class KLRCUCBPolicy(_CensoredPolicy):
     def index_matrix(self) -> np.ndarray:
         """The KL index of every pair that can attain the maximum.
 
-        Those cells carry the exact bits of the full bisection; a cell shown to
-        lie strictly below the maximum reads -inf, and an unplayed cell +inf,
-        so argmax_pair picks the pair the full matrix would, ties included.
-        See _klucb_index_matrix.
+        Those cells carry the exact bits of the full bisection and a cell shown
+        to lie strictly below the maximum reads -inf, so argmax_pair picks the
+        pair the full matrix would, ties included. See _klucb_index_matrix.
         """
         t = self.t + 1
         mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
@@ -349,7 +349,7 @@ class ModifiedUCBPolicy(Policy):
 
     The first n*m rounds sweep every pair once (arm-major, ascending tau');
     afterwards the index is scale * (mu_tilde + sqrt(alpha ln t / (2 T)))
-    + offset, with infinite index for unplayed pairs.
+    + offset.
     """
 
     kind = "ucb"

@@ -441,7 +441,7 @@ def concentration_audit(arm_spec, tau_prime: float, alpha: float = 2.0,
         raise DomainError("t_check must be at least 2")
     if runs < 1:
         raise DomainError("runs must be at least 1")
-    mu, _ = true_mixed_moment(arm_spec, tau_prime)
+    mu = true_mixed_moment(arm_spec, tau_prime)
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
     upper = 0
     lower = 0

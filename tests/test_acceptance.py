@@ -141,7 +141,7 @@ def test_estimator_matches_oracle_under_full_limit():
         realized = rewards[None, :] * admits(costs[None, :], grid[:, None])
         se = realized.std(axis=1, ddof=1) / math.sqrt(draws)
         for j, tau in enumerate(grid):
-            mu, _ = true_mixed_moment(arm, float(tau))
+            mu = true_mixed_moment(arm, float(tau))
             mu_hat = estimator.mean_matrix()[i, j]
             assert estimator.counts[i, j] == draws
             assert abs(mu_hat - mu) <= 3.0 * se[j]
@@ -182,13 +182,12 @@ def test_oracle_methods_agree_on_synthetic_grid():
 def test_oracle_exact_for_analytic_arms():
     """Both oracle methods return closed-form moments for analytic arms."""
     instance = analytic_instance()
-    for arm in instance.arms:
-        for tau in instance.grid.points:
-            exact = arm.mixed_moment(tau)
-            for method in ("quadrature", "monte_carlo"):
-                mu, se = true_mixed_moment(arm, tau, method)
-                assert mu == exact
-                assert se == 0.0
+    exact = [[arm.mixed_moment(tau) for tau in instance.grid.points]
+             for arm in instance.arms]
+    for method in ("quadrature", "monte_carlo"):
+        table = nu_table(instance, method)
+        assert table.mu.tolist() == exact
+        assert np.all(table.se == 0.0)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

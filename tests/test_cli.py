@@ -1,4 +1,4 @@
-"""Config round-trips, CLI exit codes, emitted files, and SVG structure."""
+"""Config parsing, CLI exit codes, emitted files, and SVG structure."""
 
 import json
 import re
@@ -8,13 +8,12 @@ import pytest
 
 from rcbandit.cli import (
     config_from_dict,
-    config_to_dict,
     load_config,
     main,
     render_svg,
 )
-from rcbandit.core import ConfigError
-from rcbandit.envs import GaussianArm
+from rcbandit.core import AdditiveCost, ConfigError, ResourceGrid
+from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm
 
 SMALL_CONFIG = {
     "instance": {
@@ -47,7 +46,7 @@ def _write_config(tmp_path, doc, name="config.json"):
     return path
 
 
-def test_config_round_trip_all_arm_kinds(tmp_path):
+def test_config_parse_all_arm_kinds(tmp_path):
     trace = tmp_path / "rows.csv"
     trace.write_text(
         "arm,reward,cost\n1,0.5,0.2\n1,0.9,0.8\n2,0.1,0.1\n", encoding="utf-8"
@@ -79,8 +78,27 @@ def test_config_round_trip_all_arm_kinds(tmp_path):
         "output_dir": str(tmp_path / "out"),
     }
     cfg = config_from_dict(doc, tmp_path)
-    again = config_from_dict(config_to_dict(cfg), tmp_path)
-    assert again == cfg
+    inst = cfg.instance
+    assert inst.grid == ResourceGrid((0.5, 1.0, 2.0), 2.0)
+    assert (inst.discount.kind, inst.discount.tau_max, inst.discount.rho) == (
+        "geometric", 2.0, 0.5)
+    assert inst.objective == AdditiveCost(scale=0.5, power=2.0)
+    assert inst.arms == (
+        GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1),
+        DegenerateArm(r0=0.9, c0=0.2),
+        UniformCostArm(reward_mean=0.8),
+        TraceArm(rewards=(0.1,), costs=(0.1,), replay="cyclic"),
+    )
+    rcucb, klrcucb, ts, uniform = cfg.policies
+    assert (rcucb.kind, rcucb.label, rcucb.alpha) == ("rcucb", "rcucb", 2.5)
+    assert (klrcucb.kind, klrcucb.c) == ("klrcucb", 4.0)
+    assert (ts.prior, ts.ts_indicator) == ((2.0, 3.0), "per_pair")
+    assert (uniform.kind, uniform.label) == ("uniform_random", "uniform_random")
+    assert (cfg.horizon, cfg.repetitions, cfg.base_seed) == (100, 5, 123)
+    assert (cfg.oracle_method, cfg.oracle_samples) == ("monte_carlo", 50000)
+    assert cfg.workers == 2
+    assert cfg.output_dir == tmp_path / "out"
+    assert not cfg.dump_state
 
 
 def test_config_field_errors(tmp_path):
@@ -203,12 +221,23 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["repetitions"], 2.5), "repetitions"),
     (_set(["dump_state"], "no"), "dump_state"),
     (_one_arm({"kind": "trace", "path": "missing.csv"}), "instance.arms[0].path"),
+    # a label names the trace file trace_<label>.csv
+    (_set(["policies", 0, "label"], "a/b"), "policies[0]"),
+    (_set(["policies", 0, "label"], ""), "policies[0]"),
+    (_set(["policies", 0, "label"], "a\0b"), "policies[0]"),
+    (_set(["policies", 0, "label"], None), "policies[0].label"),
+    (_set(["policies", 0, "label"], [1, 2]), "policies[0].label"),
+    # the budgets are checked even where every arm has a closed form
+    (_set(["oracle", "nodes"], 8), "oracle.nodes"),
+    (_set(["oracle", "nodes"], 8, GAUSSIAN), "oracle.nodes"),
+    (_set(["oracle"], {"method": "monte_carlo", "samples": 5000}, GAUSSIAN),
+     "oracle.samples"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {field}" in err
+    assert f"error: {field}:" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -16,7 +16,6 @@ from rcbandit.core import (
     cost_eval,
     discount_eval,
     mix64,
-    objective_value,
     objective_vectors,
 )
 from rcbandit.envs import sample_episode
@@ -193,31 +192,33 @@ def test_grid_rejects_non_finite(points, tau_max):
         ResourceGrid(points=points, tau_max=tau_max)
 
 
+def _objective_value(objective, discount, mu, j, grid):
+    """nu of (mu, grid point j) by way of objective_vectors."""
+    scale, offset = objective_vectors(objective, discount, grid)
+    return scale[j] * mu + offset[j]
+
+
 def test_objective_value_examples():
     disc = DiscountSpec("linear", tau_max=1.0)
+    grid = ResourceGrid((0.5, 0.7), 1.0)
     mult = MultiplicativeDiscount()
-    assert objective_value(mult, disc, 0.5, 0.5) == pytest.approx(0.25)
-    assert objective_value(mult, disc, 0.0, 0.7) == 0.0
+    assert _objective_value(mult, disc, 0.5, 0, grid) == pytest.approx(0.25)
+    assert _objective_value(mult, disc, 0.0, 1, grid) == 0.0
     add = AdditiveCost(scale=0.5, power=1.0)
-    assert objective_value(add, disc, 0.5, 0.5) == pytest.approx(0.25)
+    assert _objective_value(add, disc, 0.5, 0, grid) == pytest.approx(0.25)
 
 
 def test_objective_value_monotone_in_mu():
     rng = np.random.default_rng(11)
     disc = DiscountSpec("linear", tau_max=1.0)
+    grid = build_grid(5, 1.0)
     for obj in (MultiplicativeDiscount(), AdditiveCost(scale=0.3, power=2.0)):
         for _ in range(200):
             m1, m2 = np.sort(rng.uniform(0, 1, size=2))
-            tau = float(rng.choice(build_grid(5, 1.0).points))
-            assert objective_value(obj, disc, float(m1), tau) <= objective_value(
-                obj, disc, float(m2), tau
+            j = int(rng.integers(grid.m))
+            assert _objective_value(obj, disc, m1, j, grid) <= _objective_value(
+                obj, disc, m2, j, grid
             )
-
-
-def test_objective_value_domain():
-    disc = DiscountSpec("linear", tau_max=1.0)
-    with pytest.raises(DomainError):
-        objective_value(MultiplicativeDiscount(), disc, 1.2, 0.5)
 
 
 def test_objective_vectors_consistency():
@@ -229,9 +230,11 @@ def test_objective_vectors_consistency():
         assert scale.shape == offset.shape == (6,)
         for j, tau in enumerate(grid.points):
             mu = float(rng.uniform(0, 1))
-            assert scale[j] * mu + offset[j] == pytest.approx(
-                objective_value(obj, disc, mu, tau)
-            )
+            if isinstance(obj, MultiplicativeDiscount):
+                want = discount_eval(disc, tau) * mu
+            else:
+                want = mu - cost_eval(obj, disc.tau_max, tau)
+            assert scale[j] * mu + offset[j] == pytest.approx(want)
 
 
 def test_additive_cost_eval_and_validation():

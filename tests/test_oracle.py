@@ -10,11 +10,14 @@ from rcbandit.core import (
     DiscountSpec,
     DomainError,
     InstanceSpec,
+    ResourceGrid,
     build_grid,
     objective_vectors,
 )
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
 from rcbandit.oracle import (
+    MIN_NODES,
+    MIN_SAMPLES,
     NuTable,
     concentration_bound,
     nu_table,
@@ -40,53 +43,48 @@ CONC_T1000_A2 = 0.0018036620761802725
 
 def test_quadrature_frozen_values():
     for tau, want in ARM1_QUAD.items():
-        got, se = true_mixed_moment(ARM1, tau, "quadrature")
+        got = true_mixed_moment(ARM1, tau)
         assert got == pytest.approx(want, abs=1e-9)
-        assert se == 0.0
 
 
 def test_quadrature_agrees_with_frozen_monte_carlo():
     for tau, (mc, se) in ARM1_MC.items():
-        got, _ = true_mixed_moment(ARM1, tau, "quadrature")
-        assert abs(got - mc) <= 4 * se
+        assert abs(true_mixed_moment(ARM1, tau) - mc) <= 4 * se
 
 
 def test_quadrature_node_convergence():
-    coarse, _ = true_mixed_moment(ARM1, 0.5, "quadrature", nodes=64)
-    fine, _ = true_mixed_moment(ARM1, 0.5, "quadrature", nodes=200)
+    coarse = true_mixed_moment(ARM1, 0.5, nodes=64)
+    fine = true_mixed_moment(ARM1, 0.5, nodes=200)
     assert coarse == pytest.approx(fine, abs=1e-12)
 
 
-def test_monte_carlo_matches_quadrature_within_se():
-    rng = np.random.default_rng(321)
-    quad, _ = true_mixed_moment(ARM1, 0.5, "quadrature")
-    mc, se = true_mixed_moment(ARM1, 0.5, "monte_carlo", samples=200_000, rng=rng)
-    assert se > 0
-    assert abs(mc - quad) <= 4 * se
-
-
 def test_analytic_arms_are_exact_under_both_methods():
-    deg = DegenerateArm(r0=0.8, c0=0.3)
-    uni = UniformCostArm(reward_mean=0.6)
+    inst = InstanceSpec(
+        arms=(DegenerateArm(r0=0.8, c0=0.3), UniformCostArm(reward_mean=0.6)),
+        grid=ResourceGrid((0.2, 0.25, 0.5), 1.0),
+        discount=DiscountSpec("linear"),
+    )
     for method in ("quadrature", "monte_carlo"):
-        assert true_mixed_moment(deg, 0.5, method) == (0.8, 0.0)
-        assert true_mixed_moment(deg, 0.2, method) == (0.0, 0.0)
-        assert true_mixed_moment(uni, 0.25, method) == (0.15, 0.0)
+        tab = nu_table(inst, method)
+        assert tab.mu[0].tolist() == [0.0, 0.0, 0.8]
+        assert tab.mu[1, 1] == 0.15
+        assert np.all(tab.se == 0.0)
 
 
 def test_budget_validation():
+    with pytest.raises(DomainError, match=f"at least {MIN_NODES}"):
+        true_mixed_moment(ARM1, 0.5, nodes=MIN_NODES - 1)
+    inst = gaussian_instance()
+    with pytest.raises(DomainError, match=f"at least {MIN_SAMPLES}"):
+        nu_table(inst, "monte_carlo", samples=MIN_SAMPLES - 1)
     with pytest.raises(DomainError):
-        true_mixed_moment(ARM1, 0.5, "quadrature", nodes=16)
-    with pytest.raises(DomainError):
-        true_mixed_moment(ARM1, 0.5, "monte_carlo", samples=5000)
-    with pytest.raises(DomainError):
-        true_mixed_moment(ARM1, 0.5, "midpoint")
+        nu_table(inst, "midpoint")
 
 
 def test_degenerate_density_rejected():
     far = GaussianArm(mean=(50.0, 50.0), x=0.0, sigma=1e-4)
     with pytest.raises(DomainError, match="degenerate"):
-        true_mixed_moment(far, 0.5, "quadrature")
+        true_mixed_moment(far, 0.5)
 
 
 def test_single_arm_table():
@@ -99,7 +97,7 @@ def test_single_arm_table():
     assert tab.taus == (0.5, 1.0)
     assert tab.nu[0, 0] == 0.5
     assert tab.nu[0, 1] == 0.0
-    assert tab.optimal_pair() == (1, 0.5)
+    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.5)
     assert tab.nu_star == 0.5
     assert tab.gap[0, 0] == 0.0
     assert tab.gap[0, 1] == 0.5
@@ -107,7 +105,7 @@ def test_single_arm_table():
 
 def test_two_degenerate_table():
     tab = nu_table(two_degenerate_instance())
-    assert tab.optimal_pair() == (1, 0.25)
+    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)
     assert tab.nu_star == pytest.approx(0.675, abs=1e-15)
     want_gap = np.array([[0.0, 0.225, 0.45, 0.675], [0.675] * 4])
     assert np.allclose(tab.gap, want_gap, atol=1e-15)
@@ -122,14 +120,14 @@ def test_analytic_instance_table():
     assert np.allclose(tab.mu[1], [0.0, 0.7, 0.7, 0.7], atol=1e-15)
     # UniformCostArm(0.8): mu = 0.8 tau'.
     assert np.allclose(tab.mu[2], [0.2, 0.4, 0.6, 0.8], atol=1e-15)
-    assert tab.optimal_pair() == (1, 0.25)
+    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)
     assert tab.nu_star == pytest.approx(0.675, abs=1e-15)
     assert np.all(tab.gap >= 0)
 
 
 def test_synthetic_instance_optimum():
     tab = nu_table(gaussian_instance())
-    assert tab.optimal_pair() == (1, 0.6)
+    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.6)
     assert tab.nu_star == pytest.approx(NU_STAR_SYNTH, abs=1e-9)
     assert float(tab.gap[tab.optimal_arm - 1, tab.taus.index(tab.optimal_tau)]) == 0.0
     # Mixed moments are nondecreasing in tau' and stay inside [0, 1].
@@ -166,7 +164,7 @@ def _repeated_arms_instance() -> InstanceSpec:
 def test_table_of_repeated_arms_matches_per_cell_moments():
     inst = _repeated_arms_instance()
     tab = nu_table(inst, nodes=64)
-    mu = np.array([[true_mixed_moment(arm, float(tau), "quadrature", nodes=64)[0]
+    mu = np.array([[true_mixed_moment(arm, float(tau), nodes=64)
                     for tau in inst.grid.points] for arm in inst.arms])
     scale, offset = objective_vectors(inst.objective, inst.discount, inst.grid)
     nu = scale * mu + offset
@@ -212,7 +210,7 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back.mu, tab.mu)
     assert np.array_equal(back.nu, tab.nu)
     assert np.array_equal(back.gap, tab.gap)
-    assert back.optimal_pair() == tab.optimal_pair()
+    assert (back.optimal_arm, back.optimal_tau) == (tab.optimal_arm, tab.optimal_tau)
 
     path = tmp_path / "nu_table.json"
     tab.save(path)
@@ -295,4 +293,4 @@ def test_additive_objective_table():
     tab = nu_table(inst)
     # nu = mu - 0.5 tau'; arm 1 at tau' = 0.25 gives 0.9 - 0.125.
     assert tab.nu[0, 0] == pytest.approx(0.775, abs=1e-15)
-    assert tab.optimal_pair() == (1, 0.25)
+    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)

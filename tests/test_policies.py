@@ -129,12 +129,15 @@ def test_rcucb_index_values():
     assert pol.select() == (0, 0)
 
 
-def test_rcucb_unplayed_pair_wins():
+def test_rcucb_unplayed_pair_raises():
+    # the initialization gives every pair a count; an index without one is misuse
     pol = RCUCBPolicy(_inst(n_arms=2))
     _inject(pol, counts=4.0, mu=0.9, t=10)
     pol.estimator.counts[1, 1] = 0.0
-    assert pol.index_matrix()[1, 1] == np.inf
-    assert pol.select() == (1, 1)
+    with pytest.raises(UsageError, match="N >= 1"):
+        pol.index_matrix()
+    with pytest.raises(UsageError, match="N >= 1"):
+        pol.select()
 
 
 def test_rcucb_tie_break_smallest_tau_then_arm():
@@ -183,13 +186,16 @@ def test_index_fast_path_is_bit_identical(cls, m, objective):
         est.sums[:] = est.counts * rng.random(est.counts.shape)
         pol.t = int(rng.integers(inst.n * m, 10**6))
         if trial % 5 == 4:
-            # one unplayed cell: only the general path gives it an infinite index
+            # one unplayed cell, which the index refuses
             cell = (int(rng.integers(inst.n)), int(rng.integers(m)))
             est.counts[cell] = 0.0
             est.sums[cell] = 0.0
+            with pytest.raises(UsageError):
+                pol.index_matrix()
+            continue
         idx = pol.index_matrix()
         assert np.array_equal(idx, _reference_index(pol))
-        assert np.isfinite(idx).sum() == est.counts.size - (trial % 5 == 4)
+        assert np.isfinite(idx).all()
 
 
 def test_ucb_sweep_order():
@@ -334,13 +340,18 @@ def test_klucb_pruning_is_bit_identical(m):
             est.sums[other, j] = est.sums[a, j]
             mu_eff = np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
 
+        if case == 1:
+            # an unplayed cell, which the index refuses
+            with pytest.raises(UsageError):
+                pol.index_matrix()
+            continue
         ref = _reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c)
         idx = pol.index_matrix()
         assert argmax_pair(idx) == argmax_pair(ref)
         finite = np.isfinite(idx)
         assert np.array_equal(idx[finite], ref[finite])
         assert np.all(ref[np.isneginf(idx)] < ref.max())
-        assert np.array_equal(np.isposinf(idx), est.counts == 0)
+        assert not np.isposinf(idx).any()
         for i, j in zip(*np.nonzero(finite)):
             scalar = klucb_index(float(mu_eff[i, j]), int(est.counts[i, j]), pol.t + 1, pol.c)
             assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
@@ -349,7 +360,7 @@ def test_klucb_pruning_is_bit_identical(m):
         covered.update(name for name, hit in (
             ("p = 0", np.any(mu_eff == 0.0)),
             ("p = 1", np.any(mu_eff == 1.0)),
-            ("pruned", case != 1 and np.any(np.isneginf(idx))),
+            ("pruned", np.any(np.isneginf(idx))),
         ) if hit)
     assert covered == {"p = 0", "p = 1", "pruned"}
 
@@ -469,6 +480,10 @@ def test_policy_spec_validation_and_warning():
         PolicySpec(kind="rcucb", alpha=2.0)  # no warning
     assert PolicySpec(kind="ucb").label == "ucb"
     assert PolicySpec(kind="ucb", label="base").label == "base"
+    # the label names a file, so run_experiment callers get the config's check
+    for label in ("a/b", "a\\b", "", 5):
+        with pytest.raises(ConfigError, match="label"):
+            PolicySpec(kind="ucb", label=label)
 
 
 def test_init_length():
