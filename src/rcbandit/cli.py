@@ -5,7 +5,8 @@ Configs are JSON. Bundled instance files (``paper_synthetic_m10.json``,
 name when no file of that name exists on disk.
 
 Exit codes: 0 success, 1 runtime failure (including audit FAIL), 2 invalid
-input.
+input. `audit` checks the first arm at every grid point in one
+sim.concentration_audit call, so each run's draws serve all points.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _parse_policy(obj: dict, where: str) -> PolicySpec:
     kwargs = {}
     for key, field, cast in (("label", "label", _str), ("alpha", "alpha", float),
                              ("c", "c", float), ("prior", "prior", _float_pair),
-                             ("indicator", "ts_indicator", str)):
+                             ("indicator", "ts_indicator", _str)):
         if key in obj:
             kwargs[field] = _read(obj, key, where, cast)
     return _build(where, PolicySpec, kind, **kwargs)
@@ -287,6 +288,10 @@ def _require_output_dir(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             "no output directory: set output_dir in the config or pass --out-dir"
         )
+    if config.output_dir.exists() and not config.output_dir.is_dir():
+        raise ConfigError(
+            f"output_dir: {str(config.output_dir)!r} exists and is not a directory"
+        )
     return config
 
 
@@ -321,20 +326,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.alpha <= 1.0:
-        raise ConfigError("--alpha must exceed 1")
+    if not (math.isfinite(args.alpha) and args.alpha > 1.0):
+        raise ConfigError(f"--alpha must be finite and exceed 1, got {args.alpha}")
     if args.t < 2:
         raise ConfigError("--t must be at least 2")
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
     config = _apply_overrides(load_config(args.config), args)
-    arm = config.instance.arms[0]
+    points = config.instance.grid.points
+    results = concentration_audit(
+        config.instance.arms[0], points, alpha=args.alpha, t_check=args.t,
+        runs=args.runs, base_seed=config.base_seed,
+    )
     all_pass = True
-    for tau in config.instance.grid.points:
-        upper, lower, bound = concentration_audit(
-            arm, tau, alpha=args.alpha, t_check=args.t, runs=args.runs,
-            base_seed=config.base_seed,
-        )
+    for tau, (upper, lower, bound) in zip(points, results):
         if bound >= 1.0:
             ok = True
         else:

@@ -10,6 +10,9 @@ episode loop takes lo = ResourceGrid.first_admitting(cost) once per round,
 and the play at grid index j is censored iff lo > j (the audit calls
 core.admits). The initialization schedule a horizon must cover comes from
 policies.init_length. run_episode states the per-round hook contract.
+
+The concentration audit draws each run once and evaluates every limit on
+those draws, as nu_table(..., "monte_carlo") does with its per-arm batch.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
 from .envs import sample_episode
 from .oracle import (
     NuTable,
+    _exact_moments,
     concentration_bound,
     nu_table,
     table_fingerprint,
-    true_mixed_moment,
 )
 from .policies import PolicySpec, init_length, make_policy
 
@@ -208,6 +211,8 @@ _AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
+# draws the audit evaluates at once, over limits x t_check: bounds its memory
+_AUDIT_BLOCK = 1 << 21
 
 
 def _csv_field(text: str) -> str:
@@ -424,33 +429,42 @@ def _write_summary(path: Path, config: ExperimentConfig, agg: Aggregate) -> None
     path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
-def concentration_audit(arm_spec, tau_prime: float, alpha: float = 2.0,
-                        t_check: int = 1000, runs: int = 10_000,
-                        base_seed: int = 0) -> tuple[float, float, float]:
-    """Empirical tail rates of the confidence radius against its bound.
+def concentration_audit(arm_spec, taus, alpha: float = 2.0, t_check: int = 1000,
+                        runs: int = 10_000,
+                        base_seed: int = 0) -> list[tuple[float, float, float]]:
+    """Empirical tail rates of the confidence radius against its bound, per limit.
 
-    Each run forces t_check plays of the pair, forms the estimate, and flags
-    deviations beyond sqrt(2 alpha ln t / t) in either direction. Under any
-    positive discount weight the weight cancels from both sides, so the
-    check runs on the mixed-moment scale. Returns (upper rate, lower rate,
-    bound at (t_check, alpha)).
+    Each run forces t_check plays of the arm, forms the estimate at every limit
+    in taus from the same t_check draws, and flags deviations beyond
+    sqrt(2 alpha ln t / t) in either direction. Run r draws once, from
+    mix64(base_seed, r), whatever the limits. Under any positive discount weight
+    the weight cancels from both sides, so the check runs on the mixed-moment
+    scale. Returns one (upper rate, lower rate, bound at (t_check, alpha))
+    triple per limit, in the order of taus.
     """
-    if not alpha > 1:
-        raise DomainError("alpha must exceed 1")
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise DomainError("taus must be a non-empty sequence of limits")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if t_check < 2:
         raise DomainError("t_check must be at least 2")
     if runs < 1:
         raise DomainError("runs must be at least 1")
-    mu = true_mixed_moment(arm_spec, tau_prime)
+    mu = _exact_moments(arm_spec, taus, 200)
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
-    upper = 0
-    lower = 0
+    # limits per (limits x t_check) block: at most _AUDIT_BLOCK elements, or one row
+    rows = max(1, _AUDIT_BLOCK // t_check)
+    chunks = [slice(start, start + rows) for start in range(0, taus.size, rows)]
+    upper = np.zeros(taus.size, dtype=np.int64)
+    lower = np.zeros(taus.size, dtype=np.int64)
     for r in range(runs):
         rng = np.random.default_rng(mix64(base_seed, r))
         rew, cost = arm_spec.sample(rng, t_check)
-        dev = float(np.mean(rew * admits(cost, tau_prime))) - mu
-        if dev > radius:
-            upper += 1
-        elif dev < -radius:
-            lower += 1
-    return upper / runs, lower / runs, concentration_bound(t_check, alpha)
+        for part in chunks:
+            dev = np.mean(rew * admits(cost, taus[part, None]), axis=1) - mu[part]
+            # radius > 0, so at most one of the two holds
+            upper[part] += dev > radius
+            lower[part] += dev < -radius
+    bound = concentration_bound(t_check, alpha)
+    return [(u / runs, l / runs, bound) for u, l in zip(upper.tolist(), lower.tolist())]

@@ -102,8 +102,8 @@ def test_tail_rates_within_deviation_bound():
     """Both empirical tail rates respect the t=1000 deviation bound."""
     arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
     runs = 10_000
-    upper, lower, bound = concentration_audit(
-        arm, 0.5, alpha=2.0, t_check=1000, runs=runs, base_seed=7
+    [(upper, lower, bound)] = concentration_audit(
+        arm, [0.5], alpha=2.0, t_check=1000, runs=runs, base_seed=7
     )
     assert bound == pytest.approx(TAIL_BOUND_T1000, abs=1e-6)
     slack = 3.0 * math.sqrt(TAIL_BOUND_T1000 * (1.0 - TAIL_BOUND_T1000) / runs)

@@ -232,6 +232,7 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["oracle", "nodes"], 8, GAUSSIAN), "oracle.nodes"),
     (_set(["oracle"], {"method": "monte_carlo", "samples": 5000}, GAUSSIAN),
      "oracle.samples"),
+    (_set(["policies", 2, "indicator"], None), "policies[2].indicator"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)
@@ -245,6 +246,21 @@ def test_run_requires_output_dir(tmp_path, capsys):
     path = _write_config(tmp_path, SMALL_CONFIG)
     assert main(["run", str(path)]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys, command, via):
+    target = tmp_path / "afile"
+    target.write_text("", encoding="utf-8")
+    if via == "config":
+        path = _write_config(tmp_path, dict(SMALL_CONFIG, output_dir=str(target)))
+        argv = [command, str(path)]
+    else:
+        argv = [command, str(_write_config(tmp_path, SMALL_CONFIG)), "--out-dir", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: output_dir:")
+    assert target.read_text(encoding="utf-8") == ""
 
 
 def _run_small(tmp_path, out_name="out", extra=()):
@@ -327,6 +343,15 @@ def test_audit_rejects_alpha_at_most_one(tmp_path, capsys):
     path = _write_config(tmp_path, SMALL_CONFIG)
     assert main(["audit", str(path), "--alpha", "1.0"]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_audit_rejects_non_finite_alpha(tmp_path, capsys, value):
+    path = _write_config(tmp_path, SMALL_CONFIG)
+    assert main(["audit", str(path), "--alpha", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --alpha")
+    assert captured.out == ""
 
 
 def test_audit_gaussian_small(tmp_path, capsys):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -15,11 +16,12 @@ from rcbandit.core import (
     DiscountSpec,
     DomainError,
     InstanceSpec,
+    admits,
     build_grid,
     mix64,
 )
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
-from rcbandit.oracle import concentration_bound, nu_table
+from rcbandit.oracle import concentration_bound, nu_table, true_mixed_moment
 from rcbandit.policies import PolicySpec
 from rcbandit.sim import (
     Aggregate,
@@ -349,8 +351,8 @@ def test_aggregate_writer_matches_csv_writer(monkeypatch, tmp_path):
 
 
 def test_audit_degenerate_arm_is_exact():
-    upper, lower, bound = concentration_audit(
-        DegenerateArm(r0=0.6, c0=0.3), 0.5, alpha=2.0, t_check=50, runs=40
+    [(upper, lower, bound)] = concentration_audit(
+        DegenerateArm(r0=0.6, c0=0.3), [0.5], alpha=2.0, t_check=50, runs=40
     )
     assert upper == 0.0
     assert lower == 0.0
@@ -360,8 +362,8 @@ def test_audit_degenerate_arm_is_exact():
 def test_audit_gaussian_small_run_passes():
     arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
     runs = 300
-    upper, lower, bound = concentration_audit(arm, 0.5, alpha=2.0,
-                                              t_check=200, runs=runs)
+    [(upper, lower, bound)] = concentration_audit(arm, [0.5], alpha=2.0,
+                                                  t_check=200, runs=runs)
     slack = 3.0 * np.sqrt(bound * (1.0 - bound) / runs)
     assert upper <= bound + slack
     assert lower <= bound + slack
@@ -371,20 +373,93 @@ def test_audit_doubling_alpha_weakly_decreases_rates():
     # Values are 0.95 * Bernoulli(0.1): two hits in two draws beat the
     # alpha=1.01 radius (0.837) but not the doubled one (1.18).
     arm = UniformCostArm(reward_mean=0.95)
-    u1, l1, _ = concentration_audit(arm, 0.1, alpha=1.01, t_check=2,
-                                    runs=2000, base_seed=7)
-    u2, l2, _ = concentration_audit(arm, 0.1, alpha=2.02, t_check=2,
-                                    runs=2000, base_seed=7)
+    [(u1, l1, _)] = concentration_audit(arm, [0.1], alpha=1.01, t_check=2,
+                                        runs=2000, base_seed=7)
+    [(u2, l2, _)] = concentration_audit(arm, [0.1], alpha=2.02, t_check=2,
+                                        runs=2000, base_seed=7)
     assert u1 > 0
     assert u2 <= u1
     assert l2 <= l1
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, float("inf"), float("nan")])
+def test_audit_rejects_alpha_not_finite_above_one(value):
+    with pytest.raises(DomainError, match="alpha"):
+        concentration_audit(DegenerateArm(r0=0.5, c0=0.5), [0.5], alpha=value)
+
+
 def test_audit_validation():
     arm = DegenerateArm(r0=0.5, c0=0.5)
     with pytest.raises(DomainError):
-        concentration_audit(arm, 0.5, alpha=1.0)
+        concentration_audit(arm, [0.5], t_check=1)
     with pytest.raises(DomainError):
-        concentration_audit(arm, 0.5, t_check=1)
-    with pytest.raises(DomainError):
-        concentration_audit(arm, 0.5, runs=0)
+        concentration_audit(arm, [0.5], runs=0)
+    with pytest.raises(DomainError, match="taus"):
+        concentration_audit(arm, [])
+
+
+def _reference_audit(arm, tau, alpha, t_check, runs, base_seed):
+    """The audit of one limit as a loop of its own draws: (upper, lower) rates."""
+    mu = true_mixed_moment(arm, tau)
+    radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
+    upper = lower = 0
+    for r in range(runs):
+        rew, cost = arm.sample(np.random.default_rng(mix64(base_seed, r)), t_check)
+        dev = float(np.mean(rew * admits(cost, tau))) - mu
+        if dev > radius:
+            upper += 1
+        elif dev < -radius:
+            lower += 1
+    return upper / runs, lower / runs
+
+
+AUDIT_ARMS = {
+    # wide enough that two draws at tau' = 0.1 can clear the alpha = 1.01 radius
+    "gaussian": GaussianArm(mean=(0.9, 0.3), x=0.0, sigma=0.5),
+    "uniform_cost": UniformCostArm(reward_mean=0.95),
+    "degenerate": DegenerateArm(r0=0.6, c0=0.35),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("t_check", [2, 5, 50])
+@pytest.mark.parametrize("kind", sorted(AUDIT_ARMS))
+def test_audit_matches_per_limit_reference(kind, t_check, seed):
+    arm = AUDIT_ARMS[kind]
+    taus = build_grid(10, 1.0).points
+    runs = 400
+    got = concentration_audit(arm, taus, alpha=1.01, t_check=t_check, runs=runs,
+                              base_seed=seed)
+    assert len(got) == len(taus)
+    for tau, (upper, lower, bound) in zip(taus, got):
+        assert (upper, lower) == _reference_audit(arm, tau, 1.01, t_check, runs, seed)
+        assert bound == concentration_bound(t_check, 1.01)
+
+
+def test_audit_block_rows_match_reference(monkeypatch):
+    # blocks of 3 limits leave a short last block on a 10-point grid
+    monkeypatch.setattr(sim, "_AUDIT_BLOCK", 3 * 2)
+    arm = AUDIT_ARMS["uniform_cost"]
+    taus = build_grid(10, 1.0).points
+    got = concentration_audit(arm, taus, alpha=1.01, t_check=2, runs=2000, base_seed=7)
+    assert any(upper > 0 for upper, _, _ in got)
+    assert any(lower > 0 for _, lower, _ in got)
+    for tau, (upper, lower, _) in zip(taus, got):
+        assert (upper, lower) == _reference_audit(arm, tau, 1.01, 2, 2000, 7)
+
+
+def test_audit_draws_once_per_run_for_all_limits():
+    calls = []
+
+    class CountingArm(UniformCostArm):
+        def sample(self, rng, size):
+            calls.append((size, rng.bit_generator.state))
+            return super().sample(rng, size)
+
+    runs = 30
+    got = concentration_audit(CountingArm(reward_mean=0.5), build_grid(10, 1.0).points,
+                              t_check=20, runs=runs, base_seed=3)
+    assert len(got) == 10
+    # run r draws t_check pairs from a fresh stream seeded mix64(base_seed, r)
+    assert calls == [(20, np.random.default_rng(mix64(3, r)).bit_generator.state)
+                     for r in range(runs)]
