@@ -288,10 +288,11 @@ def _require_output_dir(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             "no output directory: set output_dir in the config or pass --out-dir"
         )
-    if config.output_dir.exists() and not config.output_dir.is_dir():
-        raise ConfigError(
-            f"output_dir: {str(config.output_dir)!r} exists and is not a directory"
-        )
+    # mkdir fails later unless the nearest existing path on the way is a directory
+    out = config.output_dir
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir: {str(existing)!r} exists and is not a directory")
     return config
 
 

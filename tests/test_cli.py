@@ -250,17 +250,18 @@ def test_run_requires_output_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("via", ["config", "flag"])
-def test_output_dir_naming_a_file_exits_2(tmp_path, capsys, command, via):
-    target = tmp_path / "afile"
-    target.write_text("", encoding="utf-8")
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_output_dir_through_a_file_exits_2(tmp_path, capsys, command, via, below):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    target = str(afile / below)
     if via == "config":
-        path = _write_config(tmp_path, dict(SMALL_CONFIG, output_dir=str(target)))
-        argv = [command, str(path)]
+        argv = [command, str(_write_config(tmp_path, dict(SMALL_CONFIG, output_dir=target)))]
     else:
-        argv = [command, str(_write_config(tmp_path, SMALL_CONFIG)), "--out-dir", str(target)]
+        argv = [command, str(_write_config(tmp_path, SMALL_CONFIG)), "--out-dir", target]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: output_dir:")
-    assert target.read_text(encoding="utf-8") == ""
+    assert capsys.readouterr().err.startswith(f"error: output_dir: {str(afile)!r}")
+    assert afile.read_text(encoding="utf-8") == ""
 
 
 def _run_small(tmp_path, out_name="out", extra=()):
