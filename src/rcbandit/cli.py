@@ -491,8 +491,10 @@ def render_svg(curves: dict[str, tuple[list, list, list]]) -> str:
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
+        # a label is free text: escape it as XML character data, "&" first
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="{lx + 32}" y="{ly + 4}" font-size="13">{label}</text>'
+            f'<text x="{lx + 32}" y="{ly + 4}" font-size="13">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -2,13 +2,13 @@
 
 Everything here is an immutable value object, safe to share across worker
 processes without synchronization. The censoring rule lives here too, once:
-admits() for one limit and ResourceGrid.first_admitting() for a whole grid.
+admits() for one limit and ResourceGrid.first_admitting() for a whole grid,
+each for a scalar cost or an array of them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Protocol, Union
 
@@ -55,8 +55,8 @@ def admits(cost, tau):
     observed, iff cost <= tau. Takes scalars or numpy arrays (elementwise).
 
     ResourceGrid.first_admitting is the same rule over a sorted grid, by
-    bisection: bisect_left pairs with <=, bisect_right would pair with <. A
-    change to the rule changes both.
+    np.searchsorted: side="left" pairs with <=, side="right" would pair
+    with <. A change to the rule changes both.
     """
     return cost <= tau
 
@@ -155,14 +155,14 @@ class ResourceGrid:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def first_admitting(self, cost: float) -> int:
+    def first_admitting(self, cost):
         """Index of the smallest grid point that admits cost, m if none does:
         limit j admits cost iff first_admitting(cost) <= j (see admits), so a
         round played at limit j is censored iff first_admitting(cost) > j.
 
-        A NaN cost gives 0, admitted everywhere, where admits() censors it;
-        sample_episode therefore rejects NaN costs before any round runs."""
-        return bisect_left(self.points, cost)
+        Takes a scalar or an array of costs (elementwise). A NaN cost gives m,
+        censored at every limit, as admits() has it."""
+        return np.searchsorted(self.points, cost, side="left")
 
     def index_of(self, tau: float) -> int:
         """Index of the grid point equal to tau (tolerance 1e-9 * tau_max)."""

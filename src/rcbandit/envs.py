@@ -5,11 +5,13 @@ Three families of arms: bivariate Gaussians truncated to the unit square
 oracle cross-checks, and replay of recorded (reward, cost) traces.
 
 Arms only draw (reward, cost) pairs; whether a draw is censored is decided by
-the censoring rule in core: ResourceGrid.first_admitting in the episode loop,
-admits in the closed-form moments here. DegenerateArm, TraceArm and
-trace_env_load reject a NaN or negative cost, and sample_episode checks every
-episode's draws, which covers user-defined arms too: admits() would censor a
-NaN cost at every limit while first_admitting() would admit it at every limit.
+the censoring rule in core: ResourceGrid.first_admitting in sample_episode,
+admits in the closed-form moments here. An episode keeps no cost: the limit
+only matters through whether the cost stays below it, so sample_episode
+turns each arm's costs into lo = first_admitting(cost), once per episode,
+and the rounds read lo. DegenerateArm, TraceArm and trace_env_load reject a
+NaN or negative cost, and sample_episode checks every arm's draws, which
+covers user-defined arms too.
 
 Per-round hook contract: GaussianArm.sample stays in the class body and is
 called through the arm, because the per-layer benchmark trace wraps it.
@@ -87,13 +89,15 @@ def _truncated_batch(mean, cov, rng, size):
             raise SamplingError(
                 f"rejection sampling exceeded {MAX_ATTEMPTS_PER_DRAW} attempts per draw"
             )
-        z = rng.standard_normal((batch, 2)) @ chol.T + mean
+        z = rng.standard_normal((batch, 2)) @ chol.T
+        z += mean
         ok = (z[:, 0] >= 0.0) & (z[:, 0] <= 1.0) & (z[:, 1] >= 0.0) & (z[:, 1] <= 1.0)
-        acc = z[ok]
-        take = min(acc.shape[0], need)
-        rewards[filled : filled + take] = acc[:take, 0]
-        costs[filled : filled + take] = acc[:take, 1]
-        filled += take
+        rows = np.flatnonzero(ok)[:need]
+        part = slice(filled, filled + rows.size)
+        # rows are in range, so "clip" moves nothing; "raise" would buffer out
+        np.take(z[:, 0], rows, out=rewards[part], mode="clip")
+        np.take(z[:, 1], rows, out=costs[part], mode="clip")
+        filled += rows.size
         budget -= batch
     return rewards, costs
 
@@ -177,28 +181,32 @@ class TraceArm:
 
 def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
                    horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw a whole episode: (horizon, n) reward and cost matrices.
+    """Pre-draw a whole episode as (horizon, n) matrices (rewards, lo).
 
-    Arms are drawn one after the other (arm-major), so the stream is
-    reproducible regardless of how rounds are consumed later. Raises
-    DomainError naming the first arm that drew a reward outside [0, 1] or a
-    cost that is negative or NaN.
+    lo[t, i] = grid.first_admitting(cost of arm i in round t), in the
+    narrowest unsigned dtype that holds grid.m; a round played at limit j is
+    censored iff lo > j. Arms are drawn one after the other (arm-major), so
+    the stream is reproducible regardless of how rounds are consumed later,
+    and each arm's costs become lo before the next arm draws, so no cost
+    matrix is held. Raises DomainError naming the first arm that drew a
+    reward outside [0, 1] or a cost that is negative or NaN.
     """
+    grid = instance.grid
     rewards = np.empty((horizon, instance.n))
-    costs = np.empty((horizon, instance.n))
+    lo = np.empty((horizon, instance.n), dtype=np.min_scalar_type(grid.m))
     for i, arm in enumerate(instance.arms):
         r, c = arm.sample(rng, horizon)
         rewards[:, i] = r
-        costs[:, i] = c
-    # written so that NaN fails every comparison
-    ok = ((rewards >= 0.0) & (rewards <= 1.0) & (costs >= 0.0)).all(axis=0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise DomainError(
-            f"arm {i + 1} ({type(instance.arms[i]).__name__}) drew a reward outside "
-            "[0, 1] or a negative or NaN cost"
-        )
-    return rewards, costs
+        c = np.asarray(c, dtype=float)
+        # written so that NaN fails every comparison
+        r = rewards[:, i]
+        if not ((r >= 0.0) & (r <= 1.0) & (c >= 0.0)).all():
+            raise DomainError(
+                f"arm {i + 1} ({type(arm).__name__}) drew a reward outside "
+                "[0, 1] or a negative or NaN cost"
+            )
+        lo[:, i] = grid.first_admitting(c)
+    return rewards, lo
 
 
 def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> tuple[TraceArm, ...]:

@@ -5,12 +5,12 @@ store counts and sums rather than running means, so reads are exact. Callers
 read the arrays (counts, sums, successes, failures) or mean_matrix() directly.
 
 A round reaches an estimator as grid indices only: the arm, the played limit
-and lo = core.ResourceGrid.first_admitting(cost), the bisect form of the
-censoring rule core.admits, computed once per round by the episode loop. The
-cells whose limit admits the cost are those from lo on, and the round is
-censored iff lo lies beyond the played limit; its reward is then passed as
-0.0 and no estimator reads it. No comparison of a cost with a limit is
-written here.
+and lo = core.ResourceGrid.first_admitting(cost), the grid form of the
+censoring rule core.admits, computed for the whole episode by
+envs.sample_episode. The cells whose limit admits the cost are those from lo
+on, and the round is censored iff lo lies beyond the played limit; its
+reward is then passed as 0.0 and no estimator reads it. No comparison of a
+cost with a limit is written here.
 
 Per-round hook contract: each estimator's update_by_index stays in its own
 class body, called as update_by_index(arm0, k, lo, reward[, rng]) with the

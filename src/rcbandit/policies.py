@@ -7,9 +7,9 @@ smallest arm index, which keeps runs reproducible.
 A round is one pair of plain values in each direction: Policy.select()
 returns (arm0, j), the 0-based arm and the grid index of the played limit,
 and Policy.update(lo, reward) takes lo = grid.first_admitting(cost) and the
-reward (0.0 when censored). The round is censored iff lo > j, the bisect
-form of the censoring rule in core; the episode loop computes lo and the
-estimators read it, so no cost is compared with a limit here.
+reward (0.0 when censored). The round is censored iff lo > j, the grid form
+of the censoring rule in core; envs.sample_episode computes lo once per
+episode and the estimators read it, so no cost is compared with a limit here.
 
 Every policy starts with the schedule of init_limits, written once here:
 Policy.select plays it, and init_length (which the runners check the horizon
@@ -77,9 +77,10 @@ class PolicySpec:
                 ch in self.label for ch in "/\\\0"):
             raise ConfigError(f"label {self.label!r} must be a non-empty file name "
                               "part, without /, \\ or NUL")
+        # written so that NaN fails every check; inf would give a degenerate index
         if self.kind in ("rcucb", "ucb"):
-            if not self.alpha > 0:
-                raise ConfigError("alpha must be positive")
+            if not (self.alpha > 0 and math.isfinite(self.alpha)):
+                raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
             if self.alpha <= 1:
                 warnings.warn(
                     f"{self.kind}: alpha={self.alpha} is outside the regime alpha > 1 "
@@ -87,11 +88,12 @@ class PolicySpec:
                     UserWarning,
                     stacklevel=2,
                 )
-        if self.kind == "klrcucb" and self.c < 0:
-            raise ConfigError("c must be non-negative")
+        if self.kind == "klrcucb" and not (self.c >= 0 and math.isfinite(self.c)):
+            raise ConfigError(f"c must be non-negative and finite, got {self.c}")
         if self.kind == "ts":
-            if not (self.prior[0] > 0 and self.prior[1] > 0):
-                raise ConfigError("Beta prior parameters must be positive")
+            if not all(p > 0 and math.isfinite(p) for p in self.prior):
+                raise ConfigError(f"Beta prior parameters must be positive and finite, "
+                                  f"got {list(self.prior)}")
             if self.ts_indicator not in TS_INDICATORS:
                 raise ConfigError(f"unknown TS indicator {self.ts_indicator!r}")
 

@@ -5,8 +5,9 @@ stream derived from its seed, so repetitions can run in worker processes
 and still aggregate exactly as in serial execution. The fold over
 repetitions always happens in repetition-index order.
 
-A round is censored by the one statement of the censoring rule in core: the
-episode loop takes lo = ResourceGrid.first_admitting(cost) once per round,
+A round is censored by the one statement of the censoring rule in core:
+sample_episode computes lo = ResourceGrid.first_admitting(cost) for every
+round and arm once per episode, the episode loop reads the played arm's lo,
 and the play at grid index j is censored iff lo > j (the audit calls
 core.admits). The initialization schedule a horizon must cover comes from
 policies.init_length. run_episode states the per-round hook contract.
@@ -136,14 +137,15 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     two policies on the same seed face identical outcome matrices.
 
     Per-round hook contract: every round calls policy.select() -> (arm0, j)
-    and policy.update(lo, reward) through the policy object, with
-    lo = grid.first_admitting(cost) and reward 0.0 on a censored round (lo > j),
-    so no estimator can read a censored reward. The policy reaches its
-    index_matrix, the module-global policies.argmax_pair and its estimator's
-    update_by_index through their owners; the draws come from each arm's
-    sample(). The benchmark trace (perfbench/tracer.py) wraps exactly these
-    callables to split a round's cost by layer, so inlining one of them
-    silently zeroes that layer's metrics.
+    and policy.update(lo, reward) through the policy object, with lo the
+    played arm's grid.first_admitting(cost) from sample_episode and reward
+    0.0 on a censored round (lo > j), so no estimator can read a censored
+    reward. The policy reaches its index_matrix, the module-global
+    policies.argmax_pair and its estimator's update_by_index through their
+    owners; the draws come from each arm's sample(), called by the
+    module-level sample_episode. The benchmark trace (perfbench/tracer.py)
+    wraps exactly these callables to split a round's cost by layer, so
+    inlining one of them silently zeroes that layer's metrics.
     """
     _check_table(table, instance, "nu table")
     need = init_length(spec.kind, instance)
@@ -154,7 +156,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
         )
     env_rng = np.random.default_rng(mix64(seed, 0))
     policy_rng = np.random.default_rng(mix64(seed, 1))
-    rewards, costs = sample_episode(instance, env_rng, horizon)
+    rewards, lo_matrix = sample_episode(instance, env_rng, horizon)
     policy = make_policy(spec, instance, rng=policy_rng,
                          optimal_pair=(table.optimal_arm, table.optimal_tau))
 
@@ -162,10 +164,9 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     tau_idx = np.empty(horizon, dtype=np.int64)
     censored = np.zeros(horizon, dtype=bool)
     observed = np.zeros(horizon, dtype=float)
-    first_admitting = instance.grid.first_admitting
     for t in range(horizon):
         arm0, j = policy.select()
-        lo = first_admitting(costs.item(t, arm0))
+        lo = lo_matrix.item(t, arm0)
         if lo <= j:
             r = rewards.item(t, arm0)
             observed[t] = r
@@ -175,6 +176,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
         policy.update(lo, r)
         arms0[t] = arm0
         tau_idx[t] = j
+    del rewards, lo_matrix
 
     counts = np.zeros((instance.n, instance.grid.m), dtype=np.int64)
     np.add.at(counts, (arms0, tau_idx), 1)
@@ -353,6 +355,8 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
                                   encoding="utf-8", newline="")
                     handle.write(_TRACE_HEADER)
                 _write_trace(handle, rep, trace)
+            # the next episode runs inside next(it): hold no trace across it
+            del trace
     finally:
         if handle is not None:
             handle.close()

@@ -2,6 +2,7 @@
 
 import json
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -233,6 +234,12 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["oracle"], {"method": "monte_carlo", "samples": 5000}, GAUSSIAN),
      "oracle.samples"),
     (_set(["policies", 2, "indicator"], None), "policies[2].indicator"),
+    # a non-finite parameter would give a degenerate index
+    (_set(["policies", 0], {"kind": "klrcucb", "c": float("nan")}), "policies[0]"),
+    (_set(["policies", 0], {"kind": "klrcucb", "c": float("inf")}), "policies[0]"),
+    (_set(["policies", 0, "alpha"], float("inf")), "policies[0]"),
+    (_set(["policies", 0], {"kind": "ts", "label": "ts0", "prior": [float("inf"), 1.0]}),
+     "policies[0]"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)
@@ -390,6 +397,18 @@ def test_plot_structure_and_monotonicity(tmp_path, capsys):
         # Regret means are nondecreasing, so flipped pixel y never rises
         # beyond the 2-decimal rounding of the coordinates.
         assert all(b - a <= 0.011 for a, b in zip(ys, ys[1:]))
+
+
+def test_plot_escapes_labels(tmp_path, capsys):
+    label = "a&b<c"
+    doc = dict(SMALL_CONFIG, policies=[{"kind": "rcucb", "label": label}])
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 0
+    svg_path = tmp_path / "fig.svg"
+    assert main(["plot", str(out / "aggregate.csv"), str(svg_path)]) == 0
+    root = ElementTree.parse(svg_path).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert label in texts
 
 
 def test_plot_downsamples_long_curves(tmp_path):

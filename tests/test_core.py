@@ -154,7 +154,7 @@ def test_admits_agrees_with_first_admitting(grid):
     points = grid.as_array()
     rng = np.random.default_rng(grid.m)
     costs = [*rng.uniform(0.0, 1.2 * grid.tau_max, 200).tolist(), *grid.points,
-             0.0, grid.tau_max * 1.5, math.inf]
+             0.0, grid.tau_max * 1.5, math.inf, math.nan]
     for cost in costs:
         lo = grid.first_admitting(cost)
         assert 0 <= lo <= grid.m
@@ -162,10 +162,15 @@ def test_admits_agrees_with_first_admitting(grid):
             assert admits(cost, tau) == (lo <= j)
         # the array form gives the same answer for every limit at once
         np.testing.assert_array_equal(admits(cost, points), np.arange(grid.m) >= lo)
+    # so does first_admitting over an array of costs
+    np.testing.assert_array_equal(grid.first_admitting(np.array(costs)),
+                                  [grid.first_admitting(c) for c in costs])
     # a cost equal to a limit is admitted by it, not by the one below
     for j, tau in enumerate(grid.points):
         assert grid.first_admitting(tau) == j
     assert grid.first_admitting(math.inf) == grid.m
+    # a NaN cost is censored at every limit, as admits() has it
+    assert grid.first_admitting(math.nan) == grid.m
 
 
 def test_grid_validation():
@@ -258,8 +263,9 @@ class _FixedDrawArm:
 
 
 def test_sample_episode_rejects_bad_draws():
-    """Draws outside the model are refused before any round runs: bisection
-    would admit a NaN cost at every limit, where admits() censors it."""
+    """Draws outside the model are refused before any round runs, NaN costs
+    too, although first_admitting() censors them at every limit as admits()
+    does."""
     grid = build_grid(4, 1.0)
     disc = DiscountSpec("linear", tau_max=1.0)
     rng = np.random.default_rng(0)
@@ -267,9 +273,10 @@ def test_sample_episode_rejects_bad_draws():
     def episode(*arms):
         return sample_episode(InstanceSpec(arms=arms, grid=grid, discount=disc), rng, 5)
 
-    rewards, costs = episode(_FixedDrawArm(0.0, 0.0), _FixedDrawArm(1.0, 3.0))
-    assert rewards[:, 1].tolist() == [1.0] * 5 and costs[:, 1].tolist() == [3.0] * 5
-    assert grid.first_admitting(float("nan")) == 0
+    rewards, lo = episode(_FixedDrawArm(0.0, 0.0), _FixedDrawArm(1.0, 3.0))
+    # cost 3.0 lies above every limit: lo = m = 4
+    assert rewards[:, 1].tolist() == [1.0] * 5 and lo[:, 1].tolist() == [4] * 5
+    assert grid.first_admitting(float("nan")) == grid.m
     for reward, cost in ((0.9, float("nan")), (1.5, 0.3), (-0.1, 0.3),
                          (float("nan"), 0.3), (0.5, -0.1)):
         with pytest.raises(DomainError, match=r"arm 2 \(_FixedDrawArm\)"):

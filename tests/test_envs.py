@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rcbandit.core import (
     DomainError,
     InstanceSpec,
     SamplingError,
+    admits,
     build_grid,
 )
 from rcbandit.envs import (
@@ -98,18 +101,64 @@ def test_degenerate_instance_rounds():
     arms = (DegenerateArm(r0=1.0, c0=0.3), DegenerateArm(r0=1.0, c0=0.3))
     inst = InstanceSpec(arms=arms, grid=build_grid(2, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
-    rewards, costs = sample_episode(inst, np.random.default_rng(0), 1)
+    rewards, lo = sample_episode(inst, np.random.default_rng(0), 1)
     np.testing.assert_array_equal(rewards, [[1.0, 1.0]])
-    np.testing.assert_array_equal(costs, [[0.3, 0.3]])
+    # cost 0.3 is admitted by the first limit, 0.5
+    np.testing.assert_array_equal(lo, [[0, 0]])
 
 
 def test_sample_episode_deterministic_and_shaped():
     inst = gaussian_instance(10)
-    r1, c1 = sample_episode(inst, np.random.default_rng(9), 200)
-    r2, c2 = sample_episode(inst, np.random.default_rng(9), 200)
-    assert r1.shape == c1.shape == (200, 10)
+    r1, lo1 = sample_episode(inst, np.random.default_rng(9), 200)
+    r2, lo2 = sample_episode(inst, np.random.default_rng(9), 200)
+    assert r1.shape == lo1.shape == (200, 10)
     np.testing.assert_array_equal(r1, r2)
-    np.testing.assert_array_equal(c1, c2)
+    np.testing.assert_array_equal(lo1, lo2)
+
+
+def test_sample_episode_lo_is_first_admitting_of_the_arms_draws():
+    inst = gaussian_instance(10)
+    rewards, lo = sample_episode(inst, np.random.default_rng(9), 300)
+    rng = np.random.default_rng(9)
+    points = inst.grid.as_array()
+    for i, arm in enumerate(inst.arms):
+        r, c = arm.sample(rng, 300)
+        np.testing.assert_array_equal(rewards[:, i], r)
+        np.testing.assert_array_equal(lo[:, i], inst.grid.first_admitting(c))
+        # limit j admits the cost iff lo <= j
+        np.testing.assert_array_equal(admits(c[:, None], points),
+                                      np.arange(inst.grid.m) >= lo[:, i, None])
+
+
+@pytest.mark.parametrize("m, dtype", [(10, np.uint8), (255, np.uint8),
+                                      (256, np.uint16), (300, np.uint16)])
+def test_sample_episode_lo_dtype_holds_m(m, dtype):
+    arms = (DegenerateArm(r0=0.5, c0=0.3), DegenerateArm(r0=0.5, c0=2.0))
+    inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
+                        discount=DiscountSpec("linear", tau_max=1.0))
+    _, lo = sample_episode(inst, np.random.default_rng(0), 3)
+    assert lo.dtype == dtype
+    # a cost above every limit keeps the full value m
+    np.testing.assert_array_equal(lo[:, 1], [m] * 3)
+    assert (lo[:, 0] == inst.grid.first_admitting(0.3)).all()
+
+
+def test_sample_episode_holds_no_cost_matrix():
+    """Peak traced memory stays below 12 B per (round, arm): 8 B of reward and
+    1 B of lo, plus one arm's draws at a time. Float costs beside the rewards
+    would take 16 B."""
+    base = gaussian_instance(10)
+    inst = InstanceSpec(arms=base.arms * 5, grid=base.grid, discount=base.discount)
+    horizon = 20_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        episode = sample_episode(inst, np.random.default_rng(0), horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del episode
+    assert peak / (horizon * inst.n) < 12.0
 
 
 @pytest.mark.parametrize("make", [
