@@ -44,10 +44,6 @@ from .oracle import MIN_NODES, MIN_SAMPLES, ORACLE_METHODS, nu_table
 from .policies import POLICY_KINDS, PolicySpec
 from .sim import ExperimentConfig, concentration_audit, run_experiment
 
-ARM_KINDS = ("gaussian", "degenerate", "uniform_cost", "trace")
-OBJECTIVE_KINDS = ("multiplicative", "additive_cost")
-
-
 _REQUIRED = object()
 
 
@@ -372,6 +368,10 @@ def _read_aggregate(path: str) -> dict[str, tuple[list, list, list]]:
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != 4:
                     raise ConfigError(f"{path}:{lineno}: expected 4 columns")
+                # the label goes into the SVG as text, where a control character
+                # is invalid; a run's labels pass the same check (PolicySpec)
+                if not row[1].isprintable():
+                    raise ConfigError(f"{path}:{lineno}: policy {row[1]!r} is not printable")
                 try:
                     t = int(row[0])
                     mean = float(row[2])

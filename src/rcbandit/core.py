@@ -3,7 +3,8 @@
 Everything here is an immutable value object, safe to share across worker
 processes without synchronization. The censoring rule lives here too, once:
 admits() for one limit and ResourceGrid.first_admitting() for a whole grid,
-each for a scalar cost or an array of them.
+each for a scalar cost or an array of them. So does the tie-break between
+pairs, argmax_pair(), which the policies and the oracle's optimum share.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def admits(cost, tau):
     with <. A change to the rule changes both.
     """
     return cost <= tau
+
+
+def argmax_pair(index: np.ndarray) -> tuple[int, int]:
+    """(arm0, tau_idx) of the largest entry of an (n, m) index matrix.
+
+    Scanning the transpose row-major makes ties resolve to the smallest
+    resource limit first and the smallest arm second.
+    """
+    flat = int(index.T.argmax())
+    n = index.shape[0]
+    return flat % n, flat // n
 
 
 DISCOUNT_KINDS = ("linear", "polynomial", "sublinear", "geometric", "exponential")

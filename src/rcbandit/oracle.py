@@ -5,12 +5,13 @@ the untruncated density over [0,1] x [0,tau'] divided by the [0,1]^2
 normalizer (tau' is a cell boundary, so the censoring indicator never cuts
 through a quadrature cell), or by plain Monte Carlo on the truncated law.
 Arms with closed-form moments are evaluated exactly under either method.
+
+Every run computes its own table; a saved table (NuTable.save) is never read
+back, so the ground truth a run uses cannot be stale.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -19,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, InstanceSpec, admits, mix64, objective_vectors
-from .policies import argmax_pair
+from .core import DomainError, InstanceSpec, admits, argmax_pair, mix64, objective_vectors
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
 # smallest budgets the oracle accepts: quadrature nodes per axis, Monte Carlo draws
@@ -90,42 +90,11 @@ def true_mixed_moment(arm, tau_prime: float, *, nodes: int = 200) -> float:
     return float(_exact_moments(arm, (tau_prime,), nodes)[0])
 
 
-def _digest(obj) -> str:
-    """sha256 of a dataclass's type and compared fields; of repr() otherwise."""
-    if dataclasses.is_dataclass(obj):
-        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare}
-        text = json.dumps([type(obj).__name__, fields], sort_keys=True)
-    else:
-        text = repr(obj)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def table_fingerprint(instance: InstanceSpec, method: str, *, nodes: int,
-                      samples: int, seed: int) -> dict:
-    """What a table's values depend on besides its grid, keyed by config field.
-
-    Arms, discount and objective enter as digests. The node count enters
-    under quadrature; the sample count and the seed under Monte Carlo, the
-    only method that draws.
-    """
-    fp = {f"instance.arms[{i}]": _digest(arm) for i, arm in enumerate(instance.arms)}
-    fp["instance.discount"] = _digest(instance.discount)
-    fp["instance.objective"] = _digest(instance.objective)
-    fp["oracle.method"] = method
-    if method == "quadrature":
-        fp["oracle.nodes"] = nodes
-    else:
-        fp["oracle.samples"] = samples
-        fp["base_seed"] = seed
-    return fp
-
-
 @dataclass(frozen=True, eq=False)
 class NuTable:
     """Per-pair ground truth: mu, objective value nu, and sub-optimality gap.
 
-    fingerprint (see table_fingerprint) records the inputs the table was
-    computed from, so a saved table is reused only for the same inputs.
+    to_dict/save write it as JSON (nu_table.json); the package has no reader.
     """
 
     taus: tuple[float, ...]
@@ -138,7 +107,6 @@ class NuTable:
     nu_star: float
     method: str
     budget: int
-    fingerprint: dict | None = None
 
     @property
     def n(self) -> int:
@@ -165,7 +133,7 @@ class NuTable:
             for i in range(self.n)
             for j in range(self.m)
         ]
-        doc = {
+        return {
             "method": self.method,
             "samples_or_nodes": self.budget,
             "pairs": pairs,
@@ -175,44 +143,9 @@ class NuTable:
                 "nu_star": self.nu_star,
             },
         }
-        if self.fingerprint is not None:
-            doc["fingerprint"] = self.fingerprint
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NuTable":
-        pairs = data["pairs"]
-        n = max(p["arm"] for p in pairs)
-        if len(pairs) % n != 0:
-            raise DomainError("pair list is not a full (arm, tau) table")
-        m = len(pairs) // n
-        taus = tuple(p["tau"] for p in pairs[:m])
-        mu = np.empty((n, m))
-        se = np.empty((n, m))
-        nu = np.empty((n, m))
-        gap = np.empty((n, m))
-        for p in pairs:
-            i = p["arm"] - 1
-            j = taus.index(p["tau"])
-            mu[i, j] = p["mu"]
-            se[i, j] = p["se"]
-            nu[i, j] = p["nu"]
-            gap[i, j] = p["gap"]
-        opt = data["optimal"]
-        return cls(
-            taus=taus, mu=mu, se=se, nu=nu, gap=gap,
-            optimal_arm=int(opt["arm"]), optimal_tau=float(opt["tau"]),
-            nu_star=float(opt["nu_star"]),
-            method=data["method"], budget=int(data["samples_or_nodes"]),
-            fingerprint=data.get("fingerprint"),
-        )
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "NuTable":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
@@ -225,8 +158,8 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
     sample batch per arm from its own stream mix64(seed, i) and reuses it
     across all grid points, so the same draws produce monotone mu estimates in
     tau'; equal arms get different streams and different rows, so Monte Carlo
-    rows are not shared. The optimum uses the policies' tie-break (smallest
-    tau', then smallest arm).
+    rows are not shared. The optimum uses the policies' tie-break,
+    core.argmax_pair (smallest tau', then smallest arm).
     """
     if method not in ORACLE_METHODS:
         raise DomainError(f"unknown oracle method {method!r}")
@@ -260,8 +193,6 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
         mu=mu, se=se, nu=nu, gap=gap,
         optimal_arm=arm0 + 1, optimal_tau=float(taus[j_opt]), nu_star=nu_star,
         method=method, budget=nodes if method == "quadrature" else samples,
-        fingerprint=table_fingerprint(instance, method, nodes=nodes, samples=samples,
-                                      seed=seed),
     )
 
 

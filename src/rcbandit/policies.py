@@ -1,8 +1,9 @@
 """Action-selection policies over (arm, resource limit) pairs.
 
 The optimism-based policies keep an index matrix of shape (n_arms, m) and
-pick its argmax; ties break to the smallest resource limit, then the
-smallest arm index, which keeps runs reproducible.
+pick its argmax with core.argmax_pair, the one statement of the tie-break:
+the smallest resource limit, then the smallest arm index, which keeps runs
+reproducible. The oracle's optimum uses the same function.
 
 A round is one pair of plain values in each direction: Policy.select()
 returns (arm0, j), the 0-based arm and the grid index of the played limit,
@@ -25,7 +26,8 @@ call, looked up where the tracer patches it, once per round that uses it:
   called by the episode loop; the trace reads the policy kind from self;
 - index_matrix in the class bodies of RCUCBPolicy, KLRCUCBPolicy and
   ModifiedUCBPolicy, called through self;
-- the module-global argmax_pair, looked up in this module at call time;
+- argmax_pair, defined in core and imported here as a module global, looked
+  up in this module at call time (the oracle's own import stays untraced);
 - each estimator's own update_by_index(arm0, k, lo, reward[, rng]), called
   through the estimator, with the touched-cell count k third;
 - GaussianArm.sample (in envs), called through the arm.
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, InstanceSpec, UsageError, objective_vectors
+from .core import ConfigError, InstanceSpec, UsageError, argmax_pair, objective_vectors
 from .estimators import (
     TS_INDICATORS,
     BetaPosterior,
@@ -72,11 +74,12 @@ class PolicySpec:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
-        # the label names the run's trace_<label>.csv
-        if not (isinstance(self.label, str) and self.label) or any(
-                ch in self.label for ch in "/\\\0"):
+        # the label names the run's trace_<label>.csv and goes into the SVG
+        # legend as text, where a control character (NUL included) is invalid
+        if not (isinstance(self.label, str) and self.label
+                and self.label.isprintable()) or any(ch in self.label for ch in "/\\"):
             raise ConfigError(f"label {self.label!r} must be a non-empty file name "
-                              "part, without /, \\ or NUL")
+                              "part of printable characters, without / or \\")
         # written so that NaN fails every check; inf would give a degenerate index
         if self.kind in ("rcucb", "ucb"):
             if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -116,17 +119,6 @@ def init_limits(kind: str, m: int) -> range:
 def init_length(kind: str, instance: InstanceSpec) -> int:
     """Number of prescribed initialization rounds before the index takes over."""
     return instance.n * len(init_limits(kind, instance.grid.m))
-
-
-def argmax_pair(index: np.ndarray) -> tuple[int, int]:
-    """(arm0, tau_idx) of the largest entry of an (n, m) index matrix.
-
-    Scanning the transpose row-major makes ties resolve to the smallest
-    resource limit first and the smallest arm second.
-    """
-    flat = int(index.T.argmax())
-    n = index.shape[0]
-    return flat % n, flat // n
 
 
 def _kl_bernoulli_arr(w: np.ndarray, v: np.ndarray, zero: np.ndarray | None) -> np.ndarray:

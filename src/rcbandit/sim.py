@@ -31,13 +31,7 @@ import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
 from .envs import sample_episode
-from .oracle import (
-    NuTable,
-    _exact_moments,
-    concentration_bound,
-    nu_table,
-    table_fingerprint,
-)
+from .oracle import NuTable, _exact_moments, concentration_bound, nu_table
 from .policies import PolicySpec, init_length, make_policy
 
 
@@ -120,13 +114,13 @@ class ExperimentConfig:
             )
 
 
-def _check_table(table: NuTable, instance: InstanceSpec, what: str) -> None:
-    """Raise ConfigError "<what> does not match the instance" unless the table
-    has one row per arm and one column per grid point, at the same limits."""
+def _check_table(table: NuTable, instance: InstanceSpec) -> None:
+    """Raise ConfigError unless the table has one row per arm and one column
+    per grid point, at the same limits."""
     if table.mu.shape != (instance.n, instance.grid.m) or not np.allclose(
         table.taus, instance.grid.as_array()
     ):
-        raise ConfigError(f"{what} does not match the instance")
+        raise ConfigError("nu table does not match the instance")
 
 
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
@@ -147,7 +141,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     wraps exactly these callables to split a round's cost by layer, so
     inlining one of them silently zeroes that layer's metrics.
     """
-    _check_table(table, instance, "nu table")
+    _check_table(table, instance)
     need = init_length(spec.kind, instance)
     if horizon < need:
         raise ConfigError(
@@ -261,39 +255,6 @@ def _write_trace(handle, rep: int, trace: RunTrace) -> None:
         ))
 
 
-def _resolve_table(config: ExperimentConfig) -> NuTable:
-    """The output directory's nu_table.json if it was computed from the same
-    inputs, else a fresh table saved there; a table from other inputs is
-    refused, naming the first field that differs, rather than overwritten."""
-    out = config.output_dir
-    if out is not None:
-        path = Path(out) / "nu_table.json"
-        if path.exists():
-            table = NuTable.load(path)
-            _check_table(table, config.instance, f"existing {path}")
-            if table.fingerprint is None:
-                raise ConfigError(f"existing {path} does not match the run: "
-                                  "it records no fingerprint of its inputs")
-            wanted = table_fingerprint(
-                config.instance, config.oracle_method, nodes=config.oracle_nodes,
-                samples=config.oracle_samples, seed=config.base_seed,
-            )
-            for key, value in wanted.items():
-                if table.fingerprint.get(key) != value:
-                    raise ConfigError(f"existing {path} does not match the run: "
-                                      f"{key} differs")
-            return table
-    table = nu_table(
-        config.instance, config.oracle_method,
-        nodes=config.oracle_nodes, samples=config.oracle_samples,
-        seed=config.base_seed,
-    )
-    if out is not None:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        table.save(Path(out) / "nu_table.json")
-    return table
-
-
 def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Aggregate:
     """Run reps x policies episodes and fold them into mean/SE curves.
 
@@ -301,9 +262,18 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     With workers > 1 the episodes run in a process pool; results are folded
     in submission order, so the aggregate matches serial execution exactly.
     A failed repetition aborts the experiment with its seed in the message.
+
+    The table is the caller's, or computed here from the config's oracle
+    settings. With an output directory, a finished run writes the table it
+    used to nu_table.json beside the other artifacts; no run reads it back,
+    so a rerun overwrites every file it writes.
     """
     if table is None:
-        table = _resolve_table(config)
+        table = nu_table(
+            config.instance, config.oracle_method,
+            nodes=config.oracle_nodes, samples=config.oracle_samples,
+            seed=config.base_seed,
+        )
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -382,6 +352,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
         final_states=states if config.dump_state else None,
     )
     if out is not None:
+        table.save(out / "nu_table.json")
         _write_aggregate(out / "aggregate.csv", agg)
         _write_summary(out / "summary.json", config, agg)
         if config.dump_state:

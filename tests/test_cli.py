@@ -240,6 +240,8 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["policies", 0, "alpha"], float("inf")), "policies[0]"),
     (_set(["policies", 0], {"kind": "ts", "label": "ts0", "prior": [float("inf"), 1.0]}),
      "policies[0]"),
+    (_set(["policies", 0, "label"], "a\x01b"), "policies[0]"),
+    (_set(["policies", 0, "label"], "a\tb"), "policies[0]"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)
@@ -448,6 +450,10 @@ def test_plot_malformed_csv(tmp_path, capsys):
     assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
     bad.write_text(
         "round,policy,mean_cum_regret,stderr\n1,only,0.5\n", encoding="utf-8"
+    )
+    assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
+    bad.write_text(
+        "round,policy,mean_cum_regret,stderr\n1,a\x01b,0.5,0.1\n", encoding="utf-8"
     )
     assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
     assert main(["plot", str(tmp_path / "missing.csv"),

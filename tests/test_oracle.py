@@ -1,5 +1,6 @@
-"""Oracle values, nu tables, JSON round-trips, and bound evaluators."""
+"""Oracle values, nu tables, their JSON form, and bound evaluators."""
 
+import json
 import math
 
 import numpy as np
@@ -196,6 +197,7 @@ def test_monte_carlo_table_near_truth():
 def test_json_round_trip(tmp_path):
     tab = nu_table(analytic_instance())
     data = tab.to_dict()
+    assert sorted(data) == ["method", "optimal", "pairs", "samples_or_nodes"]
     assert data["method"] == "quadrature"
     assert data["samples_or_nodes"] == 200
     assert len(data["pairs"]) == 12
@@ -205,18 +207,9 @@ def test_json_round_trip(tmp_path):
     }
     assert data["optimal"] == {"arm": 1, "tau": 0.25, "nu_star": pytest.approx(0.675)}
 
-    back = NuTable.from_dict(data)
-    assert back.taus == tab.taus
-    assert np.array_equal(back.mu, tab.mu)
-    assert np.array_equal(back.nu, tab.nu)
-    assert np.array_equal(back.gap, tab.gap)
-    assert (back.optimal_arm, back.optimal_tau) == (tab.optimal_arm, tab.optimal_tau)
-
     path = tmp_path / "nu_table.json"
     tab.save(path)
-    loaded = NuTable.load(path)
-    assert loaded.nu_star == tab.nu_star
-    assert np.array_equal(loaded.mu, tab.mu)
+    assert json.loads(path.read_text(encoding="utf-8")) == tab.to_dict()
 
 
 def _table_with_gaps(gaps):

@@ -14,6 +14,7 @@ from rcbandit.core import (
     MultiplicativeDiscount,
     ResourceGrid,
     UsageError,
+    argmax_pair,
     build_grid,
 )
 from rcbandit.envs import DegenerateArm
@@ -28,7 +29,6 @@ from rcbandit.policies import (
     _exploration_budget,
     _kl_bernoulli_arr,
     _zero_weights,
-    argmax_pair,
     init_length,
     make_policy,
 )

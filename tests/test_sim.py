@@ -5,7 +5,6 @@ import dataclasses
 import io
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -259,15 +258,6 @@ def test_persistence_round_trip(tmp_path):
     assert before == after
 
 
-def test_stale_table_file_rejected(tmp_path):
-    out = tmp_path / "exp"
-    out.mkdir()
-    nu_table(two_degenerate_instance()).save(out / "nu_table.json")
-    cfg = _small_config(output_dir=out)
-    with pytest.raises(ConfigError, match="nu_table.json does not match the instance"):
-        run_experiment(cfg)
-
-
 def _changed_arm(cfg):
     # arm 1 of analytic_instance() goes from (0.9, 0.2) to (0.1, 0.9), which
     # moves the optimum; the old table would report the wrong regret
@@ -275,34 +265,57 @@ def _changed_arm(cfg):
     return {"instance": dataclasses.replace(cfg.instance, arms=arms)}
 
 
-@pytest.mark.parametrize(("change", "field"), [
-    (_changed_arm, "instance.arms[0]"),
-    (lambda cfg: {"instance": dataclasses.replace(
-        cfg.instance, discount=DiscountSpec("polynomial", k=2.0))}, "instance.discount"),
-    (lambda cfg: {"oracle_method": "monte_carlo"}, "oracle.method"),
-    (lambda cfg: {"oracle_nodes": 100}, "oracle.nodes"),
-])
-def test_table_from_other_inputs_rejected(tmp_path, change, field):
-    out = tmp_path / "exp"
-    cfg = _small_config(output_dir=out, policies=(PolicySpec("rcucb"),))
+def _run_changed(change):
+    """Prepare the directory with a run of the config changed by change(cfg)."""
+    return lambda cfg: run_experiment(dataclasses.replace(cfg, **change(cfg)))
+
+
+def _edit_gaps(cfg):
+    # the file written by this very config, with arm 2's gaps edited and every
+    # other key, the optimum included, left as it was
     run_experiment(cfg)
-    before = (out / "nu_table.json").read_bytes()
-    changed = dataclasses.replace(cfg, **change(cfg))
-    with pytest.raises(ConfigError, match=f"does not match the run: {re.escape(field)}"):
-        run_experiment(changed)
-    assert (out / "nu_table.json").read_bytes() == before
-    # the seed does not enter a quadrature table, so it does not block reuse
-    run_experiment(dataclasses.replace(cfg, base_seed=6))
+    path = cfg.output_dir / "nu_table.json"
+    doc = json.loads(path.read_text())
+    for pair in doc["pairs"]:
+        if pair["arm"] == 2:
+            pair["gap"] /= 2
+    path.write_text(json.dumps(doc, indent=1))
 
 
-def test_table_without_fingerprint_rejected(tmp_path):
+@pytest.mark.parametrize("prepare", [
+    pytest.param(lambda cfg: nu_table(two_degenerate_instance()).save(
+        cfg.output_dir / "nu_table.json"), id="other_instance"),
+    pytest.param(_run_changed(_changed_arm), id="arms0"),
+    pytest.param(_run_changed(lambda cfg: {"instance": dataclasses.replace(
+        cfg.instance, discount=DiscountSpec("polynomial", k=2.0))}), id="discount"),
+    pytest.param(_run_changed(lambda cfg: {"oracle_method": "monte_carlo"}),
+                 id="oracle_method"),
+    pytest.param(_run_changed(lambda cfg: {"oracle_nodes": 100}), id="oracle_nodes"),
+    pytest.param(lambda cfg: nu_table(cfg.instance).save(cfg.output_dir / "nu_table.json"),
+                 id="no_fingerprint"),
+    pytest.param(_edit_gaps, id="edited_gaps"),
+])
+def test_rerun_ignores_existing_table(tmp_path, prepare):
+    """A run computes its own table whatever nu_table.json the directory holds,
+    and writes the same bytes as a run into a fresh directory."""
     out = tmp_path / "exp"
     out.mkdir()
-    cfg = _small_config(output_dir=out)
-    table = nu_table(cfg.instance)
-    dataclasses.replace(table, fingerprint=None).save(out / "nu_table.json")
-    with pytest.raises(ConfigError, match="no fingerprint"):
-        run_experiment(cfg)
+    cfg = _small_config(output_dir=out, policies=(PolicySpec("rcucb"),))
+    prepare(cfg)
+    run_experiment(cfg)
+    fresh = tmp_path / "fresh"
+    run_experiment(dataclasses.replace(cfg, output_dir=fresh))
+    names = sorted(f.name for f in fresh.iterdir())
+    assert {"nu_table.json", "summary.json", "aggregate.csv"} <= set(names)
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_caller_table_is_written(tmp_path):
+    cfg = _small_config(output_dir=tmp_path, policies=(PolicySpec("rcucb"),))
+    tab = nu_table(cfg.instance, nodes=64)
+    run_experiment(cfg, table=tab)
+    assert json.loads((tmp_path / "nu_table.json").read_text()) == tab.to_dict()
 
 
 def _csv_trace_reference(rep, trace):
