@@ -28,7 +28,7 @@ from .oracle import (
     concentration_bound,
     nu_table,
     regret_upper_bound,
-    true_mixed_moment,
+    true_mixed_moments,
 )
 from .policies import (
     KLRCUCBPolicy,
@@ -87,7 +87,7 @@ __all__ = [
     "run_experiment",
     "sample_episode",
     "trace_env_load",
-    "true_mixed_moment",
+    "true_mixed_moments",
 ]
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .envs import (
 )
 from .oracle import MIN_NODES, MIN_SAMPLES, ORACLE_METHODS, nu_table
 from .policies import POLICY_KINDS, PolicySpec
-from .sim import ExperimentConfig, concentration_audit, run_experiment
+from .sim import AGGREGATE_HEADER, ExperimentConfig, concentration_audit, run_experiment
 
 _REQUIRED = object()
 
@@ -363,7 +363,7 @@ def _read_aggregate(path: str) -> dict[str, tuple[list, list, list]]:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header != ["round", "policy", "mean_cum_regret", "stderr"]:
+            if header != AGGREGATE_HEADER.rstrip("\n").split(","):
                 raise ConfigError(f"{path}: unexpected header {header}")
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != 4:
@@ -378,6 +378,10 @@ def _read_aggregate(path: str) -> dict[str, tuple[list, list, list]]:
                     se = float(row[3])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                # a non-finite value would put nan into every SVG coordinate
+                for name, value in (("mean_cum_regret", mean), ("stderr", se)):
+                    if not math.isfinite(value):
+                        raise ConfigError(f"{path}:{lineno}: {name} {value} is not finite")
                 rounds, means, ses = curves.setdefault(row[1], ([], [], []))
                 rounds.append(t)
                 means.append(mean)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Protocol, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -246,18 +246,11 @@ def objective_vectors(objective: Objective, discount: DiscountSpec,
     return np.ones(grid.m), -cost_eval(objective, discount.tau_max, taus)
 
 
-class ArmModel(Protocol):
-    """Anything that can draw i.i.d. (reward, cost) pairs."""
-
-    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        ...
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """A full bandit instance: arms, grid, discount and objective."""
 
-    arms: tuple[Any, ...]
+    arms: tuple[Any, ...]  # each has sample(rng, size) -> (rewards, costs)
     grid: ResourceGrid
     discount: DiscountSpec
     objective: Objective = MultiplicativeDiscount()

@@ -209,11 +209,11 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
     return rewards, lo
 
 
-def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> tuple[TraceArm, ...]:
+def trace_env_load(path, replay: str = "sample") -> tuple[TraceArm, ...]:
     """Load per-arm traces from a CSV with header ``arm,reward,cost``.
 
-    Arm indices are 1-based. When n_arms is given, every arm 1..n_arms must
-    have at least one row. Malformed rows raise ConfigError naming the line.
+    Arm indices are 1-based, and every arm up to the largest index must have
+    at least one row. Malformed rows raise ConfigError naming the line.
     """
     path = Path(path)
     rows: dict[int, list[tuple[float, float]]] = {}
@@ -240,13 +240,10 @@ def trace_env_load(path, n_arms: int | None = None, replay: str = "sample") -> t
             rows.setdefault(arm, []).append((reward, cost))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    count = n_arms if n_arms is not None else max(rows)
     arms = []
-    for i in range(1, count + 1):
+    for i in range(1, max(rows) + 1):
         if i not in rows:
             raise ConfigError(f"{path}: no rows for arm {i}")
         rewards, costs = zip(*rows[i])
         arms.append(TraceArm(rewards=rewards, costs=costs, replay=replay))
-    if n_arms is not None and max(rows) > n_arms:
-        raise ConfigError(f"{path}: arm index {max(rows)} exceeds instance size {n_arms}")
     return tuple(arms)

@@ -63,9 +63,10 @@ def _density_integral(arm, c_hi: float, nodes: int, weight_reward: bool) -> floa
     return float(np.einsum("i,j,ij->", r_weight, cw, pdf))
 
 
-def _exact_moments(arm, taus, nodes: int) -> np.ndarray:
-    """E[R * 1{C <= tau'}] for each tau' in taus, by the arm's closed form if it
-    has one and by quadrature otherwise; the normalizer is integrated once."""
+def true_mixed_moments(arm, taus, *, nodes: int = 200) -> np.ndarray:
+    """Exact E[R * 1{C <= tau'}] for each tau' in taus, the path nu_table and the
+    audit share: the arm's closed form (``mixed_moment``) if it has one, else
+    quadrature with `nodes` points per axis and the normalizer integrated once."""
     if hasattr(arm, "mixed_moment"):
         return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
     if nodes < MIN_NODES:
@@ -79,15 +80,6 @@ def _exact_moments(arm, taus, nodes: int) -> np.ndarray:
         _density_integral(arm, min(float(tau), 1.0), nodes, weight_reward=True) / z
         for tau in taus
     ])
-
-
-def true_mixed_moment(arm, tau_prime: float, *, nodes: int = 200) -> float:
-    """Ground-truth E[R * 1{C <= tau'}]: the arm's closed form (``mixed_moment``)
-    if it has one, quadrature with `nodes` points per axis otherwise.
-
-    nu_table(..., "monte_carlo") is the Monte Carlo oracle.
-    """
-    return float(_exact_moments(arm, (tau_prime,), nodes)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +173,7 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
                 se[i, j] = vals.std(ddof=1) / math.sqrt(samples)
         else:
             if arm not in exact_rows:
-                exact_rows[arm] = _exact_moments(arm, taus, nodes)
+                exact_rows[arm] = true_mixed_moments(arm, taus, nodes=nodes)
             mu[i] = exact_rows[arm]
     scale, offset = objective_vectors(instance.objective, instance.discount, grid)
     nu = scale * mu + offset

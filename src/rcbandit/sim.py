@@ -23,7 +23,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
 from .envs import sample_episode
-from .oracle import NuTable, _exact_moments, concentration_bound, nu_table
+from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moments
 from .policies import PolicySpec, init_length, make_policy
 
 
@@ -197,13 +197,8 @@ def decomposition_check(trace: RunTrace, table: NuTable) -> float:
     return abs(total - played)
 
 
-def _episode_task(payload):
-    instance, spec, horizon, table, seed, keep_state = payload
-    return run_episode(instance, spec, horizon, table, seed, keep_state)
-
-
 _TRACE_HEADER = "rep,round,arm,tau,censored,reward,inst_regret,cum_regret\n"
-_AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
+AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
@@ -260,7 +255,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
     Episode seeds are mix64(base_seed, policy index, repetition index).
     With workers > 1 the episodes run in a process pool; results are folded
-    in submission order, so the aggregate matches serial execution exactly.
+    in job order, so the aggregate matches serial execution exactly.
     A failed repetition aborts the experiment with its seed in the message.
 
     The table is the caller's, or computed here from the config's oracle
@@ -280,14 +275,12 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
     horizon, reps = config.horizon, config.repetitions
     n_pol = len(config.policies)
-    payloads = []
-    seeds = []
-    for p, spec in enumerate(config.policies):
-        for rep in range(reps):
-            seed = mix64(config.base_seed, p, rep)
-            keep = config.dump_state and rep == 0
-            payloads.append((config.instance, spec, horizon, table, seed, keep))
-            seeds.append((spec.label, rep, seed))
+    jobs = [(p, spec, rep, mix64(config.base_seed, p, rep))
+            for p, spec in enumerate(config.policies) for rep in range(reps)]
+    _, specs, rep_ids, seeds = zip(*jobs)
+    # run_episode's arguments, one column each
+    columns = (repeat(config.instance), specs, repeat(horizon), repeat(table), seeds,
+               [config.dump_state and rep == 0 for rep in rep_ids])
 
     sums = np.zeros((n_pol, horizon))
     sumsq = np.zeros((n_pol, horizon))
@@ -299,33 +292,31 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     handle = None
     try:
-        results = executor.map(_episode_task, payloads) if executor else map(_episode_task, payloads)
-        it = iter(results)
-        for idx in range(len(payloads)):
-            label, rep, seed = seeds[idx]
+        # run_episode is looked up at each call, so a wrapper on sim.run_episode runs
+        results = (executor.map if executor else map)(run_episode, *columns)
+        for p, spec, rep, seed in jobs:
             try:
-                trace = next(it)
+                trace = next(results)
             except Exception as exc:
                 raise RuntimeError(
-                    f"repetition {rep} of policy {label!r} failed (seed {seed})"
+                    f"repetition {rep} of policy {spec.label!r} failed (seed {seed})"
                 ) from exc
-            p = idx // reps
             sums[p] += trace.cum_regret
             sumsq[p] += trace.cum_regret**2
             censor[p] += trace.censored_share
             realized[p] += trace.realized_total
             residual[p] = max(residual[p], decomposition_check(trace, table))
             if trace.final_state is not None:
-                states[label] = trace.final_state
+                states[spec.label] = trace.final_state
             if out is not None:
                 if rep == 0:
                     if handle is not None:
                         handle.close()
-                    handle = open(out / f"trace_{label}.csv", "w",
+                    handle = open(out / f"trace_{spec.label}.csv", "w",
                                   encoding="utf-8", newline="")
                     handle.write(_TRACE_HEADER)
                 _write_trace(handle, rep, trace)
-            # the next episode runs inside next(it): hold no trace across it
+            # the next episode runs inside next(results): hold no trace across it
             del trace
     finally:
         if handle is not None:
@@ -364,9 +355,9 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
 
 def _write_aggregate(path: Path, agg: Aggregate) -> None:
-    """_AGGREGATE_HEADER rows, policy-major, in bytes equal to csv.writer's."""
+    """AGGREGATE_HEADER rows, policy-major, in bytes equal to csv.writer's."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_AGGREGATE_HEADER)
+        handle.write(AGGREGATE_HEADER)
         for p, label in enumerate(agg.labels):
             label_text = _csv_field(label)
             for start in range(0, agg.horizon, _WRITE_CHUNK):
@@ -426,7 +417,7 @@ def concentration_audit(arm_spec, taus, alpha: float = 2.0, t_check: int = 1000,
         raise DomainError("t_check must be at least 2")
     if runs < 1:
         raise DomainError("runs must be at least 1")
-    mu = _exact_moments(arm_spec, taus, 200)
+    mu = true_mixed_moments(arm_spec, taus)
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
     # limits per (limits x t_check) block: at most _AUDIT_BLOCK elements, or one row
     rows = max(1, _AUDIT_BLOCK // t_check)

@@ -11,6 +11,7 @@ tests that carry multi-minute cost.
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from rcbandit.cli import load_config, main
 from rcbandit.core import admits, mix64
 from rcbandit.envs import GaussianArm
 from rcbandit.estimators import CensoredMomentEstimator
-from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moment
+from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moments
 from rcbandit.policies import PolicySpec, make_policy
-from rcbandit.sim import concentration_audit, decomposition_check, run_episode, run_experiment
+from rcbandit.sim import ExperimentConfig, concentration_audit, run_experiment
 
 from conftest import BYTE_IDENTITY_CONFIG, analytic_instance, gaussian_instance
 
@@ -47,11 +48,13 @@ TAIL_BOUND_T1000 = 1.80357e-3
 
 @pytest.fixture(scope="session")
 def synthetic_runs():
-    """Aggregates of the three bundled configs, run in memory at full size."""
+    """Aggregates of the three bundled configs, run in memory at full size on
+    every core (a parallel aggregate equals the serial one bit for bit)."""
     runs = {}
     for name in CONFIG_NAMES:
         config = dataclasses.replace(
-            load_config(name), output_dir=None, dump_state=True
+            load_config(name), output_dir=None, dump_state=True,
+            workers=os.cpu_count(),
         )
         runs[name] = run_experiment(config)
     return runs
@@ -81,21 +84,14 @@ def test_regret_ordering(name, synthetic_runs):
 @pytest.mark.slow
 def test_mean_regret_under_finite_time_bound():
     """50-rep mean cumulative regret stays below the gap bound at every round."""
-    instance = analytic_instance()
-    table = nu_table(instance)
     horizon = 100_000
-    reps = 50
-    total = np.zeros(horizon)
-    for rep in range(reps):
-        trace = run_episode(
-            instance, PolicySpec(kind="rcucb", alpha=2.0), horizon, table,
-            mix64(4242, 0, rep),
-        )
-        assert decomposition_check(trace, table) <= horizon * 1e-9
-        total += trace.cum_regret
-    rounds = np.arange(1, horizon + 1)
-    bound = regret_upper_bound(table, rounds, alpha=2.0)
-    assert np.all(total / reps <= bound)
+    agg = run_experiment(ExperimentConfig(
+        instance=analytic_instance(), policies=(PolicySpec(kind="rcucb", alpha=2.0),),
+        horizon=horizon, repetitions=50, base_seed=4242, workers=os.cpu_count(),
+    ))
+    assert agg.max_residual[0] <= horizon * 1e-9
+    bound = regret_upper_bound(agg.table, np.arange(1, horizon + 1), alpha=2.0)
+    assert np.all(agg.mean_cum_regret[0] <= bound)
 
 
 def test_tail_rates_within_deviation_bound():
@@ -140,11 +136,11 @@ def test_estimator_matches_oracle_under_full_limit():
             estimator.update_by_index(i, m, instance.grid.first_admitting(c), r)
         realized = rewards[None, :] * admits(costs[None, :], grid[:, None])
         se = realized.std(axis=1, ddof=1) / math.sqrt(draws)
-        for j, tau in enumerate(grid):
-            mu = true_mixed_moment(arm, float(tau))
+        mu = true_mixed_moments(arm, grid)
+        for j in range(m):
             mu_hat = estimator.mean_matrix()[i, j]
             assert estimator.counts[i, j] == draws
-            assert abs(mu_hat - mu) <= 3.0 * se[j]
+            assert abs(mu_hat - mu[j]) <= 3.0 * se[j]
 
 
 @pytest.mark.parametrize(("kind", "salt"), [("rcucb", 0), ("klrcucb", 1)])

@@ -4,7 +4,6 @@ import json
 import re
 from xml.etree import ElementTree
 
-import numpy as np
 import pytest
 
 from rcbandit.cli import (
@@ -15,6 +14,7 @@ from rcbandit.cli import (
 )
 from rcbandit.core import AdditiveCost, ConfigError, ResourceGrid
 from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm
+from rcbandit.sim import AGGREGATE_HEADER
 
 SMALL_CONFIG = {
     "instance": {
@@ -459,6 +459,24 @@ def test_plot_malformed_csv(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "missing.csv"),
                  str(tmp_path / "x.svg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["mean_cum_regret", "stderr"])
+def test_plot_rejects_non_finite(tmp_path, capsys, column, value):
+    fields = dict(mean_cum_regret="0.5", stderr="0.1")
+    fields[column] = value
+    agg = tmp_path / "aggregate.csv"
+    agg.write_text(
+        AGGREGATE_HEADER + "1,only,0.25,0.05\n"
+        f"2,only,{fields['mean_cum_regret']},{fields['stderr']}\n",
+        encoding="utf-8",
+    )
+    svg_path = tmp_path / "x.svg"
+    assert main(["plot", str(agg), str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{agg}:3: {column}" in err and "not finite" in err
+    assert not svg_path.exists()
 
 
 def test_render_svg_direct():

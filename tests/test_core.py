@@ -253,7 +253,7 @@ def test_additive_cost_eval_and_validation():
 
 
 class _FixedDrawArm:
-    """A user-defined ArmModel that draws one fixed (reward, cost) pair."""
+    """A user-defined arm that draws one fixed (reward, cost) pair."""
 
     def __init__(self, reward, cost):
         self.reward, self.cost = reward, cost

@@ -224,7 +224,7 @@ def _write(tmp_path, text):
 
 def test_trace_env_load_roundtrip(tmp_path):
     p = _write(tmp_path, "arm,reward,cost\n1,0.1,0.5\n1,0.2,0.6\n2,0.9,0.1\n")
-    arms = trace_env_load(p, n_arms=2, replay="cyclic")
+    arms = trace_env_load(p, replay="cyclic")
     assert len(arms) == 2
     assert arms[0].rewards == (0.1, 0.2)
     assert arms[1].costs == (0.1,)
@@ -242,9 +242,6 @@ def test_trace_env_load_missing_arm(tmp_path):
     p = _write(tmp_path, "arm,reward,cost\n1,0.1,0.5\n3,0.2,0.6\n")
     with pytest.raises(ConfigError, match="arm 2"):
         trace_env_load(p)
-    p2 = _write(tmp_path, "arm,reward,cost\n1,0.1,0.5\n")
-    with pytest.raises(ConfigError, match="arm 2"):
-        trace_env_load(p2, n_arms=2)
 
 
 def test_trace_env_load_malformed(tmp_path):

@@ -1,7 +1,6 @@
 """Oracle values, nu tables, their JSON form, and bound evaluators."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from rcbandit.oracle import (
     concentration_bound,
     nu_table,
     regret_upper_bound,
-    true_mixed_moment,
+    true_mixed_moments,
 )
 
 from conftest import analytic_instance, gaussian_instance, two_degenerate_instance
@@ -43,19 +42,20 @@ CONC_T1000_A2 = 0.0018036620761802725
 
 
 def test_quadrature_frozen_values():
-    for tau, want in ARM1_QUAD.items():
-        got = true_mixed_moment(ARM1, tau)
-        assert got == pytest.approx(want, abs=1e-9)
+    got = true_mixed_moments(ARM1, list(ARM1_QUAD))
+    for value, want in zip(got, ARM1_QUAD.values()):
+        assert value == pytest.approx(want, abs=1e-9)
 
 
 def test_quadrature_agrees_with_frozen_monte_carlo():
-    for tau, (mc, se) in ARM1_MC.items():
-        assert abs(true_mixed_moment(ARM1, tau) - mc) <= 4 * se
+    got = true_mixed_moments(ARM1, list(ARM1_MC))
+    for value, (mc, se) in zip(got, ARM1_MC.values()):
+        assert abs(value - mc) <= 4 * se
 
 
 def test_quadrature_node_convergence():
-    coarse = true_mixed_moment(ARM1, 0.5, nodes=64)
-    fine = true_mixed_moment(ARM1, 0.5, nodes=200)
+    [coarse] = true_mixed_moments(ARM1, [0.5], nodes=64)
+    [fine] = true_mixed_moments(ARM1, [0.5], nodes=200)
     assert coarse == pytest.approx(fine, abs=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_analytic_arms_are_exact_under_both_methods():
 
 def test_budget_validation():
     with pytest.raises(DomainError, match=f"at least {MIN_NODES}"):
-        true_mixed_moment(ARM1, 0.5, nodes=MIN_NODES - 1)
+        true_mixed_moments(ARM1, [0.5], nodes=MIN_NODES - 1)
     inst = gaussian_instance()
     with pytest.raises(DomainError, match=f"at least {MIN_SAMPLES}"):
         nu_table(inst, "monte_carlo", samples=MIN_SAMPLES - 1)
@@ -85,7 +85,7 @@ def test_budget_validation():
 def test_degenerate_density_rejected():
     far = GaussianArm(mean=(50.0, 50.0), x=0.0, sigma=1e-4)
     with pytest.raises(DomainError, match="degenerate"):
-        true_mixed_moment(far, 0.5)
+        true_mixed_moments(far, [0.5])
 
 
 def test_single_arm_table():
@@ -165,7 +165,7 @@ def _repeated_arms_instance() -> InstanceSpec:
 def test_table_of_repeated_arms_matches_per_cell_moments():
     inst = _repeated_arms_instance()
     tab = nu_table(inst, nodes=64)
-    mu = np.array([[true_mixed_moment(arm, float(tau), nodes=64)
+    mu = np.array([[true_mixed_moments(arm, [tau], nodes=64)[0]
                     for tau in inst.grid.points] for arm in inst.arms])
     scale, offset = objective_vectors(inst.objective, inst.discount, inst.grid)
     nu = scale * mu + offset

@@ -15,7 +15,6 @@ from rcbandit.core import (
     ResourceGrid,
     UsageError,
     argmax_pair,
-    build_grid,
 )
 from rcbandit.envs import DegenerateArm
 from rcbandit.policies import (

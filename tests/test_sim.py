@@ -20,7 +20,7 @@ from rcbandit.core import (
     mix64,
 )
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
-from rcbandit.oracle import concentration_bound, nu_table, true_mixed_moment
+from rcbandit.oracle import concentration_bound, nu_table, true_mixed_moments
 from rcbandit.policies import PolicySpec
 from rcbandit.sim import (
     Aggregate,
@@ -413,7 +413,7 @@ def test_audit_validation():
 
 def _reference_audit(arm, tau, alpha, t_check, runs, base_seed):
     """The audit of one limit as a loop of its own draws: (upper, lower) rates."""
-    mu = true_mixed_moment(arm, tau)
+    [mu] = true_mixed_moments(arm, [tau])
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
     upper = lower = 0
     for r in range(runs):
