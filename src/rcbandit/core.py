@@ -4,7 +4,8 @@ Everything here is an immutable value object, safe to share across worker
 processes without synchronization. The censoring rule lives here too, once:
 admits() for one limit and ResourceGrid.first_admitting() for a whole grid,
 each for a scalar cost or an array of them. So does the tie-break between
-pairs, argmax_pair(), which the policies and the oracle's optimum share.
+pairs, argmax_pair(), which the policies (over a stack of one index matrix
+per repetition) and the oracle's optimum (over one matrix) share.
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ def admits(cost, tau):
     return cost <= tau
 
 
-def argmax_pair(index: np.ndarray) -> tuple[int, int]:
-    """(arm0, tau_idx) of the largest entry of an (n, m) index matrix.
+def argmax_pair(index: np.ndarray):
+    """(arm0, tau_idx) of the largest entry of each matrix in an (R, n, m)
+    stack, as two lists in stack order, or of one (n, m) matrix, as two ints.
 
-    Scanning the transpose row-major makes ties resolve to the smallest
-    resource limit first and the smallest arm second.
+    Scanning each matrix's transpose row-major makes ties resolve to the
+    smallest resource limit first and the smallest arm second.
     """
-    flat = int(index.T.argmax())
-    n = index.shape[0]
-    return flat % n, flat // n
+    if index.ndim == 2:
+        (arm0,), (tau_idx,) = argmax_pair(index[None])
+        return arm0, tau_idx
+    reps, n, m = index.shape
+    flat = index.transpose(0, 2, 1).reshape(reps, m * n).argmax(axis=1).tolist()
+    return [f % n for f in flat], [f // n for f in flat]
 
 
 DISCOUNT_KINDS = ("linear", "polynomial", "sublinear", "geometric", "exponential")

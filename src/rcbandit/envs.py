@@ -31,6 +31,8 @@ from .core import ConfigError, DomainError, InstanceSpec, SamplingError, admits
 # rejection sampling budget: attempts allowed per requested draw
 MAX_ATTEMPTS_PER_DRAW = 10**6
 _BATCH_CAP = 1 << 21
+# normal pairs a rejection batch draws and tests at a time: bounds its memory
+_ROW_BLOCK = 4096
 
 
 def make_cov(x: float, sigma: float) -> np.ndarray:
@@ -77,27 +79,40 @@ class GaussianArm:
 
 
 def _truncated_batch(mean, cov, rng, size):
-    chol = np.linalg.cholesky(cov)
+    """size draws of N(mean, cov) that fall in the unit square, by rejection.
+
+    Each batch of 2 x need normal pairs (within the caps) is drawn and
+    accepted _ROW_BLOCK rows at a time into reused buffers, which draws the
+    same normal stream as one (batch, 2) draw; rows of a batch beyond the one
+    that fills the request are still drawn, so the stream after it is kept.
+    """
+    chol_t = np.linalg.cholesky(cov).T
     rewards = np.empty(size)
     costs = np.empty(size)
+    normals = np.empty((min(max(2 * size, 256), _ROW_BLOCK), 2))
+    z = np.empty_like(normals)
     filled = 0
     budget = MAX_ATTEMPTS_PER_DRAW * size
     while filled < size:
-        need = size - filled
-        batch = min(max(2 * need, 256), _BATCH_CAP, budget)
+        batch = min(max(2 * (size - filled), 256), _BATCH_CAP, budget)
         if batch <= 0:
             raise SamplingError(
                 f"rejection sampling exceeded {MAX_ATTEMPTS_PER_DRAW} attempts per draw"
             )
-        z = rng.standard_normal((batch, 2)) @ chol.T
-        z += mean
-        ok = (z[:, 0] >= 0.0) & (z[:, 0] <= 1.0) & (z[:, 1] >= 0.0) & (z[:, 1] <= 1.0)
-        rows = np.flatnonzero(ok)[:need]
-        part = slice(filled, filled + rows.size)
-        # rows are in range, so "clip" moves nothing; "raise" would buffer out
-        np.take(z[:, 0], rows, out=rewards[part], mode="clip")
-        np.take(z[:, 1], rows, out=costs[part], mode="clip")
-        filled += rows.size
+        for start in range(0, batch, normals.shape[0]):
+            block = normals[:min(normals.shape[0], batch - start)]
+            rng.standard_normal(out=block)
+            if filled == size:
+                continue
+            zb = np.matmul(block, chol_t, out=z[:block.shape[0]])
+            zb += mean
+            ok = (zb[:, 0] >= 0.0) & (zb[:, 0] <= 1.0) & (zb[:, 1] >= 0.0) & (zb[:, 1] <= 1.0)
+            rows = np.flatnonzero(ok)[:size - filled]
+            part = slice(filled, filled + rows.size)
+            # rows are in range, so "clip" moves nothing; "raise" would buffer out
+            np.take(zb[:, 0], rows, out=rewards[part], mode="clip")
+            np.take(zb[:, 1], rows, out=costs[part], mode="clip")
+            filled += rows.size
         budget -= batch
     return rewards, costs
 

@@ -1,22 +1,26 @@
 """Online sufficient statistics fed by (possibly censored) rounds.
 
-All three estimators keep (n_arms, m) arrays indexed [arm, grid point] and
-store counts and sums rather than running means, so reads are exact. Callers
-read the arrays (counts, sums, successes, failures) or mean_matrix() directly.
+All three estimators keep the statistics of a block of repetitions played in
+lockstep: (reps * n_arms, m) arrays indexed [rep * n_arms + arm, grid point],
+the same memory as [rep, arm, grid point], so a block of one is the plain
+(n_arms, m) matrix. They store counts and sums rather than running means, so
+reads are exact. Callers read the arrays (counts, sums, successes, failures)
+or mean_matrix() directly, and reshape them to (reps, n_arms, m) as needed.
 
-A round reaches an estimator as grid indices only: the arm, the played limit
-and lo = core.ResourceGrid.first_admitting(cost), the grid form of the
-censoring rule core.admits, computed for the whole episode by
-envs.sample_episode. The cells whose limit admits the cost are those from lo
-on, and the round is censored iff lo lies beyond the played limit; its
-reward is then passed as 0.0 and no estimator reads it. No comparison of a
-cost with a limit is written here.
+A round reaches an estimator as grid indices only: the row of the played
+(rep, arm), the played limit and lo = core.ResourceGrid.first_admitting(cost),
+the grid form of the censoring rule core.admits, computed for the whole
+episode by envs.sample_episode. The cells whose limit admits the cost are
+those from lo on, and the round is censored iff lo lies beyond the played
+limit; its reward is then passed as 0.0 and no estimator reads it. No
+comparison of a cost with a limit is written here.
 
 Per-round hook contract: each estimator's update_by_index stays in its own
-class body, called as update_by_index(arm0, k, lo, reward[, rng]) with the
-0-based arm first and, for the censored and Beta estimators, the
-touched-cell count k third; the per-layer benchmark trace wraps it there and
-reads k as the number of cells a round touches.
+class body and is called once per repetition per round, as
+update_by_index(row, k, lo, reward[, rng]) with the row (rep * n_arms +
+0-based arm) first and, for the censored and Beta estimators, the
+touched-cell count k, a plain int, third; the per-layer benchmark trace
+wraps it there and reads k as the number of cells a round touches.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import numpy as np
 from .core import ConfigError, ResourceGrid
 
 
-def _snapshot(grid: ResourceGrid, columns) -> list[dict]:
-    """One JSON-ready dict per [arm, grid point], arm-major, with the arm
-    (1-based), the limit, then key: cast(array[arm, point]) per column."""
-    n = columns[0][2].shape[0]
+def _snapshot(grid: ResourceGrid, n: int, rep: int, columns) -> list[dict]:
+    """One JSON-ready dict per [arm, grid point] of repetition rep, arm-major,
+    with the arm (1-based), the limit, then key: cast(array[row, point]) per
+    column, row = rep * n + arm."""
+    base = rep * n
     return [
         {"arm": i + 1, "tau": float(tau),
-         **{key: cast(values[i, j]) for key, cast, values in columns}}
+         **{key: cast(values[base + i, j]) for key, cast, values in columns}}
         for i in range(n)
         for j, tau in enumerate(grid.points)
     ]
@@ -43,18 +48,19 @@ class _CountSumEstimator:
 
     count_key = "n"
 
-    def __init__(self, n: int, grid: ResourceGrid):
+    def __init__(self, n: int, grid: ResourceGrid, reps: int = 1):
         self.grid = grid
-        self.counts = np.zeros((n, grid.m))
-        self.sums = np.zeros((n, grid.m))
+        self.n = n
+        self.counts = np.zeros((reps * n, grid.m))
+        self.sums = np.zeros((reps * n, grid.m))
 
     def mean_matrix(self) -> np.ndarray:
         """Elementwise mu_hat with zeros where N = 0."""
         return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1.0), 0.0)
 
-    def snapshot(self) -> list[dict]:
-        return _snapshot(self.grid, ((self.count_key, int, self.counts),
-                                     ("sum", float, self.sums)))
+    def snapshot(self, rep: int = 0) -> list[dict]:
+        return _snapshot(self.grid, self.n, rep, ((self.count_key, int, self.counts),
+                                                  ("sum", float, self.sums)))
 
 
 class CensoredMomentEstimator(_CountSumEstimator):
@@ -66,16 +72,16 @@ class CensoredMomentEstimator(_CountSumEstimator):
     single round feed up to m cells instead of one.
     """
 
-    def update_by_index(self, arm0: int, k: int, lo: int, reward: float) -> None:
-        """Count the round in cells [0, k) of arm0, k = grid index of the play + 1,
+    def update_by_index(self, row: int, k: int, lo: int, reward: float) -> None:
+        """Count the round in cells [0, k) of row, k = grid index of the play + 1,
         and add the reward to the admitting cells [lo, k).
 
         A censored round has lo >= k: the slice is empty, and adding to no
         cells leaves every bit as it was, so no branch is needed.
         """
-        touched = self.counts[arm0, :k]
+        touched = self.counts[row, :k]
         touched += 1.0
-        paid = self.sums[arm0, lo:k]
+        paid = self.sums[row, lo:k]
         paid += reward
 
 
@@ -84,10 +90,10 @@ class NaiveEstimator(_CountSumEstimator):
 
     count_key = "t"
 
-    def update_by_index(self, arm0: int, j: int, lo: int, reward: float) -> None:
-        self.counts[arm0, j] += 1.0
+    def update_by_index(self, row: int, j: int, lo: int, reward: float) -> None:
+        self.counts[row, j] += 1.0
         if lo <= j:
-            self.sums[arm0, j] += reward
+            self.sums[row, j] += reward
 
 
 TS_INDICATORS = ("per_pair", "chosen_limit")
@@ -106,31 +112,40 @@ class BetaPosterior:
     """
 
     def __init__(self, n: int, grid: ResourceGrid, prior: tuple[float, float] = (1.0, 1.0),
-                 indicator: str = "per_pair"):
+                 indicator: str = "per_pair", reps: int = 1):
         if not (prior[0] > 0 and prior[1] > 0):
             raise ConfigError("Beta prior parameters must be positive")
         if indicator not in TS_INDICATORS:
             raise ConfigError(f"unknown TS indicator {indicator!r}")
         self.grid = grid
+        self.n = n
         self.prior = (float(prior[0]), float(prior[1]))
         self.indicator = indicator
-        self.successes = np.zeros((n, grid.m))
-        self.failures = np.zeros((n, grid.m))
+        self.successes = np.zeros((reps * n, grid.m))
+        self.failures = np.zeros((reps * n, grid.m))
 
-    def update_by_index(self, arm0: int, k: int, lo: int, reward: float,
+    def update_by_index(self, row: int, k: int, lo: int, reward: float,
                         rng: np.random.Generator) -> None:
-        """One trial in each of the cells [0, k) of arm0, k = grid index of the play + 1;
-        the round is uncensored iff lo < k."""
-        prob = np.zeros(k)
+        """One trial in each of the cells [0, k) of row, k = grid index of the play + 1;
+        the round is uncensored iff lo < k.
+
+        A uniform u < 1 never falls below a success probability of 0, so the
+        cells below lo under "per_pair", and every cell of a censored round,
+        fail whatever their draw; the k uniforms are drawn all the same.
+        """
+        u = rng.random(k)
         if lo < k:
-            prob[lo if self.indicator == "per_pair" else 0:] = reward
-        hit = rng.random(k) < prob
-        self.successes[arm0, :k] += hit
-        self.failures[arm0, :k] += ~hit
+            hit = u < reward
+            if self.indicator == "per_pair":
+                hit[:lo] = False
+            self.successes[row, :k] += hit
+            self.failures[row, :k] += ~hit
+        else:
+            self.failures[row, :k] += 1.0
 
     def posterior_params(self) -> tuple[np.ndarray, np.ndarray]:
         return self.prior[0] + self.successes, self.prior[1] + self.failures
 
-    def snapshot(self) -> list[dict]:
-        return _snapshot(self.grid, (("s", int, self.successes),
-                                     ("f", int, self.failures)))
+    def snapshot(self, rep: int = 0) -> list[dict]:
+        return _snapshot(self.grid, self.n, rep, (("s", int, self.successes),
+                                                  ("f", int, self.failures)))

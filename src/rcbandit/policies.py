@@ -1,16 +1,23 @@
 """Action-selection policies over (arm, resource limit) pairs.
 
-The optimism-based policies keep an index matrix of shape (n_arms, m) and
-pick its argmax with core.argmax_pair, the one statement of the tie-break:
-the smallest resource limit, then the smallest arm index, which keeps runs
-reproducible. The oracle's optimum uses the same function.
+A policy object plays a block of reps repetitions in lockstep: they share the
+round counter t, and each keeps its own statistics (estimator rows
+rep * n + arm, see estimators) and, for the stochastic kinds, its own
+Generator, drawn in rep order. A single episode is a block of one.
 
-A round is one pair of plain values in each direction: Policy.select()
-returns (arm0, j), the 0-based arm and the grid index of the played limit,
-and Policy.update(lo, reward) takes lo = grid.first_admitting(cost) and the
-reward (0.0 when censored). The round is censored iff lo > j, the grid form
-of the censoring rule in core; envs.sample_episode computes lo once per
-episode and the estimators read it, so no cost is compared with a limit here.
+The optimism-based policies compute one (reps, n_arms, m) stack of index
+matrices per round and pick each repetition's argmax with core.argmax_pair,
+the one statement of the tie-break: the smallest resource limit, then the
+smallest arm index, which keeps runs reproducible. The oracle's optimum uses
+the same function.
+
+A round is one list of plain values per repetition in each direction:
+Policy.select() returns (arm0, j), the 0-based arms and the grid indices of
+the played limits, and Policy.update(lo, reward) takes each repetition's
+lo = grid.first_admitting(cost) and reward (0.0 when censored), all in rep
+order. A repetition's round is censored iff its lo > j, the grid form of the
+censoring rule in core; envs.sample_episode computes lo once per episode and
+the estimators read it, so no cost is compared with a limit here.
 
 Every policy starts with the schedule of init_limits, written once here:
 Policy.select plays it, and init_length (which the runners check the horizon
@@ -20,16 +27,20 @@ matrix holds no +inf cell, and an unplayed pair raises UsageError.
 
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
-call, looked up where the tracer patches it, once per round that uses it:
+call, looked up where the tracer patches it:
 
 - Policy.select() and Policy.update(lo, reward), in Policy's class body,
-  called by the episode loop; the trace reads the policy kind from self;
+  called by the block loop once per block-round; the trace reads the policy
+  kind from self;
 - index_matrix in the class bodies of RCUCBPolicy, KLRCUCBPolicy and
-  ModifiedUCBPolicy, called through self;
+  ModifiedUCBPolicy, called through self once per block-round, over the
+  whole block's stack;
 - argmax_pair, defined in core and imported here as a module global, looked
-  up in this module at call time (the oracle's own import stays untraced);
-- each estimator's own update_by_index(arm0, k, lo, reward[, rng]), called
-  through the estimator, with the touched-cell count k third;
+  up in this module at call time, once per block-round (the oracle's own
+  import stays untraced);
+- each estimator's own update_by_index(row, k, lo, reward[, rng]), called
+  through the estimator once per repetition per round, with the
+  touched-cell count k, a plain int, third;
 - GaussianArm.sample (in envs), called through the arm.
 
 Inlining one of them silently zeroes its per-layer metric.
@@ -205,9 +216,9 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
     return out.reshape(counts.shape)
 
 
-def _optimistic_index(estimator, width: float, count_scale: float,
-                      scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """scale * (mu_hat + sqrt(width / (count_scale * N))) + offset per pair.
+def _optimistic_index(estimator, width: float, scale: np.ndarray,
+                      offset: np.ndarray) -> np.ndarray:
+    """scale * (mu_hat + sqrt(width / N)) + offset per pair.
 
     Every N must be >= 1 (see _require_played), so mu_hat = sums / N equals
     mean_matrix(), which divides by max(N, 1). The expression runs as a few
@@ -215,8 +226,7 @@ def _optimistic_index(estimator, width: float, count_scale: float,
     """
     counts = estimator.counts
     _require_played(counts)
-    out = np.multiply(counts, count_scale)
-    np.divide(width, out, out=out)
+    out = np.divide(width, counts)
     np.sqrt(out, out=out)
     out += estimator.sums / counts
     out *= scale
@@ -225,18 +235,21 @@ def _optimistic_index(estimator, width: float, count_scale: float,
 
 
 class Policy:
-    """Base class: strict select/update alternation, round counting, the
-    initialization schedule, and the argmax of index_matrix afterwards."""
+    """Base class for a block of reps repetitions played in lockstep: strict
+    select/update alternation, round counting, the initialization schedule,
+    and the argmax of index_matrix afterwards, one per repetition."""
 
     kind = "base"
 
-    def __init__(self, instance: InstanceSpec):
-        self.instance = instance
+    def __init__(self, instance: InstanceSpec, reps: int = 1):
         self.grid = instance.grid
+        self.n = instance.n
+        self.reps = reps
+        self._first_rows = range(0, reps * self.n, self.n)
         self.t = 0
         self.estimator = None
-        self._arm0 = 0
-        self._j = -1  # grid index of the selection awaiting its update; -1 if none
+        self._arms0: list[int] | None = None  # the selection awaiting its update
+        self._js: list[int] = []
         self._init = init_limits(self.kind, instance.grid.m)
         self._init_rounds = init_length(self.kind, instance)
         scale, offset = objective_vectors(instance.objective, instance.discount,
@@ -244,50 +257,59 @@ class Policy:
         self.scale = scale
         self.offset = offset
 
-    def select(self) -> tuple[int, int]:
-        """(arm0, j): the 0-based arm and the grid index of the limit to play."""
-        if self._j >= 0:
+    def select(self) -> tuple[list[int], list[int]]:
+        """(arm0, j) per repetition, in rep order: the 0-based arms and the grid
+        indices of the limits to play."""
+        if self._arms0 is not None:
             raise UsageError("select called twice without an update in between")
         if self.t < self._init_rounds:
             arm0, step = divmod(self.t, len(self._init))
-            j = self._init[step]
+            arms0, js = [arm0] * self.reps, [self._init[step]] * self.reps
         else:
-            arm0, j = self._choose()
-        self._arm0 = arm0
-        self._j = j
-        return arm0, j
+            arms0, js = self._choose()
+        self._arms0 = arms0
+        self._js = js
+        return arms0, js
 
-    def update(self, lo: int, reward: float) -> None:
-        """Absorb the selected round: lo = grid.first_admitting(cost), so the
-        round was censored iff lo > j, and then reward is 0.0."""
-        j = self._j
-        if j < 0:
+    def update(self, lo: list[int], reward: list[float]) -> None:
+        """Absorb the selected round, one entry per repetition in rep order:
+        lo = grid.first_admitting(cost), so a repetition's round was censored
+        iff its lo > j, and then its reward is 0.0."""
+        if self._arms0 is None:
             raise UsageError("update called before select")
-        self._absorb(self._arm0, j, lo, reward)
-        self._j = -1
+        self._absorb(lo, reward)
+        self._arms0 = None
         self.t += 1
 
-    def _choose(self) -> tuple[int, int]:
+    def _rounds(self, lo, reward):
+        """(first row, arm0, j, lo, reward) of each repetition's round; the
+        played arm's estimator row is first row + arm0 = rep * n + arm0."""
+        return zip(self._first_rows, self._arms0, self._js, lo, reward)
+
+    def _choose(self) -> tuple[list[int], list[int]]:
         return argmax_pair(self.index_matrix())
 
-    def _absorb(self, arm0: int, j: int, lo: int, reward: float) -> None:
+    def _absorb(self, lo: list[int], reward: list[float]) -> None:
         pass
 
-    def snapshot(self) -> list[dict]:
-        """JSON-ready estimator state; empty for estimator-free policies."""
-        return [] if self.estimator is None else self.estimator.snapshot()
+    def snapshot(self, rep: int = 0) -> list[dict]:
+        """JSON-ready estimator state of one repetition; empty for
+        estimator-free policies."""
+        return [] if self.estimator is None else self.estimator.snapshot(rep)
 
 
 class _CensoredPolicy(Policy):
     """What rcucb and klrcucb share: the censored moment estimator, fed every
     cell at or below the played limit."""
 
-    def __init__(self, instance: InstanceSpec):
-        super().__init__(instance)
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid)
+    def __init__(self, instance: InstanceSpec, reps: int = 1):
+        super().__init__(instance, reps)
+        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
 
-    def _absorb(self, arm0, j, lo, reward):
-        self.estimator.update_by_index(arm0, j + 1, lo, reward)
+    def _absorb(self, lo, reward):
+        update = self.estimator.update_by_index
+        for first_row, arm0, j, lo_r, reward_r in self._rounds(lo, reward):
+            update(first_row + arm0, j + 1, lo_r, reward_r)
 
 
 class RCUCBPolicy(_CensoredPolicy):
@@ -301,14 +323,15 @@ class RCUCBPolicy(_CensoredPolicy):
 
     kind = "rcucb"
 
-    def __init__(self, instance: InstanceSpec, alpha: float = 2.0):
-        super().__init__(instance)
+    def __init__(self, instance: InstanceSpec, alpha: float = 2.0, reps: int = 1):
+        super().__init__(instance, reps)
         self.alpha = alpha
 
     def index_matrix(self) -> np.ndarray:
+        """The (reps, n, m) stack of every repetition's index matrix."""
         t = self.t + 1
-        return _optimistic_index(self.estimator, 2.0 * self.alpha * math.log(t), 1.0,
-                                 self.scale, self.offset)
+        return _optimistic_index(self.estimator, 2.0 * self.alpha * math.log(t),
+                                 self.scale, self.offset).reshape(self.reps, self.n, -1)
 
 
 class KLRCUCBPolicy(_CensoredPolicy):
@@ -322,20 +345,27 @@ class KLRCUCBPolicy(_CensoredPolicy):
 
     kind = "klrcucb"
 
-    def __init__(self, instance: InstanceSpec, c: float = 3.0):
-        super().__init__(instance)
+    def __init__(self, instance: InstanceSpec, c: float = 3.0, reps: int = 1):
+        super().__init__(instance, reps)
         self.c = c
 
     def index_matrix(self) -> np.ndarray:
-        """The KL index of every pair that can attain the maximum.
+        """The (reps, n, m) stack of the KL index of every pair that can attain
+        its repetition's maximum.
 
         Those cells carry the exact bits of the full bisection and a cell shown
         to lie strictly below the maximum reads -inf, so argmax_pair picks the
-        pair the full matrix would, ties included. See _klucb_index_matrix.
+        pair the full matrix would, ties included. See _klucb_index_matrix,
+        which bisects one repetition's matrix at a time.
         """
         t = self.t + 1
+        shape = (self.reps, self.n, -1)
         mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
-        return _klucb_index_matrix(mu_eff, self.estimator.counts, t, self.c)
+        return np.stack([
+            _klucb_index_matrix(mu, counts, t, self.c)
+            for mu, counts in zip(mu_eff.reshape(shape),
+                                  self.estimator.counts.reshape(shape))
+        ])
 
 
 class ModifiedUCBPolicy(Policy):
@@ -348,18 +378,23 @@ class ModifiedUCBPolicy(Policy):
 
     kind = "ucb"
 
-    def __init__(self, instance: InstanceSpec, alpha: float = 2.0):
-        super().__init__(instance)
+    def __init__(self, instance: InstanceSpec, alpha: float = 2.0, reps: int = 1):
+        super().__init__(instance, reps)
         self.alpha = alpha
-        self.estimator = NaiveEstimator(instance.n, instance.grid)
+        self.estimator = NaiveEstimator(instance.n, instance.grid, reps)
 
     def index_matrix(self) -> np.ndarray:
+        """The (reps, n, m) stack of every repetition's index matrix."""
         t = self.t + 1
-        return _optimistic_index(self.estimator, self.alpha * math.log(t), 2.0,
-                                 self.scale, self.offset)
+        # alpha ln t / (2 T) as (alpha ln t / 2) / T: halving is exact, so the
+        # quotient, and every bit of the index, is the same
+        return _optimistic_index(self.estimator, self.alpha * math.log(t) / 2.0,
+                                 self.scale, self.offset).reshape(self.reps, self.n, -1)
 
-    def _absorb(self, arm0, j, lo, reward):
-        self.estimator.update_by_index(arm0, j, lo, reward)
+    def _absorb(self, lo, reward):
+        update = self.estimator.update_by_index
+        for first_row, arm0, j, lo_r, reward_r in self._rounds(lo, reward):
+            update(first_row + arm0, j, lo_r, reward_r)
 
 
 class ModifiedTSPolicy(Policy):
@@ -367,39 +402,49 @@ class ModifiedTSPolicy(Policy):
 
     After the same full sweep as the UCB baseline, each round draws
     theta ~ Beta(a0 + S, b0 + F) for every pair (arm-major order from the
-    policy RNG) and plays the argmax of scale * theta + offset.
+    repetition's own RNG, one per repetition in rngs) and plays the argmax of
+    scale * theta + offset.
     """
 
     kind = "ts"
 
-    def __init__(self, instance: InstanceSpec, rng: np.random.Generator,
+    def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator],
                  prior: tuple[float, float] = (1.0, 1.0), indicator: str = "per_pair"):
-        super().__init__(instance)
-        self.rng = rng
+        super().__init__(instance, len(rngs))
+        self.rngs = rngs
         self.estimator = BetaPosterior(instance.n, instance.grid, prior=prior,
-                                       indicator=indicator)
+                                       indicator=indicator, reps=self.reps)
 
-    def _choose(self) -> tuple[int, int]:
+    def _choose(self) -> tuple[list[int], list[int]]:
         a, b = self.estimator.posterior_params()
-        theta = self.rng.beta(a, b)
-        return argmax_pair(self.scale * theta + self.offset)
+        n = self.n
+        theta = np.concatenate([rng.beta(a[row:row + n], b[row:row + n])
+                                for rng, row in zip(self.rngs, self._first_rows)])
+        theta *= self.scale
+        theta += self.offset
+        return argmax_pair(theta.reshape(self.reps, n, -1))
 
-    def _absorb(self, arm0, j, lo, reward):
-        self.estimator.update_by_index(arm0, j + 1, lo, reward, self.rng)
+    def _absorb(self, lo, reward):
+        update = self.estimator.update_by_index
+        rounds = zip(self.rngs, self._rounds(lo, reward))
+        for rng, (first_row, arm0, j, lo_r, reward_r) in rounds:
+            update(first_row + arm0, j + 1, lo_r, reward_r, rng)
 
 
 class UniformRandomPolicy(Policy):
-    """Plays a uniformly random pair every round; a regret-curve anchor."""
+    """Plays a uniformly random pair every round, drawn from each repetition's
+    own RNG; a regret-curve anchor."""
 
     kind = "uniform_random"
 
-    def __init__(self, instance: InstanceSpec, rng: np.random.Generator):
-        super().__init__(instance)
-        self.rng = rng
+    def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator]):
+        super().__init__(instance, len(rngs))
+        self.rngs = rngs
 
-    def _choose(self) -> tuple[int, int]:
-        flat = int(self.rng.integers(self.instance.n * self.grid.m))
-        return flat // self.grid.m, flat % self.grid.m
+    def _choose(self) -> tuple[list[int], list[int]]:
+        m = self.grid.m
+        flat = [int(rng.integers(self.n * m)) for rng in self.rngs]
+        return [f // m for f in flat], [f % m for f in flat]
 
 
 class FixedOraclePolicy(Policy):
@@ -407,41 +452,45 @@ class FixedOraclePolicy(Policy):
 
     kind = "fixed_oracle"
 
-    def __init__(self, instance: InstanceSpec, arm: int, tau_prime: float):
-        super().__init__(instance)
+    def __init__(self, instance: InstanceSpec, arm: int, tau_prime: float, reps: int = 1):
+        super().__init__(instance, reps)
         self._pair = (arm - 1, instance.grid.index_of(tau_prime))
         if not 1 <= arm <= instance.n:
             raise ConfigError(f"arm {arm} outside 1..{instance.n}")
 
-    def _choose(self) -> tuple[int, int]:
-        return self._pair
+    def _choose(self) -> tuple[list[int], list[int]]:
+        return [self._pair[0]] * self.reps, [self._pair[1]] * self.reps
 
 
-def make_policy(spec: PolicySpec, instance: InstanceSpec,
-                rng: np.random.Generator | None = None,
+def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
+                rngs: list[np.random.Generator] | None = None,
                 optimal_pair: tuple[int, float] | None = None) -> Policy:
-    """Instantiate the policy described by spec.
+    """Instantiate the policy described by spec for a block of reps repetitions.
 
-    rng is required by the stochastic policies (ts, uniform_random);
-    optimal_pair = (arm, tau') is required by fixed_oracle.
+    rngs, one Generator per repetition, is required by the stochastic
+    policies (ts, uniform_random); optimal_pair = (arm, tau') is required by
+    fixed_oracle.
     """
+    if rngs is not None and len(rngs) != reps:
+        raise ConfigError(f"{len(rngs)} RNGs for a block of {reps} repetitions")
     if spec.kind == "rcucb":
-        return RCUCBPolicy(instance, alpha=spec.alpha)
+        return RCUCBPolicy(instance, alpha=spec.alpha, reps=reps)
     if spec.kind == "klrcucb":
-        return KLRCUCBPolicy(instance, c=spec.c)
+        return KLRCUCBPolicy(instance, c=spec.c, reps=reps)
     if spec.kind == "ucb":
-        return ModifiedUCBPolicy(instance, alpha=spec.alpha)
+        return ModifiedUCBPolicy(instance, alpha=spec.alpha, reps=reps)
     if spec.kind == "ts":
-        if rng is None:
+        if rngs is None:
             raise ConfigError("ts policy needs an RNG")
-        return ModifiedTSPolicy(instance, rng, prior=spec.prior,
+        return ModifiedTSPolicy(instance, rngs, prior=spec.prior,
                                 indicator=spec.ts_indicator)
     if spec.kind == "uniform_random":
-        if rng is None:
+        if rngs is None:
             raise ConfigError("uniform_random policy needs an RNG")
-        return UniformRandomPolicy(instance, rng)
+        return UniformRandomPolicy(instance, rngs)
     if spec.kind == "fixed_oracle":
         if optimal_pair is None:
             raise ConfigError("fixed_oracle policy needs the oracle's optimal pair")
-        return FixedOraclePolicy(instance, arm=optimal_pair[0], tau_prime=optimal_pair[1])
+        return FixedOraclePolicy(instance, arm=optimal_pair[0], tau_prime=optimal_pair[1],
+                                 reps=reps)
     raise ConfigError(f"unknown policy kind {spec.kind!r}")

@@ -1,16 +1,21 @@
 """Episode runner, regret accounting, aggregation, and empirical tail audits.
 
 Episodes are independent: each gets an environment stream and a policy
-stream derived from its seed, so repetitions can run in worker processes
-and still aggregate exactly as in serial execution. The fold over
-repetitions always happens in repetition-index order.
+stream derived from its seed, so repetitions can run in blocks and in worker
+processes and still aggregate exactly as in serial execution. run_episode
+plays a block of repetitions of one policy in one loop over rounds, with one
+index and one argmax per round for the whole block; a single episode is a
+block of one. The fold over repetitions always happens in repetition-index
+order.
 
 A round is censored by the one statement of the censoring rule in core:
 sample_episode computes lo = ResourceGrid.first_admitting(cost) for every
-round and arm once per episode, the episode loop reads the played arm's lo,
-and the play at grid index j is censored iff lo > j (the audit calls
-core.admits). The initialization schedule a horizon must cover comes from
-policies.init_length. run_episode states the per-round hook contract.
+round and arm once per episode, the block loop reads each repetition's
+played lo, and the play at grid index j is censored iff lo > j (the audit
+calls core.admits). The initialization schedule a horizon must cover comes
+from policies.init_length. run_episode states the per-round hook contract:
+the policy hooks run once per block-round, the estimator update once per
+repetition per round.
 
 The concentration audit draws each run once and evaluates every limit on
 those draws, as nu_table(..., "monte_carlo") does with its per-arm batch.
@@ -22,7 +27,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -123,23 +128,43 @@ def _check_table(table: NuTable, instance: InstanceSpec) -> None:
         raise ConfigError("nu table does not match the instance")
 
 
+class RepetitionError(RuntimeError):
+    """Drawing one repetition's episode failed; position indexes the block's
+    seeds, so the caller can name the repetition."""
+
+    def __init__(self, position: int, seed: int):
+        # the constructor's arguments are the args, so the error pickles
+        super().__init__(position, seed)
+        self.position = position
+
+    def __str__(self) -> str:
+        return f"sampling the episode of seed {self.args[1]} failed"
+
+
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
-                table: NuTable, seed: int, keep_state: bool = False) -> RunTrace:
-    """Play one policy for `horizon` rounds; fully deterministic given seed.
+                table: NuTable, seeds: list[int],
+                keep_state: bool = False) -> list[RunTrace]:
+    """Play one policy for `horizon` rounds on a block of repetitions, one per
+    seed, in lockstep; return their traces in seed order.
 
-    The environment stream and the policy stream are split off the seed, so
-    two policies on the same seed face identical outcome matrices.
+    Each repetition is fully deterministic given its seed, whatever block it
+    is played in: its environment stream and its policy stream are split off
+    its seed, so two policies on the same seed face identical outcome
+    matrices, and a block of one is a single episode. A failed draw raises
+    RepetitionError naming the seed.
 
-    Per-round hook contract: every round calls policy.select() -> (arm0, j)
-    and policy.update(lo, reward) through the policy object, with lo the
-    played arm's grid.first_admitting(cost) from sample_episode and reward
-    0.0 on a censored round (lo > j), so no estimator can read a censored
-    reward. The policy reaches its index_matrix, the module-global
-    policies.argmax_pair and its estimator's update_by_index through their
-    owners; the draws come from each arm's sample(), called by the
-    module-level sample_episode. The benchmark trace (perfbench/tracer.py)
-    wraps exactly these callables to split a round's cost by layer, so
-    inlining one of them silently zeroes that layer's metrics.
+    Per-round hook contract: each round calls policy.select() once for the
+    whole block, -> one (arm0, j) per repetition, and policy.update(lo,
+    reward) once, with each repetition's lo, the played arm's
+    grid.first_admitting(cost) from sample_episode, and reward 0.0 on a
+    censored round (lo > j), so no estimator can read a censored reward. The
+    policy reaches its index_matrix (one call over the block's stack), the
+    module-global policies.argmax_pair (one call) and its estimator's
+    update_by_index (one call per repetition) through their owners; the
+    draws come from each arm's sample(), called by the module-level
+    sample_episode. The benchmark trace (perfbench/tracer.py) wraps exactly
+    these callables to split a round's cost by layer, so inlining one of
+    them silently zeroes that layer's metrics.
     """
     _check_table(table, instance)
     need = init_length(spec.kind, instance)
@@ -148,46 +173,71 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
             f"horizon {horizon} shorter than the {need}-round initialization "
             f"of {spec.kind}"
         )
-    env_rng = np.random.default_rng(mix64(seed, 0))
-    policy_rng = np.random.default_rng(mix64(seed, 1))
-    rewards, lo_matrix = sample_episode(instance, env_rng, horizon)
-    policy = make_policy(spec, instance, rng=policy_rng,
+    draws = []
+    for position, seed in enumerate(seeds):
+        try:
+            draws.append(sample_episode(instance, np.random.default_rng(mix64(seed, 0)),
+                                        horizon))
+        except Exception as exc:
+            raise RepetitionError(position, seed) from exc
+    rewards = [r for r, _ in draws]
+    lo_matrices = [lo for _, lo in draws]
+    del draws
+    reps = len(seeds)
+    policy = make_policy(spec, instance, reps,
+                         rngs=[np.random.default_rng(mix64(seed, 1)) for seed in seeds],
                          optimal_pair=(table.optimal_arm, table.optimal_tau))
 
-    arms0 = np.empty(horizon, dtype=np.int64)
-    tau_idx = np.empty(horizon, dtype=np.int64)
-    censored = np.zeros(horizon, dtype=bool)
-    observed = np.zeros(horizon, dtype=float)
+    # round after round, the arm and limit indices of every repetition, in the
+    # narrowest unsigned type that holds them
+    code = np.min_scalar_type(max(instance.n, instance.grid.m)).char
+    arms_played, limits_played = array(code), array(code)
     for t in range(horizon):
-        arm0, j = policy.select()
-        lo = lo_matrix.item(t, arm0)
-        if lo <= j:
-            r = rewards.item(t, arm0)
-            observed[t] = r
-        else:
-            r = 0.0
-            censored[t] = True
-        policy.update(lo, r)
-        arms0[t] = arm0
-        tau_idx[t] = j
-    del rewards, lo_matrix
+        arms, js = policy.select()
+        lo, reward = [], []
+        for lo_rep, rewards_rep, arm0, j in zip(lo_matrices, rewards, arms, js):
+            lo_r = lo_rep.item(t, arm0)
+            lo.append(lo_r)
+            reward.append(rewards_rep.item(t, arm0) if lo_r <= j else 0.0)
+        policy.update(lo, reward)
+        arms_played.extend(arms)
+        limits_played.extend(js)
+    arms0 = np.frombuffer(arms_played, dtype=code).reshape(horizon, reps)
+    tau_idx = np.frombuffer(limits_played, dtype=code).reshape(horizon, reps)
 
-    counts = np.zeros((instance.n, instance.grid.m), dtype=np.int64)
-    np.add.at(counts, (arms0, tau_idx), 1)
-    inst_regret = table.gap[arms0, tau_idx]
+    # what the traces need of the draws first, freeing each repetition's draws
+    # before the next one's trace arrays are made
+    rounds = np.arange(horizon)
+    outcomes = []
+    for r in range(reps):
+        played = arms0[:, r]
+        censored = lo_matrices[r][rounds, played] > tau_idx[:, r]
+        observed = rewards[r][rounds, played]
+        observed[censored] = 0.0
+        outcomes.append((censored, observed))
+        rewards[r] = lo_matrices[r] = None
+    del rounds
+
     grid = instance.grid.as_array()
-    return RunTrace(
-        arms=arms0 + 1,
-        taus=grid[tau_idx],
-        censored=censored,
-        rewards=observed,
-        inst_regret=inst_regret,
-        cum_regret=np.cumsum(inst_regret),
-        play_counts=counts,
-        censored_share=float(censored.mean()) if horizon else 0.0,
-        realized_total=float(observed.sum()),
-        final_state=policy.snapshot() if keep_state else None,
-    )
+    traces = []
+    for r, (censored, observed) in enumerate(outcomes):
+        played, limit = arms0[:, r], tau_idx[:, r]
+        counts = np.zeros((instance.n, instance.grid.m), dtype=np.int64)
+        np.add.at(counts, (played, limit), 1)
+        inst_regret = table.gap[played, limit]
+        traces.append(RunTrace(
+            arms=np.add(played, 1, dtype=np.int64),
+            taus=grid[limit],
+            censored=censored,
+            rewards=observed,
+            inst_regret=inst_regret,
+            cum_regret=np.cumsum(inst_regret),
+            play_counts=counts,
+            censored_share=float(censored.mean()) if horizon else 0.0,
+            realized_total=float(observed.sum()),
+            final_state=policy.snapshot(r) if keep_state else None,
+        ))
+    return traces
 
 
 def decomposition_check(trace: RunTrace, table: NuTable) -> float:
@@ -200,6 +250,9 @@ def decomposition_check(trace: RunTrace, table: NuTable) -> float:
 _TRACE_HEADER = "rep,round,arm,tau,censored,reward,inst_regret,cum_regret\n"
 AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 
+# draws of the repetitions a block holds at once, at most: bounds run_episode's
+# memory (a block is never smaller than one repetition)
+_BLOCK_BYTES = 64 << 20
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
 # draws the audit evaluates at once, over limits x t_check: bounds its memory
@@ -250,12 +303,30 @@ def _write_trace(handle, rep: int, trace: RunTrace) -> None:
         ))
 
 
+def _blocks(config: ExperimentConfig) -> list[range]:
+    """The repetitions of each policy split into blocks, in rep order.
+
+    A block holds as many repetitions as fit their draws, horizon x n x
+    (8 B of reward + the lo itemsize), into _BLOCK_BYTES, and with workers > 1
+    there are at least as many blocks as workers (reps allowing), so the pool
+    keeps every worker busy.
+    """
+    instance, reps = config.instance, config.repetitions
+    per_rep = config.horizon * instance.n * (8 + np.min_scalar_type(instance.grid.m).itemsize)
+    size = max(1, _BLOCK_BYTES // max(per_rep, 1))
+    if config.workers > 1:
+        size = min(size, -(-reps // config.workers))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
 def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Aggregate:
     """Run reps x policies episodes and fold them into mean/SE curves.
 
-    Episode seeds are mix64(base_seed, policy index, repetition index).
-    With workers > 1 the episodes run in a process pool; results are folded
-    in job order, so the aggregate matches serial execution exactly.
+    Episode seeds are mix64(base_seed, policy index, repetition index). Each
+    policy's repetitions are played in blocks (see _blocks), one run_episode
+    call per block; with workers > 1 the blocks run in a process pool.
+    Traces are folded in job order (policy, then repetition), so the
+    aggregate matches serial execution exactly, whatever the blocks.
     A failed repetition aborts the experiment with its seed in the message.
 
     The table is the caller's, or computed here from the config's oracle
@@ -275,12 +346,13 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
     horizon, reps = config.horizon, config.repetitions
     n_pol = len(config.policies)
-    jobs = [(p, spec, rep, mix64(config.base_seed, p, rep))
-            for p, spec in enumerate(config.policies) for rep in range(reps)]
-    _, specs, rep_ids, seeds = zip(*jobs)
+    rep_blocks = _blocks(config)
+    jobs = [(p, spec, block, [mix64(config.base_seed, p, rep) for rep in block])
+            for p, spec in enumerate(config.policies) for block in rep_blocks]
+    _, specs, blocks, seeds = zip(*jobs)
     # run_episode's arguments, one column each
     columns = (repeat(config.instance), specs, repeat(horizon), repeat(table), seeds,
-               [config.dump_state and rep == 0 for rep in rep_ids])
+               [config.dump_state and block[0] == 0 for block in blocks])
 
     sums = np.zeros((n_pol, horizon))
     sumsq = np.zeros((n_pol, horizon))
@@ -289,35 +361,44 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     residual = np.zeros(n_pol)
     states: dict = {}
 
-    executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+    executor = None
+    if config.workers > 1:
+        # imported here, so a serial run does not pay for the pool's import
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=config.workers)
     handle = None
     try:
         # run_episode is looked up at each call, so a wrapper on sim.run_episode runs
         results = (executor.map if executor else map)(run_episode, *columns)
-        for p, spec, rep, seed in jobs:
+        for p, spec, block, block_seeds in jobs:
             try:
-                trace = next(results)
+                traces = next(results)
             except Exception as exc:
+                i = exc.position if isinstance(exc, RepetitionError) else 0
                 raise RuntimeError(
-                    f"repetition {rep} of policy {spec.label!r} failed (seed {seed})"
+                    f"repetition {block[i]} of policy {spec.label!r} failed "
+                    f"(seed {block_seeds[i]})"
                 ) from exc
-            sums[p] += trace.cum_regret
-            sumsq[p] += trace.cum_regret**2
-            censor[p] += trace.censored_share
-            realized[p] += trace.realized_total
-            residual[p] = max(residual[p], decomposition_check(trace, table))
-            if trace.final_state is not None:
-                states[spec.label] = trace.final_state
-            if out is not None:
-                if rep == 0:
-                    if handle is not None:
-                        handle.close()
-                    handle = open(out / f"trace_{spec.label}.csv", "w",
-                                  encoding="utf-8", newline="")
-                    handle.write(_TRACE_HEADER)
-                _write_trace(handle, rep, trace)
-            # the next episode runs inside next(results): hold no trace across it
-            del trace
+            for rep in block:
+                trace = traces.pop(0)
+                sums[p] += trace.cum_regret
+                sumsq[p] += trace.cum_regret**2
+                censor[p] += trace.censored_share
+                realized[p] += trace.realized_total
+                residual[p] = max(residual[p], decomposition_check(trace, table))
+                if rep == 0 and trace.final_state is not None:
+                    states[spec.label] = trace.final_state
+                if out is not None:
+                    if rep == 0:
+                        if handle is not None:
+                            handle.close()
+                        handle = open(out / f"trace_{spec.label}.csv", "w",
+                                      encoding="utf-8", newline="")
+                        handle.write(_TRACE_HEADER)
+                    _write_trace(handle, rep, trace)
+            # the next block runs inside next(results): hold no trace across it
+            del traces, trace
     finally:
         if handle is not None:
             handle.close()

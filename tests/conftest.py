@@ -1,4 +1,5 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite, and the block-of-one forms of
+the policy round calls."""
 
 from rcbandit.core import DiscountSpec, InstanceSpec, build_grid
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
@@ -71,3 +72,14 @@ BYTE_IDENTITY_CONFIG = {
     "base_seed": 99,
     "workers": 1,
 }
+
+
+def select1(policy):
+    """(arm0, j) of a policy playing a block of one repetition."""
+    (arm0,), (j,) = policy.select()
+    return arm0, j
+
+
+def update1(policy, lo, reward):
+    """Policy.update of a block of one repetition."""
+    policy.update([lo], [reward])

@@ -24,7 +24,13 @@ from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moments
 from rcbandit.policies import PolicySpec, make_policy
 from rcbandit.sim import ExperimentConfig, concentration_audit, run_experiment
 
-from conftest import BYTE_IDENTITY_CONFIG, analytic_instance, gaussian_instance
+from conftest import (
+    BYTE_IDENTITY_CONFIG,
+    analytic_instance,
+    gaussian_instance,
+    select1,
+    update1,
+)
 
 CONFIG_NAMES = ("paper_synthetic_m10", "paper_synthetic_m50", "paper_synthetic_m100")
 
@@ -153,11 +159,11 @@ def test_update_touch_budget(kind, salt):
     total = 0
     rounds = 2000
     for _ in range(rounds):
-        arm0, j = policy.select()
+        arm0, j = select1(policy)
         r, c = instance.arms[arm0].sample(env, 1)
         lo = instance.grid.first_admitting(float(c[0]))
         before = policy.estimator.counts.sum()
-        policy.update(lo, float(r[0]) if lo <= j else 0.0)
+        update1(policy, lo, float(r[0]) if lo <= j else 0.0)
         touched = policy.estimator.counts.sum() - before
         assert 1 <= touched <= m
         total += touched

@@ -161,6 +161,23 @@ def test_sample_episode_holds_no_cost_matrix():
     assert peak / (horizon * inst.n) < 12.0
 
 
+def test_gaussian_sample_holds_row_blocks():
+    """Peak traced memory of 50 000 truncated draws stays below 24 B per draw:
+    16 B of reward and cost, plus row-block buffers. One (2 x size, 2) normal
+    block and its product would add 64 B per draw."""
+    arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
+    size = 50_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        draws = arm.sample(np.random.default_rng(0), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del draws
+    assert peak / size < 24.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: DegenerateArm(r0=0.5, c0=float("nan")),
     lambda: DegenerateArm(r0=0.5, c0=-0.1),

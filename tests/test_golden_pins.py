@@ -88,9 +88,11 @@ def test_small_config_pin(kind, small_setup):
     config, table = small_setup
     p = [spec.kind for spec in config.policies].index(kind)
     h = hashlib.sha256()
-    for rep in range(config.repetitions):
-        _update(h, run_episode(config.instance, config.policies[p], config.horizon,
-                               table, mix64(config.base_seed, p, rep)))
+    # every repetition in one block, as run_experiment plays them
+    seeds = [mix64(config.base_seed, p, rep) for rep in range(config.repetitions)]
+    for trace in run_episode(config.instance, config.policies[p], config.horizon,
+                             table, seeds):
+        _update(h, trace)
     assert h.hexdigest() == SMALL_PINS[kind]
 
 
@@ -99,7 +101,8 @@ def test_gaussian_episode_pin(kind, gaussian_setup):
     instance, table = gaussian_setup
     horizon, digest = GAUSSIAN_PINS[kind]
     h = hashlib.sha256()
-    _update(h, run_episode(instance, PolicySpec(kind), horizon, table, GAUSSIAN_SEED))
+    (trace,) = run_episode(instance, PolicySpec(kind), horizon, table, [GAUSSIAN_SEED])
+    _update(h, trace)
     assert h.hexdigest() == digest
 
 
@@ -107,8 +110,9 @@ def test_m100_klrcucb_pin():
     config = load_config("paper_synthetic_m100")
     horizon, digest = M100_KL_PIN
     h = hashlib.sha256()
-    _update(h, run_episode(config.instance, PolicySpec("klrcucb"), horizon,
-                           _config_table(config), GAUSSIAN_SEED))
+    (trace,) = run_episode(config.instance, PolicySpec("klrcucb"), horizon,
+                           _config_table(config), [GAUSSIAN_SEED])
+    _update(h, trace)
     assert h.hexdigest() == digest
 
 

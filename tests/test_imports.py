@@ -1,6 +1,10 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Import hygiene: every name a module imports is read somewhere in that
+module, and importing the CLI leaves the process pool out."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,14 @@ def test_scan_sees_an_unread_import():
 )
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """Only a run with workers > 1 imports concurrent.futures, so the CLI's
+    start-up does not pay for it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    probe = "import sys, rcbandit.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

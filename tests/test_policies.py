@@ -32,7 +32,7 @@ from rcbandit.policies import (
     make_policy,
 )
 
-from conftest import gaussian_instance
+from conftest import gaussian_instance, select1, update1
 
 # independently evaluated index values at t=10, mu_hat=0.9, N=4, alpha=2,
 # linear discount with tau_max=1 on grid points 0.25 / 0.5
@@ -112,8 +112,8 @@ def test_rcucb_initialization_order():
     pol = RCUCBPolicy(inst)
     seen = []
     for _ in range(3):
-        seen.append(pol.select())
-        pol.update(*CENSORED)
+        seen.append(select1(pol))
+        update1(pol, *CENSORED)
     assert seen == [(0, 1), (1, 1), (2, 1)]
     # every cell was fed by the maximal-limit plays
     assert np.all(pol.estimator.counts >= 1)
@@ -122,10 +122,10 @@ def test_rcucb_initialization_order():
 def test_rcucb_index_values():
     pol = RCUCBPolicy(_inst(), alpha=2.0)
     _inject(pol, counts=4.0, mu=0.9, t=10)
-    idx = pol.index_matrix()
+    idx = pol.index_matrix()[0]
     assert idx[0, 0] == pytest.approx(RCUCB_IDX_A, abs=1e-12)
     assert idx[0, 1] == pytest.approx(RCUCB_IDX_B, abs=1e-12)
-    assert pol.select() == (0, 0)
+    assert select1(pol) == (0, 0)
 
 
 def test_rcucb_unplayed_pair_raises():
@@ -136,7 +136,7 @@ def test_rcucb_unplayed_pair_raises():
     with pytest.raises(UsageError, match="N >= 1"):
         pol.index_matrix()
     with pytest.raises(UsageError, match="N >= 1"):
-        pol.select()
+        select1(pol)
 
 
 def test_rcucb_tie_break_smallest_tau_then_arm():
@@ -144,7 +144,7 @@ def test_rcucb_tie_break_smallest_tau_then_arm():
     inst = _inst(n_arms=2, objective=AdditiveCost(scale=0.0))
     pol = RCUCBPolicy(inst)
     _inject(pol, counts=4.0, mu=0.5, t=10)
-    assert pol.select() == (0, 0)
+    assert select1(pol) == (0, 0)
 
 
 def test_argmax_pair_scan_order_and_scale_invariance():
@@ -192,7 +192,7 @@ def test_index_fast_path_is_bit_identical(cls, m, objective):
             with pytest.raises(UsageError):
                 pol.index_matrix()
             continue
-        idx = pol.index_matrix()
+        idx = pol.index_matrix()[0]
         assert np.array_equal(idx, _reference_index(pol))
         assert np.isfinite(idx).all()
 
@@ -202,22 +202,22 @@ def test_ucb_sweep_order():
     pol = ModifiedUCBPolicy(inst)
     seen = []
     for _ in range(4):
-        seen.append(pol.select())
-        pol.update(*CENSORED)
+        seen.append(select1(pol))
+        update1(pol, *CENSORED)
     assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_ucb_index_value():
     pol = ModifiedUCBPolicy(_inst(), alpha=2.0)
     _inject(pol, counts=4.0, mu=0.9, t=10)
-    assert pol.index_matrix()[0, 0] == pytest.approx(UCB_IDX, abs=1e-12)
+    assert pol.index_matrix()[0][0, 0] == pytest.approx(UCB_IDX, abs=1e-12)
 
 
 def test_ucb_tie_break():
     inst = _inst(n_arms=3, objective=AdditiveCost(scale=0.0))
     pol = ModifiedUCBPolicy(inst)
     _inject(pol, counts=2.0, mu=0.3, t=20)
-    assert pol.select() == (0, 0)
+    assert select1(pol) == (0, 0)
 
 
 def test_kl_bernoulli_values():
@@ -270,14 +270,14 @@ def test_klucb_index_domain():
 def test_klrcucb_select_and_init():
     inst = _inst(n_arms=2, points=(0.5,))
     pol = KLRCUCBPolicy(inst)
-    assert pol.select() == (0, 0)
-    pol.update(*CENSORED)
-    assert pol.select() == (1, 0)
-    pol.update(*CENSORED)
+    assert select1(pol) == (0, 0)
+    update1(pol, *CENSORED)
+    assert select1(pol) == (1, 0)
+    update1(pol, *CENSORED)
 
     # equal statistics: tie-break to arm 1
     _inject(pol, counts=3.0, mu=0.4, t=10)
-    assert pol.select() == (0, 0)
+    assert select1(pol) == (0, 0)
 
 
 def test_klrcucb_smaller_count_larger_index():
@@ -286,12 +286,12 @@ def test_klrcucb_smaller_count_larger_index():
     _inject(pol, counts=5.0, mu=0.4, t=50)
     pol.estimator.counts[1, 0] = 2.0
     pol.estimator.sums[1, 0] = 0.8  # same mu_hat = 0.4, so mu_eff = 0.2 for both
-    idx = pol.index_matrix()
+    idx = pol.index_matrix()[0]
     # compared with the scalar index of the larger count, not with idx[0, 0],
     # which the pruned bisection may leave at -inf
     assert idx[1, 0] == pytest.approx(klucb_index(0.2, 2, 50, 3.0), abs=1e-9)
     assert idx[1, 0] > klucb_index(0.2, 5, 50, 3.0) + 1e-6
-    assert pol.select() == (1, 0)
+    assert select1(pol) == (1, 0)
 
 
 def _reference_klucb_matrix(mu_eff, counts, t, c):
@@ -345,7 +345,7 @@ def test_klucb_pruning_is_bit_identical(m):
                 pol.index_matrix()
             continue
         ref = _reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c)
-        idx = pol.index_matrix()
+        idx = pol.index_matrix()[0]
         assert argmax_pair(idx) == argmax_pair(ref)
         finite = np.isfinite(idx)
         assert np.array_equal(idx[finite], ref[finite])
@@ -369,65 +369,65 @@ def test_klrcucb_matches_scalar_index():
     pol = KLRCUCBPolicy(inst, c=0.0)
     _inject(pol, counts=10.0, mu=1.0, t=100)
     # mu_eff = gamma(0.5) * 1.0 = 0.5, N=10, t=100
-    assert pol.index_matrix()[0, 0] == pytest.approx(KLUCB_IDX, abs=1e-6)
+    assert pol.index_matrix()[0][0, 0] == pytest.approx(KLUCB_IDX, abs=1e-6)
 
 
 def test_ts_single_pair_always_selected():
     inst = _inst(n_arms=1, points=(0.5,))
-    pol = ModifiedTSPolicy(inst, np.random.default_rng(0))
+    pol = ModifiedTSPolicy(inst, [np.random.default_rng(0)])
     for _ in range(10):
-        assert pol.select() == (0, 0)
-        pol.update(*CENSORED)
+        assert select1(pol) == (0, 0)
+        update1(pol, *CENSORED)
 
 
 def test_ts_zero_discount_pair_never_selected():
     inst = _inst(n_arms=1, points=(0.5, 1.0))  # linear discount: gamma(1.0) = 0
-    pol = ModifiedTSPolicy(inst, np.random.default_rng(1))
+    pol = ModifiedTSPolicy(inst, [np.random.default_rng(1)])
     limits = []
     for t in range(200):
-        _, j = pol.select()
+        _, j = select1(pol)
         if t >= 2:  # past the sweep
             limits.append(j)
-        pol.update(inst.grid.first_admitting(0.1), 1.0)  # cost 0.1, reward 1
+        update1(pol, inst.grid.first_admitting(0.1), 1.0)  # cost 0.1, reward 1
     assert set(limits) == {0}  # the limit 0.5
 
 
 def test_ts_posterior_concentration():
     inst = _inst(n_arms=2, points=(0.5,))
-    pol = ModifiedTSPolicy(inst, np.random.default_rng(2))
+    pol = ModifiedTSPolicy(inst, [np.random.default_rng(2)])
     pol.t = 2  # past the sweep
     pol.estimator.successes[0, 0] = 1_000_000
     pol.estimator.failures[1, 0] = 1_000_000
     wins = 0
     rounds = 10_000
     for _ in range(rounds):
-        arm0, _ = pol.select()
+        arm0, _ = select1(pol)
         wins += arm0 == 0
-        pol.update(*CENSORED)
+        update1(pol, *CENSORED)
     assert wins / rounds >= 0.999
 
 
 def test_ts_sweep_matches_ucb_sweep():
     inst = _inst(n_arms=2, points=(0.5, 1.0))
-    pol = ModifiedTSPolicy(inst, np.random.default_rng(3))
+    pol = ModifiedTSPolicy(inst, [np.random.default_rng(3)])
     seen = []
     for _ in range(4):
-        seen.append(pol.select())
-        pol.update(*CENSORED)
+        seen.append(select1(pol))
+        update1(pol, *CENSORED)
     assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_alternation_enforced():
     pol = RCUCBPolicy(_inst())
     with pytest.raises(UsageError):
-        pol.update(*CENSORED)
-    pol.select()
+        update1(pol, *CENSORED)
+    select1(pol)
     with pytest.raises(UsageError):
-        pol.select()
-    pol.update(*CENSORED)
+        select1(pol)
+    update1(pol, *CENSORED)
     assert pol.t == 1
     with pytest.raises(UsageError):
-        pol.update(*CENSORED)
+        update1(pol, *CENSORED)
     assert pol.t == 1
 
 
@@ -435,19 +435,19 @@ def test_t_counts_cycles():
     pol = ModifiedUCBPolicy(_inst(n_arms=2))
     for k in range(6):
         assert pol.t == k
-        pol.select()
-        pol.update(*CENSORED)
+        select1(pol)
+        update1(pol, *CENSORED)
 
 
 def test_uniform_random_covers_pairs():
     inst = _inst(n_arms=2, points=(0.25, 0.5, 0.75, 1.0))
-    pol = UniformRandomPolicy(inst, np.random.default_rng(4))
+    pol = UniformRandomPolicy(inst, [np.random.default_rng(4)])
     counts = {}
     rounds = 4000
     for _ in range(rounds):
-        pair = pol.select()
+        pair = select1(pol)
         counts[pair] = counts.get(pair, 0) + 1
-        pol.update(*CENSORED)
+        update1(pol, *CENSORED)
     assert len(counts) == 8
     for c in counts.values():
         assert abs(c / rounds - 0.125) < 0.021
@@ -457,8 +457,8 @@ def test_fixed_oracle_policy():
     inst = _inst(n_arms=2)
     pol = FixedOraclePolicy(inst, arm=2, tau_prime=0.25)
     for _ in range(5):
-        assert pol.select() == (1, 0)
-        pol.update(*CENSORED)
+        assert select1(pol) == (1, 0)
+        update1(pol, *CENSORED)
     with pytest.raises(ConfigError):
         FixedOraclePolicy(inst, arm=3, tau_prime=0.25)
 
@@ -501,9 +501,9 @@ def test_make_policy_dispatch():
     assert isinstance(make_policy(PolicySpec("rcucb"), inst), RCUCBPolicy)
     assert isinstance(make_policy(PolicySpec("klrcucb"), inst), KLRCUCBPolicy)
     assert isinstance(make_policy(PolicySpec("ucb"), inst), ModifiedUCBPolicy)
-    assert isinstance(make_policy(PolicySpec("ts"), inst, rng=rng), ModifiedTSPolicy)
+    assert isinstance(make_policy(PolicySpec("ts"), inst, rngs=[rng]), ModifiedTSPolicy)
     assert isinstance(
-        make_policy(PolicySpec("uniform_random"), inst, rng=rng), UniformRandomPolicy
+        make_policy(PolicySpec("uniform_random"), inst, rngs=[rng]), UniformRandomPolicy
     )
     assert isinstance(
         make_policy(PolicySpec("fixed_oracle"), inst, optimal_pair=(1, 0.25)),
@@ -513,13 +513,15 @@ def test_make_policy_dispatch():
         make_policy(PolicySpec("ts"), inst)
     with pytest.raises(ConfigError):
         make_policy(PolicySpec("fixed_oracle"), inst)
+    with pytest.raises(ConfigError, match="RNGs"):
+        make_policy(PolicySpec("ts"), inst, reps=2, rngs=[rng])
 
 
 def test_snapshot_shapes():
     inst = _inst(n_arms=1)
     pol = RCUCBPolicy(inst)
-    pol.select()
-    pol.update(*CENSORED)
+    select1(pol)
+    update1(pol, *CENSORED)
     snap = pol.snapshot()
     assert len(snap) == 2 and {"arm", "tau", "n", "sum"} == set(snap[0])
-    assert UniformRandomPolicy(inst, np.random.default_rng(0)).snapshot() == []
+    assert UniformRandomPolicy(inst, [np.random.default_rng(0)]).snapshot() == []

@@ -32,10 +32,16 @@ from rcbandit.sim import (
     run_experiment,
 )
 
-from conftest import analytic_instance, two_degenerate_instance
+from conftest import analytic_instance, gaussian_instance, two_degenerate_instance
 
 UNIFORM_MEAN_GAP = 0.50625
 UNIFORM_TOL = 0.00736  # 3 * std(gap) / sqrt(10^4)
+
+
+def _episode(instance, spec, horizon, table, seed, keep_state=False) -> RunTrace:
+    """The trace of run_episode on a block of one repetition."""
+    (trace,) = run_episode(instance, spec, horizon, table, [seed], keep_state)
+    return trace
 
 
 def _traces_equal(a: RunTrace, b: RunTrace) -> bool:
@@ -52,9 +58,9 @@ def test_identical_seeds_identical_traces():
     inst = analytic_instance()
     tab = nu_table(inst)
     spec = PolicySpec("rcucb")
-    a = run_episode(inst, spec, 500, tab, seed=42)
-    b = run_episode(inst, spec, 500, tab, seed=42)
-    c = run_episode(inst, spec, 500, tab, seed=43)
+    a = _episode(inst, spec, 500, tab, seed=42)
+    b = _episode(inst, spec, 500, tab, seed=42)
+    c = _episode(inst, spec, 500, tab, seed=43)
     assert _traces_equal(a, b)
     assert not _traces_equal(a, c)
 
@@ -66,7 +72,7 @@ def test_single_pair_instance_has_zero_regret():
         discount=DiscountSpec("linear"),
     )
     tab = nu_table(inst)
-    trace = run_episode(inst, PolicySpec("rcucb"), 200, tab, seed=1)
+    trace = _episode(inst, PolicySpec("rcucb"), 200, tab, seed=1)
     assert np.all(trace.cum_regret == 0.0)
     assert np.all(trace.inst_regret == 0.0)
 
@@ -74,7 +80,7 @@ def test_single_pair_instance_has_zero_regret():
 def test_fixed_oracle_has_zero_regret():
     inst = analytic_instance()
     tab = nu_table(inst)
-    trace = run_episode(inst, PolicySpec("fixed_oracle"), 300, tab, seed=9)
+    trace = _episode(inst, PolicySpec("fixed_oracle"), 300, tab, seed=9)
     assert np.all(trace.cum_regret == 0.0)
     assert np.all(trace.arms == tab.optimal_arm)
     assert np.all(trace.taus == tab.optimal_tau)
@@ -83,7 +89,7 @@ def test_fixed_oracle_has_zero_regret():
 def test_uniform_random_mean_regret_matches_gap_average():
     inst = two_degenerate_instance()
     tab = nu_table(inst)
-    trace = run_episode(inst, PolicySpec("uniform_random"), 10_000, tab, seed=12)
+    trace = _episode(inst, PolicySpec("uniform_random"), 10_000, tab, seed=12)
     per_round = trace.cum_regret[-1] / trace.horizon
     assert abs(per_round - UNIFORM_MEAN_GAP) <= UNIFORM_TOL
 
@@ -92,7 +98,7 @@ def test_trace_invariants():
     inst = analytic_instance()
     tab = nu_table(inst)
     for kind in ("rcucb", "klrcucb", "ucb", "ts", "uniform_random"):
-        trace = run_episode(inst, PolicySpec(kind), 400, tab, seed=77)
+        trace = _episode(inst, PolicySpec(kind), 400, tab, seed=77)
         assert trace.horizon == 400
         assert np.all(np.diff(trace.cum_regret) >= 0)
         assert np.all(trace.inst_regret >= 0)
@@ -105,10 +111,10 @@ def test_trace_invariants():
 def test_decomposition_empty_and_all_optimal():
     inst = two_degenerate_instance()
     tab = nu_table(inst)
-    empty = run_episode(inst, PolicySpec("uniform_random"), 0, tab, seed=3)
+    empty = _episode(inst, PolicySpec("uniform_random"), 0, tab, seed=3)
     assert empty.horizon == 0
     assert decomposition_check(empty, tab) == 0.0
-    optimal = run_episode(inst, PolicySpec("fixed_oracle"), 250, tab, seed=3)
+    optimal = _episode(inst, PolicySpec("fixed_oracle"), 250, tab, seed=3)
     assert decomposition_check(optimal, tab) == 0.0
     assert optimal.cum_regret[-1] == 0.0
 
@@ -117,14 +123,14 @@ def test_run_episode_horizon_validation():
     inst = analytic_instance()
     tab = nu_table(inst)
     with pytest.raises(ConfigError, match="initialization"):
-        run_episode(inst, PolicySpec("ucb"), 5, tab, seed=0)
+        _episode(inst, PolicySpec("ucb"), 5, tab, seed=0)
 
 
 def test_run_episode_table_mismatch():
     inst = analytic_instance()
     other = nu_table(two_degenerate_instance())
     with pytest.raises(ConfigError, match="nu table does not match the instance"):
-        run_episode(inst, PolicySpec("rcucb"), 100, other, seed=0)
+        _episode(inst, PolicySpec("rcucb"), 100, other, seed=0)
 
 
 def test_cost_at_a_grid_point_is_censored_only_below_it():
@@ -132,14 +138,14 @@ def test_cost_at_a_grid_point_is_censored_only_below_it():
     inst = InstanceSpec(arms=(DegenerateArm(r0=0.8, c0=grid.points[1]),), grid=grid,
                         discount=DiscountSpec("linear"))
     tab = nu_table(inst)
-    played = run_episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
+    played = _episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
     at_or_above = played.taus >= grid.points[1]
     assert at_or_above.any() and not at_or_above.all()
     np.testing.assert_array_equal(played.censored, ~at_or_above)
     np.testing.assert_array_equal(played.rewards, np.where(at_or_above, 0.8, 0.0))
     # the estimator credits the reward to the cells that admit the cost, which
     # the oracle's closed form agrees with
-    rcucb = run_episode(inst, PolicySpec("rcucb"), 50, tab, seed=2, keep_state=True)
+    rcucb = _episode(inst, PolicySpec("rcucb"), 50, tab, seed=2, keep_state=True)
     for cell, mu in zip(rcucb.final_state, tab.mu[0]):
         if cell["tau"] >= grid.points[1]:
             assert cell["sum"] == pytest.approx(0.8 * cell["n"]) and cell["n"] > 0
@@ -180,8 +186,8 @@ def test_config_validation():
 def test_single_repetition_aggregate():
     cfg = _small_config(repetitions=1, policies=(PolicySpec("rcucb"),))
     agg = run_experiment(cfg)
-    trace = run_episode(cfg.instance, cfg.policies[0], cfg.horizon, agg.table,
-                        seed=mix64(5, 0, 0))
+    trace = _episode(cfg.instance, cfg.policies[0], cfg.horizon, agg.table,
+                     seed=mix64(5, 0, 0))
     assert np.array_equal(agg.mean_cum_regret[0], trace.cum_regret)
     assert np.all(agg.stderr_cum_regret == 0.0)
 
@@ -224,6 +230,87 @@ def test_failed_repetition_names_its_seed():
     seed = mix64(99, 0, 0)
     with pytest.raises(RuntimeError, match=str(seed)):
         run_experiment(cfg, table=tab)
+
+
+class _NanCostOnStream:
+    """A point mass whose draw from one given stream has a NaN cost."""
+
+    def __init__(self, stream_seed: int):
+        self.state = np.random.default_rng(stream_seed).bit_generator.state
+
+    def sample(self, rng, size):
+        cost = np.nan if rng.bit_generator.state == self.state else 0.5
+        return np.full(size, 0.5), np.full(size, cost)
+
+
+def test_failed_repetition_in_a_block_names_its_seed():
+    grid = build_grid(2, 1.0)
+    seed = mix64(99, 0, 1)
+    # repetition 1's environment stream is mix64(seed, 0)
+    bad = InstanceSpec(arms=(_NanCostOnStream(mix64(seed, 0)),), grid=grid,
+                       discount=DiscountSpec("linear"))
+    tab = nu_table(InstanceSpec(arms=(DegenerateArm(r0=0.5, c0=0.5),), grid=grid,
+                                discount=DiscountSpec("linear")))
+    cfg = ExperimentConfig(instance=bad, policies=(PolicySpec("uniform_random"),),
+                           horizon=10, repetitions=2, base_seed=99)
+    assert sim._blocks(cfg) == [range(2)]
+    with pytest.raises(RuntimeError,
+                       match=rf"repetition 1 of policy 'uniform_random' failed \(seed {seed}\)"):
+        run_experiment(cfg, table=tab)
+
+
+BLOCK_SPECS = [PolicySpec(kind) for kind in
+               ("rcucb", "klrcucb", "ucb", "uniform_random", "fixed_oracle")] + [
+    PolicySpec("ts", ts_indicator=indicator) for indicator in ("per_pair", "chosen_limit")]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS,
+                         ids=[f"{s.kind}-{s.ts_indicator}" if s.kind == "ts" else s.kind
+                              for s in BLOCK_SPECS])
+def test_block_matches_blocks_of_one(spec):
+    """A block of five repetitions plays each exactly as a block of one does."""
+    inst = gaussian_instance(4)
+    tab = nu_table(inst)
+    seeds = [mix64(31, rep) for rep in range(5)]
+    block = run_episode(inst, spec, 300, tab, seeds, keep_state=True)
+    assert len(block) == len(seeds)
+    for trace, seed in zip(block, seeds):
+        alone = _episode(inst, spec, 300, tab, seed, keep_state=True)
+        assert _traces_equal(trace, alone)
+        assert trace.final_state == alone.final_state
+    assert not _traces_equal(block[0], block[1])
+
+
+def _artifacts(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uneven_blocks_match_blocks_of_one(monkeypatch, tmp_path, workers):
+    inst = analytic_instance()
+    cfg = _small_config(repetitions=5, workers=workers, dump_state=True)
+    per_rep = cfg.horizon * inst.n * 9  # 8 B of reward and 1 B of lo per round and arm
+    runs = {}
+    for name, budget in (("single", per_rep), ("uneven", 2 * per_rep)):
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+        blocks = sim._blocks(cfg)
+        runs[name] = (blocks, run_experiment(dataclasses.replace(
+            cfg, output_dir=tmp_path / name)), _artifacts(tmp_path / name))
+    assert runs["single"][0] == [range(rep, rep + 1) for rep in range(5)]
+    assert runs["uneven"][0] == [range(0, 2), range(2, 4), range(4, 5)]
+    (_, one, one_files), (_, uneven, uneven_files) = runs["single"], runs["uneven"]
+    for field in ("mean_cum_regret", "stderr_cum_regret", "censored_share",
+                  "mean_realized_total", "max_residual"):
+        assert np.array_equal(getattr(one, field), getattr(uneven, field)), field
+    assert one.final_states == uneven.final_states
+    assert one_files == uneven_files
+
+
+def test_blocks_leave_every_worker_busy(monkeypatch):
+    cfg = _small_config(repetitions=5, workers=2)
+    assert sim._blocks(cfg) == [range(0, 3), range(3, 5)]
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
+    assert sim._blocks(cfg) == [range(rep, rep + 1) for rep in range(5)]
 
 
 def test_persistence_round_trip(tmp_path):
@@ -332,7 +419,7 @@ def test_trace_writer_matches_csv_writer(monkeypatch):
     monkeypatch.setattr(sim, "_WRITE_CHUNK", 64)
     inst = analytic_instance()
     tab = nu_table(inst)
-    trace = run_episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
+    trace = _episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
     assert 0 < trace.censored.sum() < trace.horizon
     signed = trace.inst_regret.copy()
     signed[:4] = (0.0, -0.0, 0.0, -0.0)
