@@ -194,6 +194,17 @@ class TraceArm:
         return float(np.mean(r * admits(c, tau_prime)))
 
 
+def _lo_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every grid index 0..m."""
+    return np.min_scalar_type(m)
+
+
+def episode_nbytes(instance: InstanceSpec, horizon: int) -> int:
+    """Bytes of the (rewards, lo) matrices sample_episode returns for horizon."""
+    per_arm = np.dtype(np.float64).itemsize + _lo_dtype(instance.grid.m).itemsize
+    return horizon * instance.n * per_arm
+
+
 def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
                    horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw a whole episode as (horizon, n) matrices (rewards, lo).
@@ -208,7 +219,7 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
     """
     grid = instance.grid
     rewards = np.empty((horizon, instance.n))
-    lo = np.empty((horizon, instance.n), dtype=np.min_scalar_type(grid.m))
+    lo = np.empty((horizon, instance.n), dtype=_lo_dtype(grid.m))
     for i, arm in enumerate(instance.arms):
         r, c = arm.sample(rng, horizon)
         rewards[:, i] = r

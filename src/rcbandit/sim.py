@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
-from .envs import sample_episode
+from .envs import episode_nbytes, sample_episode
 from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moments
 from .policies import PolicySpec, init_length, make_policy
 
@@ -128,19 +128,6 @@ def _check_table(table: NuTable, instance: InstanceSpec) -> None:
         raise ConfigError("nu table does not match the instance")
 
 
-class RepetitionError(RuntimeError):
-    """Drawing one repetition's episode failed; position indexes the block's
-    seeds, so the caller can name the repetition."""
-
-    def __init__(self, position: int, seed: int):
-        # the constructor's arguments are the args, so the error pickles
-        super().__init__(position, seed)
-        self.position = position
-
-    def __str__(self) -> str:
-        return f"sampling the episode of seed {self.args[1]} failed"
-
-
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
                 table: NuTable, seeds: list[int],
                 keep_state: bool = False) -> list[RunTrace]:
@@ -151,7 +138,8 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     is played in: its environment stream and its policy stream are split off
     its seed, so two policies on the same seed face identical outcome
     matrices, and a block of one is a single episode. A failed draw raises
-    RepetitionError naming the seed.
+    its own exception, with attribute seed_index set to its seed's index in
+    seeds (an instance attribute, so it pickles with the exception).
 
     Per-round hook contract: each round calls policy.select() once for the
     whole block, -> one (arm0, j) per repetition, and policy.update(lo,
@@ -174,12 +162,13 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
             f"of {spec.kind}"
         )
     draws = []
-    for position, seed in enumerate(seeds):
+    for index, seed in enumerate(seeds):
         try:
             draws.append(sample_episode(instance, np.random.default_rng(mix64(seed, 0)),
                                         horizon))
         except Exception as exc:
-            raise RepetitionError(position, seed) from exc
+            exc.seed_index = index
+            raise
     rewards = [r for r, _ in draws]
     lo_matrices = [lo for _, lo in draws]
     del draws
@@ -250,9 +239,15 @@ def decomposition_check(trace: RunTrace, table: NuTable) -> float:
 _TRACE_HEADER = "rep,round,arm,tau,censored,reward,inst_regret,cum_regret\n"
 AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 
-# draws of the repetitions a block holds at once, at most: bounds run_episode's
-# memory (a block is never smaller than one repetition)
-_BLOCK_BYTES = 64 << 20
+# draws and traces of the repetitions a block holds at once, at most: bounds
+# run_episode's memory (a block is never smaller than one repetition). The
+# bundled configs (10 arms, horizon 50 000) get blocks of 5, where the speed-up
+# of a larger block has levelled off and each repetition adds about 4.3 MB of
+# peak RSS
+_BLOCK_BYTES = 32 << 20
+# RunTrace's arrays per round: arms, taus, rewards, inst_regret and cum_regret
+# at 8 B, censored at 1 B
+_TRACE_ROUND_BYTES = 41
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
 # draws the audit evaluates at once, over limits x t_check: bounds its memory
@@ -303,17 +298,21 @@ def _write_trace(handle, rep: int, trace: RunTrace) -> None:
         ))
 
 
+def _rep_bytes(config: ExperimentConfig) -> int:
+    """Bytes one repetition of a block holds, at most: its draws and its trace."""
+    return (episode_nbytes(config.instance, config.horizon)
+            + config.horizon * _TRACE_ROUND_BYTES)
+
+
 def _blocks(config: ExperimentConfig) -> list[range]:
     """The repetitions of each policy split into blocks, in rep order.
 
-    A block holds as many repetitions as fit their draws, horizon x n x
-    (8 B of reward + the lo itemsize), into _BLOCK_BYTES, and with workers > 1
-    there are at least as many blocks as workers (reps allowing), so the pool
-    keeps every worker busy.
+    A block holds as many repetitions as fit _rep_bytes each into
+    _BLOCK_BYTES, and with workers > 1 there are at least as many blocks as
+    workers (reps allowing), so the pool keeps every worker busy.
     """
-    instance, reps = config.instance, config.repetitions
-    per_rep = config.horizon * instance.n * (8 + np.min_scalar_type(instance.grid.m).itemsize)
-    size = max(1, _BLOCK_BYTES // max(per_rep, 1))
+    reps = config.repetitions
+    size = max(1, _BLOCK_BYTES // _rep_bytes(config))
     if config.workers > 1:
         size = min(size, -(-reps // config.workers))
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
@@ -375,10 +374,15 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
             try:
                 traces = next(results)
             except Exception as exc:
-                i = exc.position if isinstance(exc, RepetitionError) else 0
+                # a failure with no seed_index is the whole block's
+                i = getattr(exc, "seed_index", 0 if len(block) == 1 else None)
+                if i is None:
+                    which = (f"repetitions {block[0]}-{block[-1]}",
+                             f"seeds {', '.join(map(str, block_seeds))}")
+                else:
+                    which = f"repetition {block[i]}", f"seed {block_seeds[i]}"
                 raise RuntimeError(
-                    f"repetition {block[i]} of policy {spec.label!r} failed "
-                    f"(seed {block_seeds[i]})"
+                    f"{which[0]} of policy {spec.label!r} failed ({which[1]})"
                 ) from exc
             for rep in block:
                 trace = traces.pop(0)

@@ -9,12 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from rcbandit import sim
+from rcbandit import policies, sim
 from rcbandit.core import (
     ConfigError,
     DiscountSpec,
     DomainError,
     InstanceSpec,
+    UsageError,
     admits,
     build_grid,
     mix64,
@@ -257,6 +258,25 @@ def test_failed_repetition_in_a_block_names_its_seed():
     with pytest.raises(RuntimeError,
                        match=rf"repetition 1 of policy 'uniform_random' failed \(seed {seed}\)"):
         run_experiment(cfg, table=tab)
+    # run_episode raises the draw's own error, marked with its seed's index
+    with pytest.raises(DomainError, match="NaN cost") as failed:
+        run_episode(bad, PolicySpec("uniform_random"), 10, tab, [mix64(99, 0, 0), seed])
+    assert failed.value.seed_index == 1
+
+
+def test_failed_round_loop_names_the_whole_block(monkeypatch):
+    """A failure in the round loop is the block's: the run names all its
+    repetitions and seeds."""
+    def fail(index):
+        raise UsageError("no pair to play")
+
+    monkeypatch.setattr(policies, "argmax_pair", fail)
+    cfg = _small_config(repetitions=2, policies=(PolicySpec("rcucb"),))
+    assert sim._blocks(cfg) == [range(2)]
+    seeds = ", ".join(str(mix64(5, 0, rep)) for rep in range(2))
+    with pytest.raises(RuntimeError,
+                       match=rf"repetitions 0-1 of policy 'rcucb' failed \(seeds {seeds}\)"):
+        run_experiment(cfg)
 
 
 BLOCK_SPECS = [PolicySpec(kind) for kind in
@@ -287,9 +307,8 @@ def _artifacts(out):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_uneven_blocks_match_blocks_of_one(monkeypatch, tmp_path, workers):
-    inst = analytic_instance()
     cfg = _small_config(repetitions=5, workers=workers, dump_state=True)
-    per_rep = cfg.horizon * inst.n * 9  # 8 B of reward and 1 B of lo per round and arm
+    per_rep = sim._rep_bytes(cfg)
     runs = {}
     for name, budget in (("single", per_rep), ("uneven", 2 * per_rep)):
         monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
