@@ -86,6 +86,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A JSON number; an integer passes, a bool or a string does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -101,27 +108,27 @@ def _str(value) -> str:
 def _float_pair(value) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValueError("expected a list of two numbers")
-    return float(value[0]), float(value[1])
+    return _float(value[0]), _float(value[1])
 
 
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError("expected a list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v) for v in value)
 
 
 def _parse_arm(obj: dict, where: str, base_dir: Path):
     kind = _read(obj, "kind", where)
     if kind == "gaussian":
         return _build(where, GaussianArm, mean=_read(obj, "mean", where, _float_pair),
-                      x=_read(obj, "x", where, float),
-                      sigma=_read(obj, "sigma", where, float))
+                      x=_read(obj, "x", where, _float),
+                      sigma=_read(obj, "sigma", where, _float))
     if kind == "degenerate":
-        return _build(where, DegenerateArm, r0=_read(obj, "reward", where, float),
-                      c0=_read(obj, "cost", where, float))
+        return _build(where, DegenerateArm, r0=_read(obj, "reward", where, _float),
+                      c0=_read(obj, "cost", where, _float))
     if kind == "uniform_cost":
         return _build(where, UniformCostArm,
-                      reward_mean=_read(obj, "reward_mean", where, float))
+                      reward_mean=_read(obj, "reward_mean", where, _float))
     if kind == "trace":
         replay = _read(obj, "replay", where, default="sample")
         if replay not in REPLAY_MODES:
@@ -143,7 +150,7 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    tau_max = _read(obj, "tau_max", "instance", float, 1.0)
+    tau_max = _read(obj, "tau_max", "instance", _float, 1.0)
     if not (math.isfinite(tau_max) and tau_max > 0):
         raise ConfigError(
             f"instance.tau_max: expected a positive finite number, got {tau_max}"
@@ -163,8 +170,8 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
         raise ConfigError(f"instance.discount.kind: unknown kind {kind!r}")
     discount = _build(
         "instance.discount", DiscountSpec, kind, tau_max=tau_max,
-        k=_read(disc_obj, "k", "instance.discount", float, None),
-        rho=_read(disc_obj, "rho", "instance.discount", float, None),
+        k=_read(disc_obj, "k", "instance.discount", _float, None),
+        rho=_read(disc_obj, "rho", "instance.discount", _float, None),
     )
 
     objv = _read(obj, "objective", "instance", default={"kind": "multiplicative"})
@@ -173,8 +180,8 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
         objective = MultiplicativeDiscount()
     elif okind == "additive_cost":
         objective = _build("instance.objective", AdditiveCost,
-                           scale=_read(objv, "scale", "instance.objective", float, 1.0),
-                           power=_read(objv, "power", "instance.objective", float, 1.0))
+                           scale=_read(objv, "scale", "instance.objective", _float, 1.0),
+                           power=_read(objv, "power", "instance.objective", _float, 1.0))
     else:
         raise ConfigError(f"instance.objective.kind: unknown kind {okind!r}")
 
@@ -194,8 +201,8 @@ def _parse_policy(obj: dict, where: str) -> PolicySpec:
     if kind not in POLICY_KINDS:
         raise ConfigError(f"{where}.kind: unknown policy kind {kind!r}")
     kwargs = {}
-    for key, field, cast in (("label", "label", _str), ("alpha", "alpha", float),
-                             ("c", "c", float), ("prior", "prior", _float_pair),
+    for key, field, cast in (("label", "label", _str), ("alpha", "alpha", _float),
+                             ("c", "c", _float), ("prior", "prior", _float_pair),
                              ("indicator", "ts_indicator", _str)):
         if key in obj:
             kwargs[field] = _read(obj, key, where, cast)

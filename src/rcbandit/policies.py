@@ -169,23 +169,33 @@ def _require_played(counts: np.ndarray) -> None:
 
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
     """The KL-UCB index (largest q in [mu_eff, 1] with N d(mu_eff, q) <= ln t +
-    c ln ln t) of every pair that can attain the maximum; -inf elsewhere.
+    c ln ln t) of every pair that can attain its repetition's maximum; -inf
+    elsewhere.
 
-    Each cell runs 40 halvings of [mu_eff, 1] (width below 1e-9) with the
-    operands and operation order of an unpruned bisection over all cells, so
-    every finite value returned has that bisection's bits. After each halving,
-    a cell whose hi lies below the largest lo is dropped and reads -inf: its
-    final value is at most its hi and the final maximum at least that lo, so
-    it can be neither the argmax nor a tie. The live cells are compacted once
-    at most half of them remain. Every N must be >= 1 (see _require_played).
+    mu_eff and counts are a block's (reps, n, m) stacks, and one bisection runs
+    over the cells of every repetition at once, in rep order. Each cell runs 40
+    halvings of [mu_eff, 1] (width below 1e-9) with the operands and operation
+    order of an unpruned bisection over all cells, so every finite value
+    returned has that bisection's bits. After each halving, a cell whose hi
+    lies below the largest lo of its own repetition is dropped and reads -inf:
+    its final value is at most its hi and its repetition's final maximum at
+    least that lo, so it can be neither that repetition's argmax nor a tie.
+    The cell holding a repetition's largest lo is never dropped, so every
+    repetition keeps a cell. The live cells are compacted once at most half of
+    them remain; that changes array lengths, not values. Every N must be >= 1
+    (see _require_played).
     """
     _require_played(counts)
+    reps, per_rep = counts.shape[0], counts[0].size
     p = mu_eff.ravel()
     budget = _exploration_budget(t, c)
     # one column per live cell; rows p, 1 - p, lo, hi, target
     state = np.stack((p, 1.0 - p, p, np.ones_like(p),
                       (budget / counts).ravel()))
     cells = np.arange(p.size)
+    # each live cell's repetition, and where each repetition's cells start
+    rep = cells // per_rep
+    starts = np.arange(0, p.size, per_rep)
     compacted = True
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(40):
@@ -202,15 +212,17 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
             np.putmask(hi, too_far, mid)
             np.logical_not(too_far, out=too_far)
             np.putmask(lo, too_far, mid)
-            if cells.size > 1:
-                keep = hi >= lo.max()
+            if cells.size > reps:
+                keep = hi >= np.maximum.reduceat(lo, starts)[rep]
                 if 2 * np.count_nonzero(keep) <= keep.size:
                     keep = np.flatnonzero(keep)
                     state = state.take(keep, axis=1)
                     cells = cells[keep]
+                    rep = rep[keep]
+                    starts = np.searchsorted(rep, np.arange(reps))
                     compacted = True
     lo, hi = state[2:4]
-    keep = hi >= lo.max()
+    keep = hi >= np.maximum.reduceat(lo, starts)[rep]
     out = np.full(counts.size, -np.inf)
     out[cells[keep]] = 0.5 * (lo[keep] + hi[keep])
     return out.reshape(counts.shape)
@@ -354,18 +366,15 @@ class KLRCUCBPolicy(_CensoredPolicy):
         its repetition's maximum.
 
         Those cells carry the exact bits of the full bisection and a cell shown
-        to lie strictly below the maximum reads -inf, so argmax_pair picks the
-        pair the full matrix would, ties included. See _klucb_index_matrix,
-        which bisects one repetition's matrix at a time.
+        to lie strictly below its repetition's maximum reads -inf, so
+        argmax_pair picks the pair the full matrix would, ties included. See
+        _klucb_index_matrix, which bisects the whole block's stack in one pass.
         """
         t = self.t + 1
         shape = (self.reps, self.n, -1)
         mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
-        return np.stack([
-            _klucb_index_matrix(mu, counts, t, self.c)
-            for mu, counts in zip(mu_eff.reshape(shape),
-                                  self.estimator.counts.reshape(shape))
-        ])
+        return _klucb_index_matrix(mu_eff.reshape(shape),
+                                   self.estimator.counts.reshape(shape), t, self.c)
 
 
 class ModifiedUCBPolicy(Policy):

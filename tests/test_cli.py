@@ -188,6 +188,13 @@ def _set(path, value, arm=None):
     return doc
 
 
+def _grid_points(points):
+    """A one-arm SMALL_CONFIG on the grid points given instead of grid_m."""
+    doc = _set(["instance", "grid_points"], points)
+    del doc["instance"]["grid_m"]
+    return doc
+
+
 GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
 
 
@@ -242,6 +249,21 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
      "policies[0]"),
     (_set(["policies", 0, "label"], "a\x01b"), "policies[0]"),
     (_set(["policies", 0, "label"], "a\tb"), "policies[0]"),
+    # a float field takes a JSON number, not a string or a bool
+    (_set(["instance", "arms", 0, "sigma"], "0.1", GAUSSIAN), "instance.arms[0].sigma"),
+    (_set(["instance", "arms", 0, "x"], True, GAUSSIAN), "instance.arms[0].x"),
+    (_set(["instance", "arms", 0, "mean"], [0.6, False], GAUSSIAN), "instance.arms[0].mean"),
+    (_set(["instance", "arms", 0, "cost"], "0.2"), "instance.arms[0].cost"),
+    (_set(["policies", 0, "alpha"], "3"), "policies[0].alpha"),
+    (_set(["policies", 0], {"kind": "klrcucb", "c": True}), "policies[0].c"),
+    (_set(["policies", 0], {"kind": "ts", "label": "ts0", "prior": [True, 1.0]}),
+     "policies[0].prior"),
+    (_set(["instance", "tau_max"], "1.0"), "instance.tau_max"),
+    (_grid_points([0.5, "1.0"]), "instance.grid_points"),
+    (_set(["instance", "discount"], {"kind": "geometric", "rho": True}),
+     "instance.discount.rho"),
+    (_set(["instance", "objective"], {"kind": "additive_cost", "scale": "2", "power": 1.0}),
+     "instance.objective.scale"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     path = _write_config(tmp_path, doc)

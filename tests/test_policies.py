@@ -313,53 +313,93 @@ def _reference_klucb_matrix(mu_eff, counts, t, c):
 
 @pytest.mark.parametrize("m", [10, 100])
 def test_klucb_pruning_is_bit_identical(m):
-    pol = KLRCUCBPolicy(gaussian_instance(m))
+    # a single repetition, and a block of 3 with their own counts and sums at one t
+    for reps in (1, 3):
+        _check_klucb_pruning(m, reps)
+
+
+def _check_klucb_pruning(m, reps):
+    pol = KLRCUCBPolicy(gaussian_instance(m), reps=reps)
     est = pol.estimator
-    n = est.counts.shape[0]
+    n = pol.n
+    rows = [slice(r * n, (r + 1) * n) for r in range(reps)]
+
+    def mu_eff():
+        return np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
+
+    def reference(r):
+        return _reference_klucb_matrix(mu_eff()[rows[r]], est.counts[rows[r]],
+                                       pol.t + 1, pol.c)
+
     rng = np.random.default_rng(100 + m)
     covered = set()
-    for trial in range(30):
-        case = trial % 6
+    for trial in range(40):
+        case = trial % (8 if reps > 1 else 6)
         # small counts, as early in an episode, leave many cells near 1
         est.counts[:] = rng.integers(1, 3 if case == 5 else 60, size=est.counts.shape)
         est.sums[:] = est.counts * rng.random(est.counts.shape)
         pol.t = 1 if case == 4 else int(rng.integers(n, 2000))  # t = 2: budget 0
         if case == 1:
-            est.counts[rng.integers(n), rng.integers(m)] = 0.0
+            est.counts[rng.integers(reps * n), rng.integers(m)] = 0.0
         elif case == 2:
             # mu_hat above 1 / gamma(tau') clips mu_eff to exactly 1
-            i = rng.integers(n)
+            i = rng.integers(reps * n)
             est.sums[i, 0] = 2.0 * est.counts[i, 0]
-        mu_eff = np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
-        if case == 3:
-            # copy the top cell to another arm: the same (p, N) gives an exact tie
-            a, j = argmax_pair(_reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c))
-            other = (a + 1 + int(rng.integers(n - 1))) % n
-            est.counts[other, j] = est.counts[a, j]
-            est.sums[other, j] = est.sums[a, j]
-            mu_eff = np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
+        elif case == 6:
+            # the last repetition's maximum lies far below the others': a
+            # threshold shared by the block would prune that whole repetition
+            low = rows[-1]
+            est.counts[low] = 5000.0
+            est.sums[low] = est.counts[low] * 0.05 * rng.random((n, m))
+        elif case == 7:
+            # the first repetition's statistics copied into the last
+            est.counts[rows[-1]] = est.counts[rows[0]]
+            est.sums[rows[-1]] = est.sums[rows[0]]
+
+        if case in (3, 7):
+            # copy each repetition's top cell to another arm: the same (p, N)
+            # gives an exact tie, in case 7 the same one in two repetitions
+            ties = []
+            for r in range(reps):
+                a, j = argmax_pair(reference(r))
+                other = (a + 1 + int(rng.integers(n - 1))) % n
+                if case == 7 and r == reps - 1:
+                    a, j, other = ties[0]
+                est.counts[r * n + other, j] = est.counts[r * n + a, j]
+                est.sums[r * n + other, j] = est.sums[r * n + a, j]
+                ties.append((a, j, other))
 
         if case == 1:
             # an unplayed cell, which the index refuses
             with pytest.raises(UsageError):
                 pol.index_matrix()
             continue
-        ref = _reference_klucb_matrix(mu_eff, est.counts, pol.t + 1, pol.c)
-        idx = pol.index_matrix()[0]
-        assert argmax_pair(idx) == argmax_pair(ref)
-        finite = np.isfinite(idx)
-        assert np.array_equal(idx[finite], ref[finite])
-        assert np.all(ref[np.isneginf(idx)] < ref.max())
-        assert not np.isposinf(idx).any()
-        for i, j in zip(*np.nonzero(finite)):
-            scalar = klucb_index(float(mu_eff[i, j]), int(est.counts[i, j]), pol.t + 1, pol.c)
-            assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
-        if case == 3:
-            assert idx[a, j] == idx[other, j] == ref.max()
+        block = pol.index_matrix()
+        assert block.shape == (reps, n, m)
+        refs = [reference(r) for r in range(reps)]
+        for r, (idx, ref) in enumerate(zip(block, refs)):
+            mu = mu_eff()[rows[r]]
+            assert argmax_pair(idx) == argmax_pair(ref)
+            assert idx.max() == ref.max()
+            finite = np.isfinite(idx)
+            assert np.array_equal(idx[finite], ref[finite])
+            assert np.all(ref[np.isneginf(idx)] < ref.max())
+            assert not np.isposinf(idx).any()
+            for i, j in zip(*np.nonzero(finite)):
+                scalar = klucb_index(float(mu[i, j]), int(est.counts[r * n + i, j]),
+                                     pol.t + 1, pol.c)
+                assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
+            if case in (3, 7):
+                a, j, other = ties[r]
+                assert idx[a, j] == idx[other, j] == ref.max()
+        if case == 6:
+            assert refs[-1].max() < max(ref.max() for ref in refs[:-1]) - 0.1
+        if case == 7:
+            assert np.array_equal(block[0], block[-1])
         covered.update(name for name, hit in (
-            ("p = 0", np.any(mu_eff == 0.0)),
-            ("p = 1", np.any(mu_eff == 1.0)),
-            ("pruned", np.any(np.isneginf(idx))),
+            ("p = 0", np.any(mu_eff() == 0.0)),
+            ("p = 1", np.any(mu_eff() == 1.0)),
+            ("pruned", np.any(np.isneginf(block))),
         ) if hit)
     assert covered == {"p = 0", "p = 1", "pruned"}
 
