@@ -250,8 +250,9 @@ _BLOCK_BYTES = 32 << 20
 _TRACE_ROUND_BYTES = 41
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
-# draws the audit evaluates at once, over limits x t_check: bounds its memory
-_AUDIT_BLOCK = 1 << 21
+# draws the audit evaluates at once, over limits x runs x t_check: bounds its
+# memory (a block is never smaller than one limit of one run)
+_AUDIT_BLOCK = 1 << 17
 
 
 def _csv_field(text: str) -> str:
@@ -492,30 +493,47 @@ def concentration_audit(arm_spec, taus, alpha: float = 2.0, t_check: int = 1000,
     the weight cancels from both sides, so the check runs on the mixed-moment
     scale. Returns one (upper rate, lower rate, bound at (t_check, alpha))
     triple per limit, in the order of taus.
+
+    Runs are evaluated in passes: a pass draws its runs in run order into one
+    buffer and takes each block of limits' estimates as one mean over
+    (limits, runs, t_check), which gives every run's own mean bit for bit. A
+    block holds at most _AUDIT_BLOCK draws (one limit of one run at least), so
+    memory stays bounded whatever runs and t_check are.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise DomainError("taus must be a non-empty sequence of limits")
+    # a NaN limit would fail every deviation test, and both rates would read 0
+    if not (np.isfinite(taus).all() and (taus > 0.0).all()):
+        raise DomainError("taus must be finite and positive")
     if not (math.isfinite(alpha) and alpha > 1):
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if t_check < 2:
         raise DomainError("t_check must be at least 2")
     if runs < 1:
         raise DomainError("runs must be at least 1")
-    mu = true_mixed_moments(arm_spec, taus)
+    mu = true_mixed_moments(arm_spec, taus)[:, None]
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
-    # limits per (limits x t_check) block: at most _AUDIT_BLOCK elements, or one row
-    rows = max(1, _AUDIT_BLOCK // t_check)
+    # runs per pass, then limits per block of a pass: a block holds at most
+    # _AUDIT_BLOCK draws, and with more than one run a pass is one block
+    per_pass = min(runs, max(1, _AUDIT_BLOCK // (taus.size * t_check)))
+    rows = max(1, _AUDIT_BLOCK // (per_pass * t_check))
     chunks = [slice(start, start + rows) for start in range(0, taus.size, rows)]
+    limits = taus[:, None, None]
+    rewards = np.empty((per_pass, t_check))
+    costs = np.empty((per_pass, t_check))
     upper = np.zeros(taus.size, dtype=np.int64)
     lower = np.zeros(taus.size, dtype=np.int64)
-    for r in range(runs):
-        rng = np.random.default_rng(mix64(base_seed, r))
-        rew, cost = arm_spec.sample(rng, t_check)
+    for first in range(0, runs, per_pass):
+        size = min(per_pass, runs - first)
+        for k in range(size):
+            rng = np.random.default_rng(mix64(base_seed, first + k))
+            rewards[k], costs[k] = arm_spec.sample(rng, t_check)
+        rew, cost = rewards[:size], costs[:size]
         for part in chunks:
-            dev = np.mean(rew * admits(cost, taus[part, None]), axis=1) - mu[part]
+            dev = np.mean(rew * admits(cost, limits[part]), axis=-1) - mu[part]
             # radius > 0, so at most one of the two holds
-            upper[part] += dev > radius
-            lower[part] += dev < -radius
+            upper[part] += np.count_nonzero(dev > radius, axis=1)
+            lower[part] += np.count_nonzero(dev < -radius, axis=1)
     bound = concentration_bound(t_check, alpha)
     return [(u / runs, l / runs, bound) for u, l in zip(upper.tolist(), lower.tolist())]

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,24 @@ def test_sampling_determinism():
     r2, c2 = arm.sample(np.random.default_rng(42), 5000)
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_array_equal(c1, c2)
+
+
+def test_gaussian_arm_cached_factor_keeps_identity_and_pickles():
+    """The arm's cached Cholesky factor is not part of its value: after
+    sampling it still equals and hashes as a fresh equal arm (nu_table shares
+    rows by arm), and a pickled copy, as shipped to a worker, draws the same
+    bits."""
+    arm = GaussianArm(mean=(0.6, 0.45), x=0.3, sigma=0.1)
+    first = arm.sample(np.random.default_rng(7), 500)
+    fresh = GaussianArm(mean=(0.6, 0.45), x=0.3, sigma=0.1)
+    assert arm == fresh
+    assert hash(arm) == hash(fresh)
+    assert {arm: 1}[fresh] == 1
+    copy = pickle.loads(pickle.dumps(arm))
+    assert copy == arm
+    assert hash(copy) == hash(arm)
+    for got, want in zip(copy.sample(np.random.default_rng(7), 500), first):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_degenerate_instance_rounds():

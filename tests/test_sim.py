@@ -515,6 +515,13 @@ def test_audit_validation():
         concentration_audit(arm, [0.5], runs=0)
     with pytest.raises(DomainError, match="taus"):
         concentration_audit(arm, [])
+    # a NaN limit made every deviation test false, so the audit read PASS
+    with pytest.raises(DomainError, match="taus"):
+        concentration_audit(arm, [float("nan")])
+    with pytest.raises(DomainError, match="taus"):
+        concentration_audit(arm, [-0.5])
+    with pytest.raises(DomainError, match="taus"):
+        concentration_audit(arm, [0.5, float("inf")])
 
 
 def _reference_audit(arm, tau, alpha, t_check, runs, base_seed):
@@ -555,10 +562,27 @@ def test_audit_matches_per_limit_reference(kind, t_check, seed):
         assert bound == concentration_bound(t_check, 1.01)
 
 
-def test_audit_block_rows_match_reference(monkeypatch):
-    # blocks of 3 limits leave a short last block on a 10-point grid
-    monkeypatch.setattr(sim, "_AUDIT_BLOCK", 3 * 2)
-    arm = AUDIT_ARMS["uniform_cost"]
+class CoinCostArm(UniformCostArm):
+    """Reward 0.95 with all of a run's costs 0 or all 1, by one fair coin per
+    run, audited against the uniform-cost moment 0.95 * tau'. At alpha = 1.01
+    and t_check = 2 every run then leaves the radius exactly once: above it at
+    tau' = 0.1 (costs 0) or below it at tau' = 0.9 (costs 1)."""
+
+    def sample(self, rng, size):
+        return np.full(size, self.reward_mean), np.full(size, float(rng.random() < 0.5))
+
+
+# _AUDIT_BLOCK at t_check = 2 on a 10-point grid
+@pytest.mark.parametrize("block, arm", [
+    # blocks of 3 limits of one run leave a short last block
+    (3 * 2, AUDIT_ARMS["uniform_cost"]),
+    # passes of 9 runs leave a short last pass of 2000 % 9 = 2 runs; as every
+    # run counts once, a run drawn past the end or a stale row of the previous
+    # pass changes a rate
+    (10 * 9 * 2, CoinCostArm(reward_mean=0.95)),
+], ids=["limit_blocks", "run_passes"])
+def test_audit_block_rows_match_reference(monkeypatch, block, arm):
+    monkeypatch.setattr(sim, "_AUDIT_BLOCK", block)
     taus = build_grid(10, 1.0).points
     got = concentration_audit(arm, taus, alpha=1.01, t_check=2, runs=2000, base_seed=7)
     assert any(upper > 0 for upper, _, _ in got)

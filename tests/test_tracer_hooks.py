@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from rcbandit import sim
+from rcbandit.envs import GaussianArm
 from rcbandit.policies import PolicySpec
 
 from conftest import gaussian_instance
@@ -50,3 +51,20 @@ def test_traced_run_hits_every_policy_hook():
     json.dumps(metrics)
     for kind in KINDS:
         assert metrics[f"policies.{kind}.select_us"] > 0
+
+
+def test_traced_audit_counts_every_run_draw():
+    """The audit's passes still draw each run through GaussianArm.sample, so
+    the envs metrics of the audit workload count every run."""
+    tracer = _load_tracer().Tracer()
+    runs, t_check = 25, 40
+    arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
+    tracer.install()
+    try:
+        sim.concentration_audit(arm, [0.3, 0.5, 1.0], t_check=t_check, runs=runs)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("envs.sample") == runs
+    assert tracer.counts["envs.draws"] == runs * t_check
+    assert tracer.counts["envs.normal_pairs"] >= runs * t_check
+    assert tracer.calls("sim.concentration_audit") == 1
