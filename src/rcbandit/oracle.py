@@ -5,6 +5,10 @@ the untruncated density over [0,1] x [0,tau'] divided by the [0,1]^2
 normalizer (tau' is a cell boundary, so the censoring indicator never cuts
 through a quadrature cell), or by plain Monte Carlo on the truncated law.
 Arms with closed-form moments are evaluated exactly under either method.
+The quadrature builds each arm's reward-axis terms of the exponent once, with
+the exponent's -0.5 folded into them exactly, and reuses them for the
+normalizer and every limit, so every integral keeps the bits of the plain
+expression (see true_mixed_moments).
 
 Every run computes its own table; a saved table (NuTable.save) is never read
 back, so the ground truth a run uses cannot be stale.
@@ -38,8 +42,25 @@ def _gl_on(a: float, b: float, nodes: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _density_integral(arm, c_hi: float, nodes: int, weight_reward: bool) -> float:
-    """Integral of [r *] pdf over [0,1] x [0, c_hi] for the untruncated Gaussian."""
+def true_mixed_moments(arm, taus, *, nodes: int = 200) -> np.ndarray:
+    """Exact E[R * 1{C <= tau'}] for each tau' in taus, the path nu_table and the
+    audit share: the arm's closed form (``mixed_moment``) if it has one, else
+    quadrature with `nodes` points per axis and the normalizer integrated once.
+
+    Each quadrature integral is einsum("i,j,ij->", [r *] reward weights, cost
+    weights on [0, tau'], norm * exp(-0.5 q)) over the nodes x nodes grid, with
+    q = (inv00 dr^2 + 2 inv01 dr dc) + inv11 dc^2. The reward-axis terms,
+    -inv01 dr and (-0.5 inv00) dr^2, are built once per arm as contiguous
+    matrices, and one pdf buffer serves the normalizer and every limit.
+    Folding the -0.5 into each term is exact (scaling by a power of two
+    commutes with rounding), so each sum has the bits of -0.5 q; exp, the norm
+    product and the einsum keep their operands and order, so every integral
+    keeps the bits of the plain expression.
+    """
+    if hasattr(arm, "mixed_moment"):
+        return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
+    if nodes < MIN_NODES:
+        raise DomainError(f"quadrature needs at least {MIN_NODES} nodes per axis")
     cov = arm.cov()
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     inv00 = cov[1, 1] / det
@@ -48,38 +69,30 @@ def _density_integral(arm, c_hi: float, nodes: int, weight_reward: bool) -> floa
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
 
     rn, rw = _gl_on(0.0, 1.0, nodes)
-    cn, cw = _gl_on(0.0, c_hi, nodes)
-    dr = rn - arm.mean[0]
-    dc = cn - arm.mean[1]
-    # norm * exp(-0.5 * quadratic form), evaluated in place on one nodes x nodes
-    # buffer in the operand order of the plain expression
-    pdf = np.multiply(2.0 * inv01 * dr[:, None], dc[None, :])
-    np.add(inv00 * dr[:, None] ** 2, pdf, out=pdf)
-    pdf += inv11 * dc[None, :] ** 2
-    pdf *= -0.5
-    np.exp(pdf, out=pdf)
-    pdf *= norm
-    r_weight = rw * rn if weight_reward else rw
-    return float(np.einsum("i,j,ij->", r_weight, cw, pdf))
+    dr = (rn - arm.mean[0])[:, None]
+    shape = (nodes, nodes)
+    cross = np.broadcast_to(-inv01 * dr, shape).copy()
+    square = np.broadcast_to((-0.5 * inv00) * dr**2, shape).copy()
+    pdf = np.empty(shape)
 
+    def integral(c_hi: float, r_weight: np.ndarray) -> float:
+        """Integral of r_weight-weighted pdf over [0, 1] x [0, c_hi]."""
+        cn, cw = _gl_on(0.0, c_hi, nodes)
+        dc = cn - arm.mean[1]
+        np.multiply(cross, dc, out=pdf)
+        np.add(square, pdf, out=pdf)
+        np.add(pdf, (-0.5 * inv11) * dc**2, out=pdf)
+        np.exp(pdf, out=pdf)
+        np.multiply(pdf, norm, out=pdf)
+        return float(np.einsum("i,j,ij->", r_weight, cw, pdf))
 
-def true_mixed_moments(arm, taus, *, nodes: int = 200) -> np.ndarray:
-    """Exact E[R * 1{C <= tau'}] for each tau' in taus, the path nu_table and the
-    audit share: the arm's closed form (``mixed_moment``) if it has one, else
-    quadrature with `nodes` points per axis and the normalizer integrated once."""
-    if hasattr(arm, "mixed_moment"):
-        return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
-    if nodes < MIN_NODES:
-        raise DomainError(f"quadrature needs at least {MIN_NODES} nodes per axis")
-    z = _density_integral(arm, 1.0, nodes, weight_reward=False)
+    z = integral(1.0, rw)
     if z < 1e-12:
         raise DomainError(
             "truncation normalizer below 1e-12; the density is degenerate on [0,1]^2"
         )
-    return np.array([
-        _density_integral(arm, min(float(tau), 1.0), nodes, weight_reward=True) / z
-        for tau in taus
-    ])
+    r_weight = rw * rn
+    return np.array([integral(min(float(tau), 1.0), r_weight) / z for tau in taus])
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,6 +59,41 @@ def test_quadrature_node_convergence():
     assert coarse == pytest.approx(fine, abs=1e-12)
 
 
+def _reference_density_integral(arm, c_hi, nodes, weight_reward):
+    """Integral of [r *] pdf over [0,1] x [0, c_hi] for the untruncated
+    Gaussian, written as the plain expression, before the quadrature built its
+    reward-axis terms once per arm."""
+    cov = arm.cov()
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    inv00 = cov[1, 1] / det
+    inv01 = -cov[0, 1] / det
+    inv11 = cov[0, 0] / det
+    norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    rn, rw = 0.5 * x + 0.5, 0.5 * w
+    cn, cw = 0.5 * c_hi * x + 0.5 * c_hi, 0.5 * c_hi * w
+    dr = rn - arm.mean[0]
+    dc = cn - arm.mean[1]
+    quad = (inv00 * dr[:, None] ** 2 + 2.0 * inv01 * dr[:, None] * dc[None, :]
+            + inv11 * dc[None, :] ** 2)
+    pdf = norm * np.exp(-0.5 * quad)
+    r_weight = rw * rn if weight_reward else rw
+    return float(np.einsum("i,j,ij->", r_weight, cw, pdf))
+
+
+@pytest.mark.parametrize("nodes", [32, 200])
+def test_quadrature_keeps_the_plain_expression_bits(nodes):
+    taus = [1e-3, 0.5, 1.0, 1.5]
+    arms = [GaussianArm(mean=(0.6, 0.45), x=x, sigma=sigma)
+            for x in (0.0, 0.3, 0.6) for sigma in (0.05, 0.1, 0.4)]
+    arms.append(GaussianArm(mean=(1.3, -0.2), x=0.3, sigma=0.4))
+    for arm in arms:
+        z = _reference_density_integral(arm, 1.0, nodes, False)
+        want = [_reference_density_integral(arm, min(tau, 1.0), nodes, True) / z
+                for tau in taus]
+        assert np.array_equal(true_mixed_moments(arm, taus, nodes=nodes), want), arm
+
+
 def test_analytic_arms_are_exact_under_both_methods():
     inst = InstanceSpec(
         arms=(DegenerateArm(r0=0.8, c0=0.3), UniformCostArm(reward_mean=0.6)),

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from rcbandit import policies
+from rcbandit.cli import load_config
 from rcbandit.core import (
     AdditiveCost,
     ConfigError,
@@ -15,8 +17,10 @@ from rcbandit.core import (
     ResourceGrid,
     UsageError,
     argmax_pair,
+    mix64,
 )
 from rcbandit.envs import DegenerateArm
+from rcbandit.oracle import nu_table
 from rcbandit.policies import (
     FixedOraclePolicy,
     KLRCUCBPolicy,
@@ -31,6 +35,7 @@ from rcbandit.policies import (
     init_length,
     make_policy,
 )
+from rcbandit.sim import run_episode
 
 from conftest import gaussian_instance, select1, update1
 
@@ -311,11 +316,40 @@ def _reference_klucb_matrix(mu_eff, counts, t, c):
     return np.where(counts > 0, 0.5 * (lo + hi), np.inf)
 
 
-@pytest.mark.parametrize("m", [10, 100])
-def test_klucb_pruning_is_bit_identical(m):
-    # a single repetition, and a block of 3 with their own counts and sums at one t
-    for reps in (1, 3):
+@pytest.mark.parametrize("m, blocks", [(10, (1, 3)), (100, (1, 3)), (50, (5,))],
+                         ids=["10", "100", "50"])
+def test_klucb_pruning_is_bit_identical(m, blocks):
+    # a single repetition, and blocks of 3 and 5 with their own counts and sums
+    # at one t; the block of 5 at m = 50 gives the compaction a wider state
+    for reps in blocks:
         _check_klucb_pruning(m, reps)
+
+
+def test_klucb_index_of_a_played_block_is_bit_identical(monkeypatch):
+    """Every block-round of klrcucb on the bundled m = 100 instance, R = 3:
+    per repetition the pruned index has the full bisection's argmax and finite
+    bits, and each -inf cell lies strictly below the maximum."""
+    instance = load_config("paper_synthetic_m100").instance
+    pruned = policies._klucb_index_matrix
+    rounds = []
+
+    def checked(mu_eff, counts, t, c):
+        block = pruned(mu_eff, counts, t, c)
+        for idx, mu, n in zip(block, mu_eff, counts):
+            ref = _reference_klucb_matrix(mu, n, t, c)
+            assert argmax_pair(idx) == argmax_pair(ref)
+            finite = np.isfinite(idx)
+            assert np.array_equal(idx[finite], ref[finite])
+            assert np.all(ref[np.isneginf(idx)] < ref.max())
+        rounds.append(np.count_nonzero(np.isneginf(block)))
+        return block
+
+    monkeypatch.setattr(policies, "_klucb_index_matrix", checked)
+    horizon = init_length("klrcucb", instance) + 60
+    run_episode(instance, PolicySpec("klrcucb"), horizon, nu_table(instance),
+                [mix64(7, rep) for rep in range(3)])
+    assert len(rounds) == 60
+    assert min(rounds) > 0
 
 
 def _check_klucb_pruning(m, reps):

@@ -1,10 +1,14 @@
 """Episode runner, experiment aggregation, and tail-audit behavior."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -330,6 +334,69 @@ def test_blocks_leave_every_worker_busy(monkeypatch):
     assert sim._blocks(cfg) == [range(0, 3), range(3, 5)]
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
     assert sim._blocks(cfg) == [range(rep, rep + 1) for rep in range(5)]
+
+
+def test_pool_keeps_few_blocks_in_flight():
+    """_in_order yields in call order, never has more than `ahead` calls
+    submitted and not yet taken however slowly the caller takes them, and
+    raises a failed call's error in its place."""
+    lock = threading.Lock()
+    started = taken = most = 0
+
+    def block(i, j):
+        nonlocal started, most
+        with lock:
+            started += 1
+            most = max(most, started - taken)
+        if i == 9:
+            raise UsageError("block 9 failed")
+        return i * j
+
+    ahead = 3
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        results = sim._in_order(executor, block, (range(20), range(1, 21)), ahead)
+        for i in range(9):
+            assert next(results) == i * (i + 1)
+            time.sleep(0.02)  # a slow fold: an unbounded pool would run ahead
+            with lock:
+                taken += 1
+        with pytest.raises(UsageError, match="block 9 failed"):
+            next(results)
+    assert 2 <= most <= ahead
+    # blocks 0-11 at most: nothing is submitted past the failed block's window
+    assert started <= 9 + ahead
+
+
+def test_pool_failures_name_their_seeds(monkeypatch):
+    """With workers > 1 a block's failure keeps both messages: one repetition's
+    seed, or the whole block's seeds. A thread pool stands in for the process
+    pool, so the patched functions reach the workers."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+    cfg = _small_config(repetitions=4, workers=2, policies=(PolicySpec("rcucb"),))
+    assert sim._blocks(cfg) == [range(0, 2), range(2, 4)]
+    seeds = [mix64(5, 0, rep) for rep in range(4)]
+
+    def fail_rep_3(instance, spec, horizon, table, block_seeds, keep_state=False):
+        if block_seeds == seeds[2:]:
+            exc = DomainError("NaN cost")
+            exc.seed_index = 1
+            raise exc
+        return run_episode(instance, spec, horizon, table, block_seeds, keep_state)
+
+    monkeypatch.setattr(sim, "run_episode", fail_rep_3)
+    with pytest.raises(RuntimeError,
+                       match=rf"repetition 3 of policy 'rcucb' failed \(seed {seeds[3]}\)"):
+        run_experiment(cfg)
+
+    def fail(index):
+        raise UsageError("no pair to play")
+
+    monkeypatch.setattr(sim, "run_episode", run_episode)
+    monkeypatch.setattr(policies, "argmax_pair", fail)
+    block = ", ".join(map(str, seeds[:2]))
+    with pytest.raises(RuntimeError,
+                       match=rf"repetitions 0-1 of policy 'rcucb' failed \(seeds {block}\)"):
+        run_experiment(cfg)
 
 
 def test_persistence_round_trip(tmp_path):
