@@ -189,15 +189,9 @@ def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float
     argmax nor a tie. The cell holding a repetition's largest lo is never
     dropped, so every repetition keeps a cell. The live cells are compacted
     once at most 3/4 of them remain; that changes array lengths, not values.
-
-    How often the test runs and when it compacts decide only which columns get
-    computed, never a returned value: hi only falls and lo only rises, so a
-    cell the test would drop at some halving still has an hi below its
-    repetition's largest lo after the last one, and the final test, run on
-    every live cell, returns -inf for it. So, whatever the interval, a cell
-    reads -inf exactly when its full bisection ends with an hi below the
-    largest final lo of its repetition. Testing after every halving cost 4 of
-    a halving's ~16 numpy calls, mostly on columns it could not drop. Every N
+    hi only falls and lo only rises, so the final hi >= max lo test returns
+    -inf for every cell an earlier test could have dropped: the interval
+    decides which columns get computed, never a returned value. Every N
     must be >= 1 (see _require_played).
     """
     _require_played(counts)

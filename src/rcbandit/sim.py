@@ -28,7 +28,6 @@ import io
 import json
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -320,39 +319,14 @@ def _blocks(config: ExperimentConfig) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _in_order(executor, fn, columns, ahead: int):
-    """fn over the zipped columns on executor, the results in call order as
-    executor.map yields them, with at most `ahead` calls submitted and not
-    yet taken.
-
-    executor.map submits every call at once, so finished results queue while
-    the caller handles earlier ones; here a call is submitted only when an
-    earlier result has been taken. A failed call raises when its result is
-    taken, and the calls not yet taken are cancelled.
-    """
-    pending: deque = deque()
-    try:
-        for args in zip(*columns):
-            pending.append(executor.submit(fn, *args))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Aggregate:
     """Run reps x policies episodes and fold them into mean/SE curves.
 
     Episode seeds are mix64(base_seed, policy index, repetition index). Each
     policy's repetitions are played in blocks (see _blocks), one run_episode
-    call per block; with workers > 1 the blocks run in a process pool, with
-    at most workers + 1 blocks submitted and not yet folded, so finished
-    traces do not pile up while the fold writes. Traces are folded in job
-    order (policy, then repetition), so the aggregate matches serial
-    execution exactly, whatever the blocks.
+    call per block; with workers > 1 the blocks run in a process pool.
+    Traces are folded in job order (policy, then repetition), so the
+    aggregate matches serial execution exactly, whatever the blocks.
     A failed repetition aborts the experiment with its seed in the message.
 
     The table is the caller's, or computed here from the config's oracle
@@ -396,8 +370,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     handle = None
     try:
         # run_episode is looked up at each call, so a wrapper on sim.run_episode runs
-        results = (_in_order(executor, run_episode, columns, config.workers + 1)
-                   if executor else map(run_episode, *columns))
+        results = (executor.map if executor else map)(run_episode, *columns)
         for p, spec, block, block_seeds in jobs:
             try:
                 traces = next(results)

@@ -6,8 +6,6 @@ import dataclasses
 import io
 import json
 import math
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -334,37 +332,6 @@ def test_blocks_leave_every_worker_busy(monkeypatch):
     assert sim._blocks(cfg) == [range(0, 3), range(3, 5)]
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
     assert sim._blocks(cfg) == [range(rep, rep + 1) for rep in range(5)]
-
-
-def test_pool_keeps_few_blocks_in_flight():
-    """_in_order yields in call order, never has more than `ahead` calls
-    submitted and not yet taken however slowly the caller takes them, and
-    raises a failed call's error in its place."""
-    lock = threading.Lock()
-    started = taken = most = 0
-
-    def block(i, j):
-        nonlocal started, most
-        with lock:
-            started += 1
-            most = max(most, started - taken)
-        if i == 9:
-            raise UsageError("block 9 failed")
-        return i * j
-
-    ahead = 3
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        results = sim._in_order(executor, block, (range(20), range(1, 21)), ahead)
-        for i in range(9):
-            assert next(results) == i * (i + 1)
-            time.sleep(0.02)  # a slow fold: an unbounded pool would run ahead
-            with lock:
-                taken += 1
-        with pytest.raises(UsageError, match="block 9 failed"):
-            next(results)
-    assert 2 <= most <= ahead
-    # blocks 0-11 at most: nothing is submitted past the failed block's window
-    assert started <= 9 + ahead
 
 
 def test_pool_failures_name_their_seeds(monkeypatch):
