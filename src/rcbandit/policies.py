@@ -132,28 +132,6 @@ def init_length(kind: str, instance: InstanceSpec) -> int:
     return instance.n * len(init_limits(kind, instance.grid.m))
 
 
-def _kl_bernoulli_arr(w: np.ndarray, v: np.ndarray, zero: np.ndarray | None) -> np.ndarray:
-    """d(p, q) = p log(p / q) + (1 - p) log((1 - p) / (1 - q)), elementwise.
-
-    w stacks (p, 1 - p) and v stacks (q, 1 - q) on a leading axis of length 2.
-    A term with weight 0 counts as 0 (0 log 0 := 0); zero is the mask w == 0
-    from _zero_weights, None when no weight is 0. The caller opens
-    np.errstate(divide="ignore", invalid="ignore"), since the weightless terms
-    evaluate to nan before the mask clears them.
-    """
-    terms = np.divide(w, v)
-    np.log(terms, out=terms)
-    terms *= w
-    if zero is not None:
-        np.putmask(terms, zero, 0.0)
-    return terms[0] + terms[1]
-
-
-def _zero_weights(w: np.ndarray) -> np.ndarray | None:
-    zero = w == 0.0
-    return zero if zero.any() else None
-
-
 def _exploration_budget(t: int, c: float) -> float:
     # ln ln t is negative for t < e; the budget is clamped at zero so the
     # index degenerates to mu_eff instead of going undefined
@@ -167,74 +145,76 @@ def _require_played(counts: np.ndarray) -> None:
         raise UsageError("index asked for before every pair has a count (N >= 1)")
 
 
-# halvings between two pruning tests of _klucb_index_matrix: of 1-4, swept on
-# recorded blocks at m = 10, 50 and 100 with 1-5 repetitions, 3 and 4 were the
-# fastest, within the runs' spread of each other
-_PRUNE_EVERY = 3
-
-
 def _klucb_index_matrix(mu_eff: np.ndarray, counts: np.ndarray, t: int, c: float) -> np.ndarray:
-    """The KL-UCB index (largest q in [mu_eff, 1] with N d(mu_eff, q) <= ln t +
-    c ln ln t) of every pair that can attain its repetition's maximum; -inf
-    elsewhere.
+    """The KL-UCB index of every pair: the largest q in [p, 1] with
+    N d(p, q) <= ln t + c ln ln t, where p = mu_eff, elementwise.
 
-    mu_eff and counts are a block's (reps, n, m) stacks, and one bisection runs
-    over the cells of every repetition at once, in rep order. Each cell runs 40
-    halvings of [mu_eff, 1] (width below 1e-9) with the operands and operation
-    order of an unpruned bisection over all cells, so every finite value
-    returned has that bisection's bits. After every _PRUNE_EVERY-th halving, a
-    cell whose hi lies below the largest lo of its own repetition is dropped
-    and reads -inf: its final value is at most its hi and its repetition's
-    final maximum at least that lo, so it can be neither that repetition's
-    argmax nor a tie. The cell holding a repetition's largest lo is never
-    dropped, so every repetition keeps a cell. The live cells are compacted
-    once at most 3/4 of them remain; that changes array lengths, not values.
-    hi only falls and lo only rises, so the final hi >= max lo test returns
-    -inf for every cell an earlier test could have dropped: the interval
-    decides which columns get computed, never a returned value. Every N
-    must be >= 1 (see _require_played).
+    Four Newton steps in u = log((1 - p) / (1 - q)) >= 0, in which
+    d(p, q) = (1 - p) u - p log(q / p) is convex and increasing with slope
+    (q - p) / q, so Newton started above the root falls monotonically onto
+    it. u is -log(1 - q) shifted to vanish at q = p, so q = p - (1 - p)
+    expm1(-u) is exactly p at u = 0. The start is the smallest of three upper
+    bounds: q - p <= sqrt(2 v target) with v = max x(1 - x) over [p, 1], from
+    d >= (q - p)^2 / (2 v); q - p <= target + sqrt(target (target + 2p)), from
+    d >= (q - p)^2 / (2q); and u <= (target - p log p) / (1 - p). A step that
+    is not positive (or is NaN, as at p = 0 or p = 1) is dropped and u is
+    clamped at 0, so q lies in [p, 1], a zero budget returns p exactly and
+    p = 1 returns 1. Every N must be >= 1 (see _require_played).
     """
-    _require_played(counts)
-    reps, per_rep = counts.shape[0], counts[0].size
-    p = mu_eff.ravel()
-    budget = _exploration_budget(t, c)
-    # one column per live cell; rows p, 1 - p, lo, hi, target
-    state = np.stack((p, 1.0 - p, p, np.ones_like(p),
-                      (budget / counts).ravel()))
-    cells = np.arange(p.size)
-    # each live cell's repetition, and where each repetition's cells start
-    rep = cells // per_rep
-    starts = np.arange(0, p.size, per_rep)
-    compacted = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for halving in range(40):
-            if compacted:
-                w, (lo, hi, target) = state[:2], state[2:]
-                zero = _zero_weights(w)
-                v = np.empty_like(w)
-                mid, mid_bar = v
-                compacted = False
-            np.add(lo, hi, out=mid)
-            np.multiply(mid, 0.5, out=mid)
-            np.subtract(1.0, mid, out=mid_bar)
-            too_far = _kl_bernoulli_arr(w, v, zero) > target
-            np.putmask(hi, too_far, mid)
-            np.logical_not(too_far, out=too_far)
-            np.putmask(lo, too_far, mid)
-            if halving % _PRUNE_EVERY == _PRUNE_EVERY - 1 and cells.size > reps:
-                keep = hi >= np.maximum.reduceat(lo, starts)[rep]
-                if 4 * np.count_nonzero(keep) <= 3 * keep.size:
-                    keep = np.flatnonzero(keep)
-                    state = state.take(keep, axis=1)
-                    cells = cells[keep]
-                    rep = rep[keep]
-                    starts = np.searchsorted(rep, np.arange(reps))
-                    compacted = True
-    lo, hi = state[2:4]
-    keep = hi >= np.maximum.reduceat(lo, starts)[rep]
-    out = np.full(counts.size, -np.inf)
-    out[cells[keep]] = 0.5 * (lo[keep] + hi[keep])
-    return out.reshape(counts.shape)
+    p = mu_eff
+    pbar = 1.0 - p
+    neg_pbar = p - 1.0
+    target = _exploration_budget(t, c) / counts
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # q - p <= sqrt(2 v target), v = max(p, 1/2) (1 - max(p, 1/2))
+        v = np.maximum(p, 0.5)
+        gap = np.subtract(1.0, v)
+        gap *= v
+        gap *= target
+        gap *= 2.0
+        np.sqrt(gap, out=gap)
+        # q - p <= target + sqrt(target (target + 2p))
+        other = np.add(p, p)
+        other += target
+        other *= target
+        np.sqrt(other, out=other)
+        other += target
+        np.minimum(gap, other, out=gap)
+        # u = -log(1 - (q - p) / (1 - p)), infinite where the bound passes q = 1
+        np.minimum(gap, pbar, out=gap)
+        gap /= neg_pbar
+        u = np.log1p(gap)
+        np.negative(u, out=u)
+        # u <= (target - p log p) / (1 - p), with 0 log 0 := 0: p log p is NaN
+        # at p = 0 and at most 0 elsewhere
+        bound = np.log(p)
+        bound *= p
+        np.fmin(bound, 0.0, out=bound)
+        np.subtract(target, bound, out=bound)
+        bound /= pbar
+        np.fmin(u, bound, out=u)
+        # three steps still leave up to 4e-9 (p near 0.9, N near 50); four
+        # stay within 2**-40 of the root
+        for _ in range(4):
+            above = np.negative(u)
+            np.expm1(above, out=above)
+            above *= neg_pbar  # q - p
+            # (d - target) q / (q - p), d = (1 - p) u - p log1p((q - p) / p)
+            step = np.divide(above, p)
+            np.log1p(step, out=step)
+            step *= p
+            np.subtract(pbar * u, step, out=step)
+            step -= target
+            step *= p + above
+            step /= above
+            np.fmax(step, 0.0, out=step)
+            u -= step
+            np.fmax(u, 0.0, out=u)
+        q = np.negative(u)
+        np.expm1(q, out=q)
+        q *= neg_pbar
+        q += p
+    return q
 
 
 def _optimistic_index(estimator, width: float, scale: np.ndarray,
@@ -371,19 +351,19 @@ class KLRCUCBPolicy(_CensoredPolicy):
         self.c = c
 
     def index_matrix(self) -> np.ndarray:
-        """The (reps, n, m) stack of the KL index of every pair that can attain
-        its repetition's maximum.
-
-        Those cells carry the exact bits of the full bisection and a cell shown
-        to lie strictly below its repetition's maximum reads -inf, so
-        argmax_pair picks the pair the full matrix would, ties included. See
-        _klucb_index_matrix, which bisects the whole block's stack in one pass.
-        """
+        """The (reps, n, m) stack of every repetition's KL index matrix, which
+        _klucb_index_matrix computes over the whole stack at once. Every N is
+        checked to be >= 1, so mu_hat = sums / N equals mean_matrix()."""
         t = self.t + 1
         shape = (self.reps, self.n, -1)
-        mu_eff = np.clip(self.scale * self.estimator.mean_matrix() + self.offset, 0.0, 1.0)
-        return _klucb_index_matrix(mu_eff.reshape(shape),
-                                   self.estimator.counts.reshape(shape), t, self.c)
+        counts = self.estimator.counts
+        _require_played(counts)
+        mu_eff = self.estimator.sums / counts
+        mu_eff *= self.scale
+        mu_eff += self.offset
+        np.clip(mu_eff, 0.0, 1.0, out=mu_eff)
+        return _klucb_index_matrix(mu_eff.reshape(shape), counts.reshape(shape), t,
+                                   self.c)
 
 
 class ModifiedUCBPolicy(Policy):

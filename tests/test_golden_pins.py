@@ -31,8 +31,8 @@ SMALL_PINS = {
 }
 
 # one episode per kind on the m = 10 Gaussian instance: (horizon, digest);
-# the klrcucb index bisects every pair each round, at many times the per-round
-# cost of the other kinds, so its episode is shorter
+# the klrcucb index runs Newton steps over every pair each round, at many times
+# the per-round cost of the other kinds, so its episode is shorter
 GAUSSIAN_SEED = 20201102
 GAUSSIAN_PINS = {
     "rcucb": (50_000,
@@ -48,7 +48,7 @@ GAUSSIAN_PINS = {
 }
 
 # klrcucb on the bundled m = 100 instance, where many cells of the KL index
-# saturate near 1 and the argmax depends on the last bits of the bisection;
+# saturate near 1 and the argmax depends on the last bits of the index;
 # GAUSSIAN_SEED is played as the middle repetition of a block of 3
 M100_KL_PIN = (400, "6e83936c33ef05c2cd846f7481b933ba6c1a6a146bd7b7e984927fa9e21d2acc")
 
@@ -111,7 +111,7 @@ def test_m100_klrcucb_pin():
     config = load_config("paper_synthetic_m100")
     horizon, digest = M100_KL_PIN
     h = hashlib.sha256()
-    # the block's bisection prunes each repetition against its own maximum
+    # one index call covers the block; each repetition takes its own argmax
     seeds = [GAUSSIAN_SEED + 1, GAUSSIAN_SEED, GAUSSIAN_SEED + 2]
     _, trace, _ = run_episode(config.instance, PolicySpec("klrcucb"), horizon,
                               _config_table(config), seeds)

@@ -30,8 +30,6 @@ from rcbandit.policies import (
     RCUCBPolicy,
     UniformRandomPolicy,
     _exploration_budget,
-    _kl_bernoulli_arr,
-    _zero_weights,
     init_length,
     make_policy,
 )
@@ -59,14 +57,15 @@ def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), with 0*log 0 := 0.
 
     Endpoint q in {0, 1} gives +inf unless p sits on the same endpoint. The
-    scalar reference for the matrix index, on the package's one divergence
-    formula.
+    scalar reference for the matrix index.
     """
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise DomainError("p and q must lie in [0, 1]")
-    w = np.array([p, 1.0 - p])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_kl_bernoulli_arr(w, np.array([q, 1.0 - q]), _zero_weights(w)))
+    total = 0.0
+    for w, v in ((p, q), (1.0 - p, 1.0 - q)):
+        if w > 0.0:
+            total += w * math.log(w / v) if v > 0.0 else math.inf
+    return total
 
 
 def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
@@ -292,19 +291,19 @@ def test_klrcucb_smaller_count_larger_index():
     pol.estimator.counts[1, 0] = 2.0
     pol.estimator.sums[1, 0] = 0.8  # same mu_hat = 0.4, so mu_eff = 0.2 for both
     idx = pol.index_matrix()[0]
-    # compared with the scalar index of the larger count, not with idx[0, 0],
-    # which the pruned bisection may leave at -inf
     assert idx[1, 0] == pytest.approx(klucb_index(0.2, 2, 50, 3.0), abs=1e-9)
-    assert idx[1, 0] > klucb_index(0.2, 5, 50, 3.0) + 1e-6
+    assert idx[0, 0] == pytest.approx(klucb_index(0.2, 5, 50, 3.0), abs=1e-9)
+    assert idx[1, 0] > idx[0, 0] + 1e-6
     assert select1(pol) == (1, 0)
 
 
-def _reference_klucb_matrix(mu_eff, counts, t, c):
-    """The unpruned vectorized bisection, written out as before pruning existed."""
+def _reference_klucb_matrix(mu_eff, counts, t, c, halvings=40):
+    """A vectorized bisection of [mu_eff, 1], the reference for the Newton
+    index; 40 halvings leave an interval at most 2**-40 wide."""
     target = _exploration_budget(t, c) / np.maximum(counts, 1.0)
     lo = mu_eff.copy()
     hi = np.ones_like(mu_eff)
-    for _ in range(40):
+    for _ in range(halvings):
         mid = 0.5 * (lo + hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             left = np.where(mu_eff > 0.0, mu_eff * np.log(mu_eff / mid), 0.0)
@@ -316,32 +315,50 @@ def _reference_klucb_matrix(mu_eff, counts, t, c):
     return np.where(counts > 0, 0.5 * (lo + hi), np.inf)
 
 
+# the width of the bisection's last interval, and the Newton index's tolerance
+BISECTION_WIDTH = 2.0**-40
+
+
+def _assert_bisection_argmax(idx, ref):
+    """idx has the bisection's argmax wherever the bisection resolves it.
+
+    Cells whose reference lies within two widths of the reference maximum
+    can order either way: each index is within a width of its reference.
+    Such near-ties arise where many indices round to 1 within 2**-40, as with
+    counts of 1 or 2; idx then picks one of them.
+    """
+    near = ref >= ref.max() - 2 * BISECTION_WIDTH
+    if np.count_nonzero(near) == 1:
+        assert argmax_pair(idx) == argmax_pair(ref)
+    else:
+        assert near[argmax_pair(idx)]
+
+
 @pytest.mark.parametrize("m, blocks", [(10, (1, 3)), (100, (1, 3)), (50, (5,))],
                          ids=["10", "100", "50"])
-def test_klucb_pruning_is_bit_identical(m, blocks):
+def test_klucb_index_matches_the_bisection(m, blocks):
     # a single repetition, and blocks of 3 and 5 with their own counts and sums
-    # at one t; the block of 5 at m = 50 gives the compaction a wider state
+    # at one t
     for reps in blocks:
-        _check_klucb_pruning(m, reps)
+        _check_klucb_index(m, reps)
 
 
-def test_klucb_index_of_a_played_block_is_bit_identical(monkeypatch):
+def test_klucb_index_of_a_played_block_matches_the_bisection(monkeypatch):
     """Every block-round of klrcucb on the bundled m = 100 instance, R = 3:
-    per repetition the pruned index has the full bisection's argmax and finite
-    bits, and each -inf cell lies strictly below the maximum."""
+    per repetition the index has the bisection's argmax and lies within the
+    bisection's width of it on every cell."""
     instance = load_config("paper_synthetic_m100").instance
-    pruned = policies._klucb_index_matrix
+    newton = policies._klucb_index_matrix
     rounds = []
 
     def checked(mu_eff, counts, t, c):
-        block = pruned(mu_eff, counts, t, c)
+        block = newton(mu_eff, counts, t, c)
         for idx, mu, n in zip(block, mu_eff, counts):
             ref = _reference_klucb_matrix(mu, n, t, c)
             assert argmax_pair(idx) == argmax_pair(ref)
-            finite = np.isfinite(idx)
-            assert np.array_equal(idx[finite], ref[finite])
-            assert np.all(ref[np.isneginf(idx)] < ref.max())
-        rounds.append(np.count_nonzero(np.isneginf(block)))
+            assert np.all(np.isfinite(idx))
+            assert np.all(np.abs(idx - ref) <= BISECTION_WIDTH)
+        rounds.append(t)
         return block
 
     monkeypatch.setattr(policies, "_klucb_index_matrix", checked)
@@ -349,10 +366,9 @@ def test_klucb_index_of_a_played_block_is_bit_identical(monkeypatch):
     run_episode(instance, PolicySpec("klrcucb"), horizon, nu_table(instance),
                 [mix64(7, rep) for rep in range(3)])
     assert len(rounds) == 60
-    assert min(rounds) > 0
 
 
-def _check_klucb_pruning(m, reps):
+def _check_klucb_index(m, reps):
     pol = KLRCUCBPolicy(gaussian_instance(m), reps=reps)
     est = pol.estimator
     n = pol.n
@@ -380,8 +396,8 @@ def _check_klucb_pruning(m, reps):
             i = rng.integers(reps * n)
             est.sums[i, 0] = 2.0 * est.counts[i, 0]
         elif case == 6:
-            # the last repetition's maximum lies far below the others': a
-            # threshold shared by the block would prune that whole repetition
+            # the last repetition's maximum lies far below the others': its
+            # argmax is still its own
             low = rows[-1]
             est.counts[low] = 5000.0
             est.sums[low] = est.counts[low] * 0.05 * rng.random((n, m))
@@ -413,19 +429,22 @@ def _check_klucb_pruning(m, reps):
         refs = [reference(r) for r in range(reps)]
         for r, (idx, ref) in enumerate(zip(block, refs)):
             mu = mu_eff()[rows[r]]
-            assert argmax_pair(idx) == argmax_pair(ref)
-            assert idx.max() == ref.max()
-            finite = np.isfinite(idx)
-            assert np.array_equal(idx[finite], ref[finite])
-            assert np.all(ref[np.isneginf(idx)] < ref.max())
-            assert not np.isposinf(idx).any()
-            for i, j in zip(*np.nonzero(finite)):
-                scalar = klucb_index(float(mu[i, j]), int(est.counts[r * n + i, j]),
-                                     pol.t + 1, pol.c)
-                assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
+            _assert_bisection_argmax(idx, ref)
+            assert np.all(np.isfinite(idx))
+            if case == 4:
+                # the true index at budget 0 is mu_eff; the bisections drift
+                # up to about 1e-8 above it, where d(p, mid) rounds to <= 0
+                assert np.array_equal(idx, mu)
+            else:
+                assert np.all(np.abs(idx - ref) <= BISECTION_WIDTH)
+                for i, j in np.ndindex(idx.shape):
+                    scalar = klucb_index(float(mu[i, j]), int(est.counts[r * n + i, j]),
+                                         pol.t + 1, pol.c)
+                    assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
             if case in (3, 7):
                 a, j, other = ties[r]
-                assert idx[a, j] == idx[other, j] == ref.max()
+                assert idx[a, j] == idx[other, j]
+                assert abs(idx[a, j] - ref.max()) <= BISECTION_WIDTH
         if case == 6:
             assert refs[-1].max() < max(ref.max() for ref in refs[:-1]) - 0.1
         if case == 7:
@@ -433,9 +452,48 @@ def _check_klucb_pruning(m, reps):
         covered.update(name for name, hit in (
             ("p = 0", np.any(mu_eff() == 0.0)),
             ("p = 1", np.any(mu_eff() == 1.0)),
-            ("pruned", np.any(np.isneginf(block))),
+            ("budget 0", case == 4),
         ) if hit)
-    assert covered == {"p = 0", "p = 1", "pruned"}
+    assert covered == {"p = 0", "p = 1", "budget 0"}
+
+
+def test_klucb_index_over_its_domain():
+    """2e4 cells: p uniform, log-spaced toward 0 and toward 1, and exactly 0
+    and 1; N in [1, 1e6]; t with a zero, a small and two large budgets.
+    Within the bisection's width of a 70-halving bisection, and exactly p
+    where the budget is 0."""
+    rng = np.random.default_rng(2011)
+    k = 5000
+    p = np.concatenate([rng.random(k), 10.0 ** -rng.uniform(1, 17, k),
+                        1.0 - 10.0 ** -rng.uniform(1, 16, k),
+                        np.repeat([0.0, 1.0], k // 2)])
+    counts = np.floor(10.0 ** rng.uniform(0, 6, p.size))
+    counts[:50] = 1.0
+    counts[-50:] = 1e6
+    for t in (2, 3, 400, 10**7):
+        idx = policies._klucb_index_matrix(p, counts, t, 3.0)
+        assert np.all(np.isfinite(idx))
+        if _exploration_budget(t, 3.0) == 0.0:
+            assert np.array_equal(idx, p)
+            continue
+        ref = _reference_klucb_matrix(p, counts, t, 3.0, halvings=70)
+        assert np.all(np.abs(idx - ref) <= BISECTION_WIDTH)
+        assert np.all(p <= idx) and np.all(idx <= 1.0)
+
+
+@pytest.mark.parametrize("t", [3, 400, 10**7])
+def test_klucb_index_exact_values(t):
+    counts = np.array([1.0, 7.0, 1e6])
+    target = _exploration_budget(t, 3.0) / counts
+    # p = 0: d(0, q) = -log(1 - q), so the index is -expm1(-target)
+    at_zero = policies._klucb_index_matrix(np.zeros(3), counts, t, 3.0)
+    assert np.all(np.abs(at_zero - -np.expm1(-target)) <= np.spacing(at_zero))
+    assert np.all(policies._klucb_index_matrix(np.ones(3), counts, t, 3.0) == 1.0)
+    # one observation just below 1: the bound far above the root
+    near_one = 1.0 - np.array([2.0**-53, 1e-12, 1e-4])
+    idx = policies._klucb_index_matrix(near_one, np.ones(3), t, 3.0)
+    assert np.all(np.isfinite(idx)) and np.all(idx <= 1.0)
+    assert np.all(near_one <= idx)
 
 
 def test_klrcucb_matches_scalar_index():
