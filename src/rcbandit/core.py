@@ -181,14 +181,6 @@ class ResourceGrid:
         censored at every limit, as admits() has it."""
         return np.searchsorted(self.points, cost, side="left")
 
-    def index_of(self, tau: float) -> int:
-        """Index of the grid point equal to tau (tolerance 1e-9 * tau_max)."""
-        arr = self.as_array()
-        i = int(np.argmin(np.abs(arr - tau)))
-        if abs(arr[i] - tau) > 1e-9 * self.tau_max:
-            raise DomainError(f"{tau!r} is not a grid point")
-        return i
-
 
 def build_grid(m: int, tau_max: float) -> ResourceGrid:
     """Equidistant grid {j * tau_max / m : j = 1..m}; includes tau_max, excludes 0."""

@@ -13,8 +13,8 @@ and the rounds read lo. DegenerateArm, TraceArm and trace_env_load reject a
 NaN or negative cost, and sample_episode checks every arm's draws, which
 covers user-defined arms too.
 
-Per-round hook contract: GaussianArm.sample stays in the class body and is
-called through the arm, because the per-layer benchmark trace wraps it.
+GaussianArm.sample is a hook of the benchmark trace; the contract is stated
+in the policies module.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ lockstep: (reps * n_arms, m) arrays indexed [rep * n_arms + arm, grid point],
 the same memory as [rep, arm, grid point], so a block of one is the plain
 (n_arms, m) matrix. They store counts and sums rather than running means, so
 reads are exact. Callers read the arrays (counts, sums, successes, failures)
-or mean_matrix() directly, and reshape them to (reps, n_arms, m) as needed.
+directly, and reshape them to (reps, n_arms, m) as needed.
 
 A round reaches an estimator as grid indices only: the row of the played
 (rep, arm), the played limit and lo = core.ResourceGrid.first_admitting(cost),
@@ -15,12 +15,8 @@ those from lo on, and the round is censored iff lo lies beyond the played
 limit; its reward is then passed as 0.0 and no estimator reads it. No
 comparison of a cost with a limit is written here.
 
-Per-round hook contract: each estimator's update_by_index stays in its own
-class body and is called once per repetition per round, as
-update_by_index(row, k, lo, reward[, rng]) with the row (rep * n_arms +
-0-based arm) first and, for the censored and Beta estimators, the
-touched-cell count k, a plain int, third; the per-layer benchmark trace
-wraps it there and reads k as the number of cells a round touches.
+update_by_index is a per-round hook of the benchmark trace; the contract is
+stated in the policies module.
 """
 
 from __future__ import annotations
@@ -53,10 +49,6 @@ class _CountSumEstimator:
         self.n = n
         self.counts = np.zeros((reps * n, grid.m))
         self.sums = np.zeros((reps * n, grid.m))
-
-    def mean_matrix(self) -> np.ndarray:
-        """Elementwise mu_hat with zeros where N = 0."""
-        return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1.0), 0.0)
 
     def snapshot(self, rep: int = 0) -> list[dict]:
         return _snapshot(self.grid, self.n, rep, ((self.count_key, int, self.counts),

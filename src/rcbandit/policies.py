@@ -38,10 +38,13 @@ call, looked up where the tracer patches it:
 - argmax_pair, defined in core and imported here as a module global, looked
   up in this module at call time, once per block-round (the oracle's own
   import stays untraced);
-- each estimator's own update_by_index(row, k, lo, reward[, rng]), called
-  through the estimator once per repetition per round, with the
-  touched-cell count k, a plain int, third;
-- GaussianArm.sample (in envs), called through the arm.
+- update_by_index(row, k, lo, reward[, rng]) in each estimator's class
+  body, called through the estimator once per repetition per round, with the
+  row (rep * n + arm0) first and the touched-cell count k, a plain int,
+  third, which the trace reads as the cells a round touches;
+- sample_episode, defined in envs and imported by sim as a module global,
+  called once per repetition before the rounds; GaussianArm.sample (in
+  envs), called through the arm.
 
 Inlining one of them silently zeroes its per-layer metric.
 """
@@ -221,9 +224,9 @@ def _optimistic_index(estimator, width: float, scale: np.ndarray,
                       offset: np.ndarray) -> np.ndarray:
     """scale * (mu_hat + sqrt(width / N)) + offset per pair.
 
-    Every N must be >= 1 (see _require_played), so mu_hat = sums / N equals
-    mean_matrix(), which divides by max(N, 1). The expression runs as a few
-    in-place ufuncs on one fresh array.
+    Every N must be >= 1 (see _require_played), so mu_hat = sums / N is
+    defined in every cell. The expression runs as a few in-place ufuncs on one
+    fresh array.
     """
     counts = estimator.counts
     _require_played(counts)
@@ -353,7 +356,7 @@ class KLRCUCBPolicy(_CensoredPolicy):
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's KL index matrix, which
         _klucb_index_matrix computes over the whole stack at once. Every N is
-        checked to be >= 1, so mu_hat = sums / N equals mean_matrix()."""
+        checked to be >= 1, so mu_hat = sums / N is defined in every cell."""
         t = self.t + 1
         shape = (self.reps, self.n, -1)
         counts = self.estimator.counts
@@ -446,15 +449,17 @@ class UniformRandomPolicy(Policy):
 
 
 class FixedOraclePolicy(Policy):
-    """Always plays one fixed pair (normally the oracle optimum)."""
+    """Always plays one fixed pair (normally the oracle optimum): the 0-based
+    arm arm0 at grid index j."""
 
     kind = "fixed_oracle"
 
-    def __init__(self, instance: InstanceSpec, arm: int, tau_prime: float, reps: int = 1):
+    def __init__(self, instance: InstanceSpec, arm0: int, j: int, reps: int = 1):
         super().__init__(instance, reps)
-        self._pair = (arm - 1, instance.grid.index_of(tau_prime))
-        if not 1 <= arm <= instance.n:
-            raise ConfigError(f"arm {arm} outside 1..{instance.n}")
+        if not (0 <= arm0 < instance.n and 0 <= j < instance.grid.m):
+            raise ConfigError(f"pair ({arm0}, {j}) outside arms 0..{instance.n - 1} "
+                              f"and grid indices 0..{instance.grid.m - 1}")
+        self._pair = (arm0, j)
 
     def _choose(self) -> tuple[list[int], list[int]]:
         return [self._pair[0]] * self.reps, [self._pair[1]] * self.reps
@@ -462,12 +467,12 @@ class FixedOraclePolicy(Policy):
 
 def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
                 rngs: list[np.random.Generator] | None = None,
-                optimal_pair: tuple[int, float] | None = None) -> Policy:
+                optimal_pair: tuple[int, int] | None = None) -> Policy:
     """Instantiate the policy described by spec for a block of reps repetitions.
 
     rngs, one Generator per repetition, is required by the stochastic
-    policies (ts, uniform_random); optimal_pair = (arm, tau') is required by
-    fixed_oracle.
+    policies (ts, uniform_random); optimal_pair = (arm0, j), the 0-based arm
+    and the grid index of the limit, is required by fixed_oracle.
     """
     if rngs is not None and len(rngs) != reps:
         raise ConfigError(f"{len(rngs)} RNGs for a block of {reps} repetitions")
@@ -489,6 +494,5 @@ def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
     if spec.kind == "fixed_oracle":
         if optimal_pair is None:
             raise ConfigError("fixed_oracle policy needs the oracle's optimal pair")
-        return FixedOraclePolicy(instance, arm=optimal_pair[0], tau_prime=optimal_pair[1],
-                                 reps=reps)
+        return FixedOraclePolicy(instance, *optimal_pair, reps=reps)
     raise ConfigError(f"unknown policy kind {spec.kind!r}")

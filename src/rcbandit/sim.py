@@ -13,9 +13,10 @@ sample_episode computes lo = ResourceGrid.first_admitting(cost) for every
 round and arm once per episode, the block loop reads each repetition's
 played lo, and the play at grid index j is censored iff lo > j (the audit
 calls core.admits). The initialization schedule a horizon must cover comes
-from policies.init_length. run_episode states the per-round hook contract:
-the policy hooks run once per block-round, the estimator update once per
-repetition per round.
+from policies.init_length. Plays stay grid indices from the round loop to
+the trace file: a RunTrace records each round's (arm0, tau_idx), and the
+trace writer looks their text up in the instance's grid and the table's
+gaps. The per-round hook contract is stated once, in the policies module.
 
 The concentration audit draws each run once and evaluates every limit on
 those draws, as nu_table(..., "monte_carlo") does with its per-arm batch.
@@ -42,13 +43,13 @@ from .policies import PolicySpec, init_length, make_policy
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One episode: per-round choices and regret, per-run tallies."""
+    """One episode: per-round plays as the 0-based arm and the grid index of
+    the limit, the outcome and regret of each round, per-run tallies."""
 
-    arms: np.ndarray
-    taus: np.ndarray
+    arm0: np.ndarray
+    tau_idx: np.ndarray
     censored: np.ndarray
     rewards: np.ndarray
-    inst_regret: np.ndarray
     cum_regret: np.ndarray
     play_counts: np.ndarray
     censored_share: float
@@ -57,7 +58,7 @@ class RunTrace:
 
     @property
     def horizon(self) -> int:
-        return self.arms.shape[0]
+        return self.arm0.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +142,8 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     its own exception, with attribute seed_index set to its seed's index in
     seeds (an instance attribute, so it pickles with the exception).
 
-    Per-round hook contract: each round calls policy.select() once for the
-    whole block, -> one (arm0, j) per repetition, and policy.update(lo,
-    reward) once, with each repetition's lo, the played arm's
-    grid.first_admitting(cost) from sample_episode, and reward 0.0 on a
-    censored round (lo > j), so no estimator can read a censored reward. The
-    policy reaches its index_matrix (one call over the block's stack), the
-    module-global policies.argmax_pair (one call) and its estimator's
-    update_by_index (one call per repetition) through their owners; the
-    draws come from each arm's sample(), called by the module-level
-    sample_episode. The benchmark trace (perfbench/tracer.py) wraps exactly
-    these callables to split a round's cost by layer, so inlining one of
-    them silently zeroes that layer's metrics.
+    Each round calls policy.select() and policy.update() once for the whole
+    block; the per-round hook contract is stated in the policies module.
     """
     _check_table(table, instance)
     need = init_length(spec.kind, instance)
@@ -175,7 +166,8 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     reps = len(seeds)
     policy = make_policy(spec, instance, reps,
                          rngs=[np.random.default_rng(mix64(seed, 1)) for seed in seeds],
-                         optimal_pair=(table.optimal_arm, table.optimal_tau))
+                         optimal_pair=(table.optimal_arm - 1,
+                                       table.taus.index(table.optimal_tau)))
 
     # round after round, the arm and limit indices of every repetition, in the
     # narrowest unsigned type that holds them
@@ -194,33 +186,24 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     arms0 = np.frombuffer(arms_played, dtype=code).reshape(horizon, reps)
     tau_idx = np.frombuffer(limits_played, dtype=code).reshape(horizon, reps)
 
-    # what the traces need of the draws first, freeing each repetition's draws
-    # before the next one's trace arrays are made
+    # one pass per repetition: what its trace needs of its draws, which are
+    # freed before its trace arrays are made
     rounds = np.arange(horizon)
-    outcomes = []
+    traces = []
     for r in range(reps):
-        played = arms0[:, r]
-        censored = lo_matrices[r][rounds, played] > tau_idx[:, r]
+        played, limit = arms0[:, r], tau_idx[:, r]
+        censored = lo_matrices[r][rounds, played] > limit
         observed = rewards[r][rounds, played]
         observed[censored] = 0.0
-        outcomes.append((censored, observed))
         rewards[r] = lo_matrices[r] = None
-    del rounds
-
-    grid = instance.grid.as_array()
-    traces = []
-    for r, (censored, observed) in enumerate(outcomes):
-        played, limit = arms0[:, r], tau_idx[:, r]
         counts = np.zeros((instance.n, instance.grid.m), dtype=np.int64)
         np.add.at(counts, (played, limit), 1)
-        inst_regret = table.gap[played, limit]
         traces.append(RunTrace(
-            arms=np.add(played, 1, dtype=np.int64),
-            taus=grid[limit],
+            arm0=played,
+            tau_idx=limit,
             censored=censored,
             rewards=observed,
-            inst_regret=inst_regret,
-            cum_regret=np.cumsum(inst_regret),
+            cum_regret=np.cumsum(table.gap[played, limit]),
             play_counts=counts,
             censored_share=float(censored.mean()) if horizon else 0.0,
             realized_total=float(observed.sum()),
@@ -240,14 +223,14 @@ _TRACE_HEADER = "rep,round,arm,tau,censored,reward,inst_regret,cum_regret\n"
 AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 
 # draws and traces of the repetitions a block holds at once, at most: bounds
-# run_episode's memory (a block is never smaller than one repetition). The
-# bundled configs (10 arms, horizon 50 000) get blocks of 5, where the speed-up
-# of a larger block has levelled off and each repetition adds about 4.3 MB of
-# peak RSS
+# run_episode's memory (a block is never smaller than one repetition). 6 of
+# the bundled configs' repetitions (10 arms, horizon 50 000) fit, so their 20
+# are split evenly into 4 blocks of 5, where the speed-up of a larger block has
+# levelled off and each repetition adds about 4.3 MB of peak RSS
 _BLOCK_BYTES = 32 << 20
-# RunTrace's arrays per round: arms, taus, rewards, inst_regret and cum_regret
-# at 8 B, censored at 1 B
-_TRACE_ROUND_BYTES = 41
+# RunTrace's arrays per round: rewards and cum_regret at 8 B; censored, arm0
+# and tau_idx at 1 B
+_TRACE_ROUND_BYTES = 19
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
 # draws the audit evaluates at once, over limits x runs x t_check: bounds its
@@ -262,39 +245,35 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-1]
 
 
-def _distinct_text(values: np.ndarray):
-    """repr of each float, formatting every distinct bit pattern once.
-
-    Keyed on the bits rather than the value, so 0.0 and -0.0 keep their text.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    return map(text.__getitem__, inverse.tolist())
-
-
 def _write_lines(handle, columns) -> None:
     """Write rows given as columns of field text, comma-separated, "\n"-ended."""
     handle.write("\n".join(map(",".join, zip(*columns))))
     handle.write("\n")
 
 
-def _write_trace(handle, rep: int, trace: RunTrace) -> None:
+def _write_trace(handle, rep: int, trace: RunTrace, tau_text: list[str],
+                 gap_text: list[str]) -> None:
     """Append one repetition's _TRACE_HEADER rows, in bytes equal to csv.writer's.
 
-    Numbers are written as str/repr, like csv.writer does; the few distinct
-    limits and gaps are formatted once per chunk.
+    Numbers are written as str/repr, like csv.writer does. tau_text holds the
+    repr of each grid limit and gap_text that of each gap-table entry, in
+    row-major order, so a round's limit and gap are looked up by its indices.
     """
     rep_text = str(rep)
+    m = len(tau_text)
     for start in range(0, trace.horizon, _WRITE_CHUNK):
         part = slice(start, min(start + _WRITE_CHUNK, trace.horizon))
+        # intp first: arm0 * m overflows a narrow unsigned type
+        arm0 = trace.arm0[part].astype(np.intp)
+        limit = trace.tau_idx[part].astype(np.intp)
         _write_lines(handle, (
             repeat(rep_text),
             map(str, range(part.start + 1, part.stop + 1)),
-            map(str, trace.arms[part].tolist()),
-            _distinct_text(trace.taus[part]),
+            map(str, (arm0 + 1).tolist()),
+            map(tau_text.__getitem__, limit.tolist()),
             map("01".__getitem__, trace.censored[part].tolist()),
             map(repr, trace.rewards[part].tolist()),
-            _distinct_text(trace.inst_regret[part]),
+            map(gap_text.__getitem__, (arm0 * m + limit).tolist()),
             map(repr, trace.cum_regret[part].tolist()),
         ))
 
@@ -306,17 +285,16 @@ def _rep_bytes(config: ExperimentConfig) -> int:
 
 
 def _blocks(config: ExperimentConfig) -> list[range]:
-    """The repetitions of each policy split into blocks, in rep order.
+    """The repetitions of each policy split evenly into blocks, in rep order.
 
-    A block holds as many repetitions as fit _rep_bytes each into
-    _BLOCK_BYTES, and with workers > 1 there are at least as many blocks as
-    workers (reps allowing), so the pool keeps every worker busy.
+    The fewest blocks that hold at most as many repetitions as fit _rep_bytes
+    each into _BLOCK_BYTES, and at least one per worker (reps allowing), so
+    the pool keeps every worker busy.
     """
     reps = config.repetitions
     size = max(1, _BLOCK_BYTES // _rep_bytes(config))
-    if config.workers > 1:
-        size = min(size, -(-reps // config.workers))
-    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+    count = max(-(-reps // size), min(config.workers, reps))
+    return [range(reps * k // count, reps * (k + 1) // count) for k in range(count)]
 
 
 def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Aggregate:
@@ -343,6 +321,9 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        # the text of every limit and gap, looked up by the traces' indices
+        tau_text = [repr(t) for t in config.instance.grid.as_array().tolist()]
+        gap_text = [repr(g) for g in table.gap.ravel().tolist()]
 
     horizon, reps = config.horizon, config.repetitions
     n_pol = len(config.policies)
@@ -401,7 +382,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
                         handle = open(out / f"trace_{spec.label}.csv", "w",
                                       encoding="utf-8", newline="")
                         handle.write(_TRACE_HEADER)
-                    _write_trace(handle, rep, trace)
+                    _write_trace(handle, rep, trace, tau_text, gap_text)
             # the next block runs inside next(results): hold no trace across it
             del traces, trace
     finally:

@@ -1,5 +1,7 @@
-"""Shared instance builders for the test suite, and the block-of-one forms of
-the policy round calls."""
+"""Shared instance builders for the test suite, the block-of-one forms of
+the policy round calls, and the mean matrix of a count/sum estimator."""
+
+import numpy as np
 
 from rcbandit.core import DiscountSpec, InstanceSpec, build_grid
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
@@ -83,3 +85,9 @@ def select1(policy):
 def update1(policy, lo, reward):
     """Policy.update of a block of one repetition."""
     policy.update([lo], [reward])
+
+
+def mean_matrix(estimator):
+    """mu_hat = sums / N of every cell of a count/sum estimator, 0 where N = 0."""
+    counts = estimator.counts
+    return np.where(counts > 0, estimator.sums / np.maximum(counts, 1.0), 0.0)

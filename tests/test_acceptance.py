@@ -28,6 +28,7 @@ from conftest import (
     BYTE_IDENTITY_CONFIG,
     analytic_instance,
     gaussian_instance,
+    mean_matrix,
     select1,
     update1,
 )
@@ -144,7 +145,7 @@ def test_estimator_matches_oracle_under_full_limit():
         se = realized.std(axis=1, ddof=1) / math.sqrt(draws)
         mu = true_mixed_moments(arm, grid)
         for j in range(m):
-            mu_hat = estimator.mean_matrix()[i, j]
+            mu_hat = mean_matrix(estimator)[i, j]
             assert estimator.counts[i, j] == draws
             assert abs(mu_hat - mu[j]) <= 3.0 * se[j]
 

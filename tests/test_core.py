@@ -140,14 +140,6 @@ def test_build_grid_errors():
         build_grid(5, 0.0)
 
 
-def test_grid_index_of():
-    g = build_grid(10, 1.0)
-    assert g.index_of(0.3) == 2
-    assert g.index_of(1.0) == 9
-    with pytest.raises(DomainError):
-        g.index_of(0.35)
-
-
 @pytest.mark.parametrize("grid", [build_grid(10, 1.0), build_grid(7, 2.0),
                                   ResourceGrid((0.1, 0.15, 0.6), 1.0)])
 def test_admits_agrees_with_first_admitting(grid):

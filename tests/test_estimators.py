@@ -4,6 +4,8 @@ import pytest
 from rcbandit.core import ConfigError, build_grid
 from rcbandit.estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator
 
+from conftest import mean_matrix
+
 GRID2 = build_grid(2, 1.0)  # {0.5, 1.0}; a play at 0.5 touches k = 1 cell, at 1.0 k = 2
 
 
@@ -17,7 +19,7 @@ CENSORED = (GRID2.m, 0.0)  # a cost above every limit: censored at any k
 
 def cell(est, arm0, j):
     """(mu_hat, N) of one cell of a count/sum estimator."""
-    return float(est.mean_matrix()[arm0, j]), int(est.counts[arm0, j])
+    return float(mean_matrix(est)[arm0, j]), int(est.counts[arm0, j])
 
 
 def trials(post, arm0, j):
@@ -179,7 +181,7 @@ def test_invariants_under_random_play():
 
     # bounds: 0 <= sum <= N and mu in [0, 1]
     assert np.all(cen.sums >= 0) and np.all(cen.sums <= cen.counts)
-    mu = cen.mean_matrix()
+    mu = mean_matrix(cen)
     assert np.all((mu >= 0) & (mu <= 1))
 
     # counts are non-increasing in tau' for each arm

@@ -1,8 +1,9 @@
 """Golden pins: committed sha256 digests of what each policy kind plays.
 
-A pin hashes the (arms, taus, censored) sequence of an episode. The byte
-identity test in the acceptance module compares two runs of the same
-checkout, so it cannot catch a refactor that changes behaviour; these
+A pin hashes the (arm, limit, censored) sequence of an episode: the 1-based
+arms as int64 and the limits as float64, the bytes these digests were taken
+on. The byte identity test in the acceptance module compares two runs of the
+same checkout, so it cannot catch a refactor that changes behaviour; these
 constants can. A change that means to alter behaviour updates them and says
 why; a performance change leaves them as they are.
 """
@@ -61,9 +62,9 @@ TABLE_PINS = {
 }
 
 
-def _update(h, trace) -> None:
-    h.update(np.ascontiguousarray(trace.arms, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(trace.taus, dtype=np.float64).tobytes())
+def _update(h, trace, instance) -> None:
+    h.update(np.add(trace.arm0, 1, dtype=np.int64).tobytes())
+    h.update(instance.grid.as_array()[trace.tau_idx].tobytes())
     h.update(np.ascontiguousarray(trace.censored, dtype=np.bool_).tobytes())
 
 
@@ -93,7 +94,7 @@ def test_small_config_pin(kind, small_setup):
     seeds = [mix64(config.base_seed, p, rep) for rep in range(config.repetitions)]
     for trace in run_episode(config.instance, config.policies[p], config.horizon,
                              table, seeds):
-        _update(h, trace)
+        _update(h, trace, config.instance)
     assert h.hexdigest() == SMALL_PINS[kind]
 
 
@@ -103,7 +104,7 @@ def test_gaussian_episode_pin(kind, gaussian_setup):
     horizon, digest = GAUSSIAN_PINS[kind]
     h = hashlib.sha256()
     (trace,) = run_episode(instance, PolicySpec(kind), horizon, table, [GAUSSIAN_SEED])
-    _update(h, trace)
+    _update(h, trace, instance)
     assert h.hexdigest() == digest
 
 
@@ -115,7 +116,7 @@ def test_m100_klrcucb_pin():
     seeds = [GAUSSIAN_SEED + 1, GAUSSIAN_SEED, GAUSSIAN_SEED + 2]
     _, trace, _ = run_episode(config.instance, PolicySpec("klrcucb"), horizon,
                               _config_table(config), seeds)
-    _update(h, trace)
+    _update(h, trace, config.instance)
     assert h.hexdigest() == digest
 
 

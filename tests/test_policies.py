@@ -35,7 +35,7 @@ from rcbandit.policies import (
 )
 from rcbandit.sim import run_episode
 
-from conftest import gaussian_instance, select1, update1
+from conftest import gaussian_instance, mean_matrix, select1, update1
 
 # independently evaluated index values at t=10, mu_hat=0.9, N=4, alpha=2,
 # linear discount with tau_max=1 on grid points 0.25 / 0.5
@@ -375,7 +375,7 @@ def _check_klucb_index(m, reps):
     rows = [slice(r * n, (r + 1) * n) for r in range(reps)]
 
     def mu_eff():
-        return np.clip(pol.scale * est.mean_matrix() + pol.offset, 0.0, 1.0)
+        return np.clip(pol.scale * mean_matrix(est) + pol.offset, 0.0, 1.0)
 
     def reference(r):
         return _reference_klucb_matrix(mu_eff()[rows[r]], est.counts[rows[r]],
@@ -587,12 +587,14 @@ def test_uniform_random_covers_pairs():
 
 def test_fixed_oracle_policy():
     inst = _inst(n_arms=2)
-    pol = FixedOraclePolicy(inst, arm=2, tau_prime=0.25)
+    pol = FixedOraclePolicy(inst, arm0=1, j=0)
     for _ in range(5):
         assert select1(pol) == (1, 0)
         update1(pol, *CENSORED)
     with pytest.raises(ConfigError):
-        FixedOraclePolicy(inst, arm=3, tau_prime=0.25)
+        FixedOraclePolicy(inst, arm0=inst.n, j=0)
+    with pytest.raises(ConfigError):
+        FixedOraclePolicy(inst, arm0=1, j=inst.grid.m)
 
 
 def test_policy_spec_validation_and_warning():
@@ -638,7 +640,7 @@ def test_make_policy_dispatch():
         make_policy(PolicySpec("uniform_random"), inst, rngs=[rng]), UniformRandomPolicy
     )
     assert isinstance(
-        make_policy(PolicySpec("fixed_oracle"), inst, optimal_pair=(1, 0.25)),
+        make_policy(PolicySpec("fixed_oracle"), inst, optimal_pair=(1, 0)),
         FixedOraclePolicy,
     )
     with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from rcbandit.core import (
     DiscountSpec,
     DomainError,
     InstanceSpec,
+    ResourceGrid,
     UsageError,
     admits,
     build_grid,
@@ -49,8 +50,8 @@ def _episode(instance, spec, horizon, table, seed, keep_state=False) -> RunTrace
 
 def _traces_equal(a: RunTrace, b: RunTrace) -> bool:
     return (
-        np.array_equal(a.arms, b.arms)
-        and np.array_equal(a.taus, b.taus)
+        np.array_equal(a.arm0, b.arm0)
+        and np.array_equal(a.tau_idx, b.tau_idx)
         and np.array_equal(a.censored, b.censored)
         and np.array_equal(a.rewards, b.rewards)
         and np.array_equal(a.cum_regret, b.cum_regret)
@@ -77,7 +78,7 @@ def test_single_pair_instance_has_zero_regret():
     tab = nu_table(inst)
     trace = _episode(inst, PolicySpec("rcucb"), 200, tab, seed=1)
     assert np.all(trace.cum_regret == 0.0)
-    assert np.all(trace.inst_regret == 0.0)
+    assert np.all(tab.gap[trace.arm0, trace.tau_idx] == 0.0)
 
 
 def test_fixed_oracle_has_zero_regret():
@@ -85,8 +86,26 @@ def test_fixed_oracle_has_zero_regret():
     tab = nu_table(inst)
     trace = _episode(inst, PolicySpec("fixed_oracle"), 300, tab, seed=9)
     assert np.all(trace.cum_regret == 0.0)
-    assert np.all(trace.arms == tab.optimal_arm)
-    assert np.all(trace.taus == tab.optimal_tau)
+    assert np.all(trace.arm0 + 1 == tab.optimal_arm)
+    assert np.all(np.array(tab.taus)[trace.tau_idx] == tab.optimal_tau)
+
+
+def test_fixed_oracle_plays_the_optimum_of_a_table_on_nearby_limits():
+    """A table whose limits match the grid only within allclose is accepted,
+    and fixed_oracle plays its optimum by the optimum's index in the table."""
+    arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.4))
+
+    def instance(points):
+        return InstanceSpec(arms=arms, grid=ResourceGrid(points=points, tau_max=1.0),
+                            discount=DiscountSpec("linear", tau_max=1.0))
+
+    inst = instance((0.25, 0.5))
+    tab = nu_table(instance((0.25 + 1e-7, 0.5)))
+    assert tab.optimal_tau == tab.taus[0] != inst.grid.points[0]
+    trace = _episode(inst, PolicySpec("fixed_oracle"), 200, tab, seed=4)
+    assert np.all(trace.arm0 == tab.optimal_arm - 1)
+    assert np.all(trace.tau_idx == 0)
+    assert np.all(trace.cum_regret == 0.0)
 
 
 def test_uniform_random_mean_regret_matches_gap_average():
@@ -104,7 +123,7 @@ def test_trace_invariants():
         trace = _episode(inst, PolicySpec(kind), 400, tab, seed=77)
         assert trace.horizon == 400
         assert np.all(np.diff(trace.cum_regret) >= 0)
-        assert np.all(trace.inst_regret >= 0)
+        assert np.all(tab.gap[trace.arm0, trace.tau_idx] >= 0)
         assert trace.play_counts.sum() == 400
         assert 0.0 <= trace.censored_share <= 1.0
         assert trace.realized_total == pytest.approx(trace.rewards.sum())
@@ -142,7 +161,7 @@ def test_cost_at_a_grid_point_is_censored_only_below_it():
                         discount=DiscountSpec("linear"))
     tab = nu_table(inst)
     played = _episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
-    at_or_above = played.taus >= grid.points[1]
+    at_or_above = played.tau_idx >= 1
     assert at_or_above.any() and not at_or_above.all()
     np.testing.assert_array_equal(played.censored, ~at_or_above)
     np.testing.assert_array_equal(played.rewards, np.where(at_or_above, 0.8, 0.0))
@@ -318,7 +337,7 @@ def test_uneven_blocks_match_blocks_of_one(monkeypatch, tmp_path, workers):
         runs[name] = (blocks, run_experiment(dataclasses.replace(
             cfg, output_dir=tmp_path / name)), _artifacts(tmp_path / name))
     assert runs["single"][0] == [range(rep, rep + 1) for rep in range(5)]
-    assert runs["uneven"][0] == [range(0, 2), range(2, 4), range(4, 5)]
+    assert runs["uneven"][0] == [range(0, 1), range(1, 3), range(3, 5)]
     (_, one, one_files), (_, uneven, uneven_files) = runs["single"], runs["uneven"]
     for field in ("mean_cum_regret", "stderr_cum_regret", "censored_share",
                   "mean_realized_total", "max_residual"):
@@ -329,7 +348,7 @@ def test_uneven_blocks_match_blocks_of_one(monkeypatch, tmp_path, workers):
 
 def test_blocks_leave_every_worker_busy(monkeypatch):
     cfg = _small_config(repetitions=5, workers=2)
-    assert sim._blocks(cfg) == [range(0, 3), range(3, 5)]
+    assert sim._blocks(cfg) == [range(0, 2), range(2, 5)]
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
     assert sim._blocks(cfg) == [range(rep, rep + 1) for rep in range(5)]
 
@@ -458,28 +477,37 @@ def test_caller_table_is_written(tmp_path):
     assert json.loads((tmp_path / "nu_table.json").read_text()) == tab.to_dict()
 
 
-def _csv_trace_reference(rep, trace):
+def _csv_trace_reference(rep, trace, grid, gap):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
-        (rep, t + 1, int(trace.arms[t]), float(trace.taus[t]), int(trace.censored[t]),
-         float(trace.rewards[t]), float(trace.inst_regret[t]), float(trace.cum_regret[t]))
-        for t in range(trace.horizon)
+        (rep, t + 1, int(arm0) + 1, float(grid[j]), int(trace.censored[t]),
+         float(trace.rewards[t]), float(gap[arm0, j]), float(trace.cum_regret[t]))
+        for t, (arm0, j) in enumerate(zip(trace.arm0, trace.tau_idx))
     )
     return buf.getvalue()
 
 
 def test_trace_writer_matches_csv_writer(monkeypatch):
+    """Also with both signed zeros in the gap table, and with 10 arms x 100
+    limits, where arm0 * m overflows the traces' uint8 indices."""
     monkeypatch.setattr(sim, "_WRITE_CHUNK", 64)
-    inst = analytic_instance()
-    tab = nu_table(inst)
-    trace = _episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
-    assert 0 < trace.censored.sum() < trace.horizon
-    signed = trace.inst_regret.copy()
-    signed[:4] = (0.0, -0.0, 0.0, -0.0)
-    for rep, case in ((0, trace), (11, dataclasses.replace(trace, inst_regret=signed))):
-        buf = io.StringIO()
-        sim._write_trace(buf, rep, case)
-        assert buf.getvalue() == _csv_trace_reference(rep, case)
+    for inst in (analytic_instance(), gaussian_instance(100)):
+        tab = nu_table(inst)
+        trace = _episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
+        assert 0 < trace.censored.sum() < trace.horizon
+        grid = inst.grid.as_array()
+        m = grid.size
+        signed = tab.gap.copy()
+        signed[:, : m // 2] = 0.0
+        signed[:, m // 2:] = -0.0
+        played = signed[trace.arm0, trace.tau_idx]
+        assert np.signbit(played).any() and not np.signbit(played).all()
+        for rep, gap in ((0, tab.gap), (11, signed)):
+            buf = io.StringIO()
+            sim._write_trace(buf, rep, trace, [repr(t) for t in grid.tolist()],
+                             [repr(g) for g in gap.ravel().tolist()])
+            assert buf.getvalue() == _csv_trace_reference(rep, trace, grid, gap)
+    assert int(trace.arm0.max()) * m > np.iinfo(trace.arm0.dtype).max
 
 
 def test_aggregate_writer_matches_csv_writer(monkeypatch, tmp_path):
