@@ -261,3 +261,8 @@ class InstanceSpec:
     @property
     def n(self) -> int:
         return len(self.arms)
+
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds 0..max(n, m): lo's and the plays'."""
+        return np.min_scalar_type(max(self.n, self.grid.m))

@@ -205,32 +205,20 @@ class TraceArm:
         return float(np.mean(r * admits(c, tau_prime)))
 
 
-def _lo_dtype(m: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every grid index 0..m."""
-    return np.min_scalar_type(m)
-
-
-def episode_nbytes(instance: InstanceSpec, horizon: int) -> int:
-    """Bytes of the (rewards, lo) matrices sample_episode returns for horizon."""
-    per_arm = np.dtype(np.float64).itemsize + _lo_dtype(instance.grid.m).itemsize
-    return horizon * instance.n * per_arm
-
-
 def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
                    horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw a whole episode as (horizon, n) matrices (rewards, lo).
 
-    lo[t, i] = grid.first_admitting(cost of arm i in round t), in the
-    narrowest unsigned dtype that holds grid.m; a round played at limit j is
+    lo[t, i] = grid.first_admitting(cost of arm i in round t), in
+    instance.index_dtype, which holds grid.m; a round played at limit j is
     censored iff lo > j. Arms are drawn one after the other (arm-major), so
     the stream is reproducible regardless of how rounds are consumed later,
     and each arm's costs become lo before the next arm draws, so no cost
     matrix is held. Raises DomainError naming the first arm that drew a
     reward outside [0, 1] or a cost that is negative or NaN.
     """
-    grid = instance.grid
     rewards = np.empty((horizon, instance.n))
-    lo = np.empty((horizon, instance.n), dtype=_lo_dtype(grid.m))
+    lo = np.empty((horizon, instance.n), dtype=instance.index_dtype)
     for i, arm in enumerate(instance.arms):
         r, c = arm.sample(rng, horizon)
         rewards[:, i] = r
@@ -242,7 +230,7 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
                 f"arm {i + 1} ({type(arm).__name__}) drew a reward outside "
                 "[0, 1] or a negative or NaN cost"
             )
-        lo[:, i] = grid.first_admitting(c)
+        lo[:, i] = instance.grid.first_admitting(c)
     return rewards, lo
 
 

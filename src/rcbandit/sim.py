@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
-from .envs import episode_nbytes, sample_episode
+from .envs import sample_episode
 from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moments
 from .policies import PolicySpec, init_length, make_policy
 
@@ -121,12 +121,16 @@ class ExperimentConfig:
 
 
 def _check_table(table: NuTable, instance: InstanceSpec) -> None:
-    """Raise ConfigError unless the table has one row per arm and one column
-    per grid point, at the same limits."""
-    if table.mu.shape != (instance.n, instance.grid.m) or not np.allclose(
-        table.taus, instance.grid.as_array()
-    ):
-        raise ConfigError("nu table does not match the instance")
+    """Raise ConfigError, naming what differs, unless the table has one row
+    per arm and one column per grid point, at exactly the grid's limits."""
+    what = "nu table does not match the instance:"
+    shape = (instance.n, instance.grid.m)
+    if table.mu.shape != shape:
+        raise ConfigError(f"{what} its shape is {table.mu.shape}, (n, m) is {shape}")
+    for j, (tau, point) in enumerate(zip(table.taus, instance.grid.points)):
+        if tau != point:
+            raise ConfigError(f"{what} its limit {j + 1} is {tau!r}, "
+                              f"the grid's is {point!r}")
 
 
 def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
@@ -169,9 +173,8 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
                          optimal_pair=(table.optimal_arm - 1,
                                        table.taus.index(table.optimal_tau)))
 
-    # round after round, the arm and limit indices of every repetition, in the
-    # narrowest unsigned type that holds them
-    code = np.min_scalar_type(max(instance.n, instance.grid.m)).char
+    # round after round, the arm and limit indices of every repetition
+    code = instance.index_dtype.char
     arms_played, limits_played = array(code), array(code)
     for t in range(horizon):
         arms, js = policy.select()
@@ -228,9 +231,6 @@ AGGREGATE_HEADER = "round,policy,mean_cum_regret,stderr\n"
 # are split evenly into 4 blocks of 5, where the speed-up of a larger block has
 # levelled off and each repetition adds about 4.3 MB of peak RSS
 _BLOCK_BYTES = 32 << 20
-# RunTrace's arrays per round: rewards and cum_regret at 8 B; censored, arm0
-# and tau_idx at 1 B
-_TRACE_ROUND_BYTES = 19
 # rows converted to Python objects at a time: bounds the writers' memory
 _WRITE_CHUNK = 4096
 # draws the audit evaluates at once, over limits x runs x t_check: bounds its
@@ -279,9 +279,13 @@ def _write_trace(handle, rep: int, trace: RunTrace, tau_text: list[str],
 
 
 def _rep_bytes(config: ExperimentConfig) -> int:
-    """Bytes one repetition of a block holds, at most: its draws and its trace."""
-    return (episode_nbytes(config.instance, config.horizon)
-            + config.horizon * _TRACE_ROUND_BYTES)
+    """Bytes one repetition of a block holds: its draws (a reward and an lo a
+    round and arm) and its RunTrace arrays (rewards and cum_regret at 8 B a
+    round, censored at 1 B, arm0 and tau_idx at an index, int64 play counts)."""
+    inst = config.instance
+    index = inst.index_dtype.itemsize
+    return (config.horizon * ((8 + index) * inst.n + 17 + 2 * index)
+            + 8 * inst.n * inst.grid.m)
 
 
 def _blocks(config: ExperimentConfig) -> list[range]:
@@ -307,7 +311,8 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     aggregate matches serial execution exactly, whatever the blocks.
     A failed repetition aborts the experiment with its seed in the message.
 
-    The table is the caller's, or computed here from the config's oracle
+    The table is the caller's, on exactly the grid's limits (else ConfigError,
+    before anything is written), or computed here from the config's oracle
     settings. With an output directory, a finished run writes the table it
     used to nu_table.json beside the other artifacts; no run reads it back,
     so a rerun overwrites every file it writes.
@@ -318,6 +323,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
             nodes=config.oracle_nodes, samples=config.oracle_samples,
             seed=config.base_seed,
         )
+    _check_table(table, config.instance)
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

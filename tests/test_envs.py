@@ -149,14 +149,17 @@ def test_sample_episode_lo_is_first_admitting_of_the_arms_draws():
                                       np.arange(inst.grid.m) >= lo[:, i, None])
 
 
-@pytest.mark.parametrize("m, dtype", [(10, np.uint8), (255, np.uint8),
-                                      (256, np.uint16), (300, np.uint16)])
-def test_sample_episode_lo_dtype_holds_m(m, dtype):
-    arms = (DegenerateArm(r0=0.5, c0=0.3), DegenerateArm(r0=0.5, c0=2.0))
+@pytest.mark.parametrize("n, m, dtype", [
+    (2, 10, np.uint8), (2, 255, np.uint8), (2, 256, np.uint16), (2, 300, np.uint16),
+    (300, 10, np.uint16),
+], ids=["10-uint8", "255-uint8", "256-uint16", "300-uint16", "300_arms-10-uint16"])
+def test_sample_episode_lo_dtype_holds_m(n, m, dtype):
+    """lo is in the instance's index type, which holds 0..max(n, m)."""
+    arms = (DegenerateArm(r0=0.5, c0=0.3), DegenerateArm(r0=0.5, c0=2.0)) * (n // 2)
     inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
     _, lo = sample_episode(inst, np.random.default_rng(0), 3)
-    assert lo.dtype == dtype
+    assert lo.dtype == dtype == inst.index_dtype
     # a cost above every limit keeps the full value m
     np.testing.assert_array_equal(lo[:, 1], [m] * 3)
     assert (lo[:, 0] == inst.grid.first_admitting(0.3)).all()

@@ -23,7 +23,8 @@ from rcbandit.core import (
     build_grid,
     mix64,
 )
-from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
+from rcbandit.cli import load_config
+from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm, sample_episode
 from rcbandit.oracle import concentration_bound, nu_table, true_mixed_moments
 from rcbandit.policies import PolicySpec
 from rcbandit.sim import (
@@ -90,9 +91,9 @@ def test_fixed_oracle_has_zero_regret():
     assert np.all(np.array(tab.taus)[trace.tau_idx] == tab.optimal_tau)
 
 
-def test_fixed_oracle_plays_the_optimum_of_a_table_on_nearby_limits():
-    """A table whose limits match the grid only within allclose is accepted,
-    and fixed_oracle plays its optimum by the optimum's index in the table."""
+def test_a_table_on_nearby_limits_is_refused(tmp_path):
+    """A table whose limits are not exactly the grid's is refused by
+    run_episode, and by run_experiment before it writes any file."""
     arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.4))
 
     def instance(points):
@@ -101,11 +102,15 @@ def test_fixed_oracle_plays_the_optimum_of_a_table_on_nearby_limits():
 
     inst = instance((0.25, 0.5))
     tab = nu_table(instance((0.25 + 1e-7, 0.5)))
-    assert tab.optimal_tau == tab.taus[0] != inst.grid.points[0]
-    trace = _episode(inst, PolicySpec("fixed_oracle"), 200, tab, seed=4)
-    assert np.all(trace.arm0 == tab.optimal_arm - 1)
-    assert np.all(trace.tau_idx == 0)
-    assert np.all(trace.cum_regret == 0.0)
+    message = r"its limit 1 is 0\.2500001, the grid's is 0\.25$"
+    with pytest.raises(ConfigError, match=message):
+        _episode(inst, PolicySpec("fixed_oracle"), 200, tab, seed=4)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(instance=inst, policies=(PolicySpec("fixed_oracle"),),
+                           horizon=200, output_dir=out)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg, table=tab)
+    assert not out.exists()
 
 
 def test_uniform_random_mean_regret_matches_gap_average():
@@ -151,7 +156,8 @@ def test_run_episode_horizon_validation():
 def test_run_episode_table_mismatch():
     inst = analytic_instance()
     other = nu_table(two_degenerate_instance())
-    with pytest.raises(ConfigError, match="nu table does not match the instance"):
+    with pytest.raises(ConfigError, match=r"nu table does not match the instance: "
+                       r"its shape is \(2, 4\), \(n, m\) is \(3, 4\)$"):
         _episode(inst, PolicySpec("rcucb"), 100, other, seed=0)
 
 
@@ -344,6 +350,32 @@ def test_uneven_blocks_match_blocks_of_one(monkeypatch, tmp_path, workers):
         assert np.array_equal(getattr(one, field), getattr(uneven, field)), field
     assert one.final_states == uneven.final_states
     assert one_files == uneven_files
+
+
+@pytest.mark.parametrize("n, m", [(2, 10), (2, 300), (300, 10)])
+def test_rep_bytes_is_what_one_repetition_holds(n, m):
+    """_rep_bytes is the bytes of sample_episode's two matrices and of every
+    RunTrace array of a one-seed run_episode, whose index type widens with
+    300 arms or 300 limits."""
+    arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.4)) * (n // 2)
+    inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
+                        discount=DiscountSpec("linear", tau_max=1.0))
+    spec = PolicySpec("uniform_random")
+    rewards, lo = sample_episode(inst, np.random.default_rng(0), 40)
+    trace = _episode(inst, spec, 40, nu_table(inst), seed=0)
+    held = rewards.nbytes + lo.nbytes + sum(
+        value.nbytes for value in vars(trace).values() if isinstance(value, np.ndarray))
+    cfg = ExperimentConfig(instance=inst, policies=(spec,), horizon=40)
+    assert sim._rep_bytes(cfg) == held
+
+
+@pytest.mark.parametrize("name", ["paper_synthetic_m10", "paper_synthetic_m50",
+                                  "paper_synthetic_m100"])
+def test_bundled_configs_run_in_four_blocks_of_five(name):
+    cfg = load_config(name)
+    for workers in range(1, 5):
+        blocks = sim._blocks(dataclasses.replace(cfg, workers=workers))
+        assert [len(block) for block in blocks] == [5, 5, 5, 5]
 
 
 def test_blocks_leave_every_worker_busy(monkeypatch):
