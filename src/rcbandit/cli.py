@@ -514,7 +514,10 @@ def render_svg(curves: dict[str, tuple[list, list, list]]) -> str:
 def cmd_plot(args) -> int:
     curves = _read_aggregate(args.aggregate)
     svg = render_svg(curves)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise ConfigError(f"out: {exc}") from None  # no file can be written there
     print(f"wrote {args.out}")
     return 0
 

@@ -69,36 +69,35 @@ class GaussianArm:
         # a NaN mean would only show as a rejection sampler that never accepts
         if not all(math.isfinite(v) for v in self.mean):
             raise ConfigError("mean must be finite")
-        # the transposed Cholesky factor, computed once (make_cov validates);
-        # not a field, so eq, hash and repr ignore it, and pickle copies it
-        chol_t = np.linalg.cholesky(make_cov(self.x, self.sigma)).T
-        chol_t.flags.writeable = False
-        object.__setattr__(self, "_chol_t", chol_t)
+        # the Cholesky factor, computed once (make_cov validates); not a
+        # field, so eq, hash and repr ignore it, and pickle copies it
+        chol = np.linalg.cholesky(make_cov(self.x, self.sigma))
+        chol.flags.writeable = False
+        object.__setattr__(self, "_chol", chol)
 
     def cov(self) -> np.ndarray:
         return make_cov(self.x, self.sigma)
 
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return _truncated_batch(self.mean, self._chol_t, rng, size)
+        return _truncated_batch(self.mean, self._chol, rng, size)
 
 
-def _truncated_batch(mean, chol_t, rng, size):
-    """size draws of N(mean, chol_t.T @ chol_t) that fall in the unit square,
-    by rejection; chol_t is the transposed Cholesky factor of the covariance.
+def _truncated_batch(mean, chol, rng, size):
+    """size draws of N(mean, chol @ chol.T) that fall in the unit square, by
+    rejection; chol is the lower Cholesky factor L of the covariance.
 
     Each batch of 2 x need normal pairs (within the caps) is drawn and
     accepted _ROW_BLOCK rows at a time into reused buffers, which draws the
     same normal stream as one (batch, 2) draw; rows of a batch beyond the one
     that fills the request are still drawn, so the stream after it is kept.
-    The mean is added one column at a time and a row is accepted when both
-    columns pass 0 <= z <= 1, which gives the sums and the mask of the
-    broadcast forms in fewer and cheaper array operations.
+    A pair (n0, n1) becomes (n0 L00 + m_reward, n0 L10 + n1 L11 + m_cost) in
+    place by elementwise ufuncs, so no BLAS kernel (fused multiply-add or not)
+    decides a bit, and is accepted when both columns pass 0 <= z <= 1.
     """
     m_reward, m_cost = mean
     rewards = np.empty(size)
     costs = np.empty(size)
     normals = np.empty((min(max(2 * size, 256), _ROW_BLOCK), 2))
-    z = np.empty_like(normals)
     filled = 0
     budget = MAX_ATTEMPTS_PER_DRAW * size
     while filled < size:
@@ -112,17 +111,20 @@ def _truncated_batch(mean, chol_t, rng, size):
             rng.standard_normal(out=block)
             if filled == size:
                 continue
-            zb = np.matmul(block, chol_t, out=z[:block.shape[0]])
-            zb[:, 0] += m_reward
-            zb[:, 1] += m_cost
-            inside = zb >= 0.0
-            inside &= zb <= 1.0
+            reward, cost = block[:, 0], block[:, 1]
+            cost *= chol[1, 1]
+            cost += reward * chol[1, 0]
+            cost += m_cost
+            reward *= chol[0, 0]
+            reward += m_reward
+            inside = block >= 0.0
+            inside &= block <= 1.0
             ok = inside[:, 0] & inside[:, 1]
             rows = np.flatnonzero(ok)[:size - filled]
             part = slice(filled, filled + rows.size)
             # rows are in range, so "clip" moves nothing; "raise" would buffer out
-            np.take(zb[:, 0], rows, out=rewards[part], mode="clip")
-            np.take(zb[:, 1], rows, out=costs[part], mode="clip")
+            np.take(reward, rows, out=rewards[part], mode="clip")
+            np.take(cost, rows, out=costs[part], mode="clip")
             filled += rows.size
         budget -= batch
     return rewards, costs

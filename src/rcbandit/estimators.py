@@ -7,13 +7,13 @@ the same memory as [rep, arm, grid point], so a block of one is the plain
 reads are exact. Callers read the arrays (counts, sums, successes, failures)
 directly, and reshape them to (reps, n_arms, m) as needed.
 
-A round reaches an estimator as grid indices only: the row of the played
-(rep, arm), the played limit and lo = core.ResourceGrid.first_admitting(cost),
-the grid form of the censoring rule core.admits, computed for the whole
-episode by envs.sample_episode. The cells whose limit admits the cost are
-those from lo on, and the round is censored iff lo lies beyond the played
-limit; its reward is then passed as 0.0 and no estimator reads it. No
-comparison of a cost with a limit is written here.
+A round reaches every estimator as update_by_index(row, k, lo, reward), in
+grid indices only: the row of the played (rep, arm), k = j + 1 for the played
+grid index j (the naive estimator counts cell k - 1 only), and
+lo = core.ResourceGrid.first_admitting(cost), the grid form of core.admits,
+computed for the whole episode by envs.sample_episode. The cells from lo on
+admit the cost; the round is censored iff lo >= k, and its reward is then
+passed as 0.0, unread. No cost is compared with a limit here.
 
 update_by_index is a per-round hook of the benchmark trace; the contract is
 stated in the policies module.
@@ -82,7 +82,8 @@ class NaiveEstimator(_CountSumEstimator):
 
     count_key = "t"
 
-    def update_by_index(self, row: int, j: int, lo: int, reward: float) -> None:
+    def update_by_index(self, row: int, k: int, lo: int, reward: float) -> None:
+        j = k - 1
         self.counts[row, j] += 1.0
         if lo <= j:
             self.sums[row, j] += reward
@@ -100,24 +101,25 @@ class BetaPosterior:
     reward under "chosen_limit" (every touched cell shares the played limit's
     indicator, which admitted the cost). Censored rounds have success
     probability zero either way. Trials are independent uniform draws
-    compared against the probabilities, in ascending tau' order.
+    compared against the probabilities, in ascending tau' order, drawn from
+    rngs[rep], one Generator per repetition of the block, in rep order.
     """
 
-    def __init__(self, n: int, grid: ResourceGrid, prior: tuple[float, float] = (1.0, 1.0),
-                 indicator: str = "per_pair", reps: int = 1):
+    def __init__(self, n: int, grid: ResourceGrid, rngs: list[np.random.Generator],
+                 prior: tuple[float, float] = (1.0, 1.0), indicator: str = "per_pair"):
         if not (prior[0] > 0 and prior[1] > 0):
             raise ConfigError("Beta prior parameters must be positive")
         if indicator not in TS_INDICATORS:
             raise ConfigError(f"unknown TS indicator {indicator!r}")
         self.grid = grid
         self.n = n
+        self.rngs = rngs
         self.prior = (float(prior[0]), float(prior[1]))
         self.indicator = indicator
-        self.successes = np.zeros((reps * n, grid.m))
-        self.failures = np.zeros((reps * n, grid.m))
+        self.successes = np.zeros((len(rngs) * n, grid.m))
+        self.failures = np.zeros((len(rngs) * n, grid.m))
 
-    def update_by_index(self, row: int, k: int, lo: int, reward: float,
-                        rng: np.random.Generator) -> None:
+    def update_by_index(self, row: int, k: int, lo: int, reward: float) -> None:
         """One trial in each of the cells [0, k) of row, k = grid index of the play + 1;
         the round is uncensored iff lo < k.
 
@@ -125,7 +127,7 @@ class BetaPosterior:
         cells below lo under "per_pair", and every cell of a censored round,
         fail whatever their draw; the k uniforms are drawn all the same.
         """
-        u = rng.random(k)
+        u = self.rngs[row // self.n].random(k)
         if lo < k:
             hit = u < reward
             if self.indicator == "per_pair":

@@ -38,10 +38,11 @@ call, looked up where the tracer patches it:
 - argmax_pair, defined in core and imported here as a module global, looked
   up in this module at call time, once per block-round (the oracle's own
   import stays untraced);
-- update_by_index(row, k, lo, reward[, rng]) in each estimator's class
-  body, called through the estimator once per repetition per round, with the
-  row (rep * n + arm0) first and the touched-cell count k, a plain int,
-  third, which the trace reads as the cells a round touches;
+- update_by_index(row, k, lo, reward), the one estimator signature, in each
+  estimator's class body, called through the estimator by the one loop in
+  Policy.update, once per repetition per round, with the row (rep * n + arm0)
+  first and k = j + 1, a plain int, third, which the trace reads as the cells
+  a round touches;
 - sample_episode, defined in envs and imported by sim as a module global,
   called once per repetition before the rounds; GaussianArm.sample (in
   envs), called through the arm.
@@ -281,20 +282,15 @@ class Policy:
         iff its lo > j, and then its reward is 0.0."""
         if self._arms0 is None:
             raise UsageError("update called before select")
-        self._absorb(lo, reward)
+        if self.estimator is not None:
+            rounds = zip(self._first_rows, self._arms0, self._js, lo, reward)
+            for first_row, arm0, j, lo_r, reward_r in rounds:
+                self.estimator.update_by_index(first_row + arm0, j + 1, lo_r, reward_r)
         self._arms0 = None
         self.t += 1
 
-    def _rounds(self, lo, reward):
-        """(first row, arm0, j, lo, reward) of each repetition's round; the
-        played arm's estimator row is first row + arm0 = rep * n + arm0."""
-        return zip(self._first_rows, self._arms0, self._js, lo, reward)
-
     def _choose(self) -> tuple[list[int], list[int]]:
         return argmax_pair(self.index_matrix())
-
-    def _absorb(self, lo: list[int], reward: list[float]) -> None:
-        pass
 
     def snapshot(self, rep: int = 0) -> list[dict]:
         """JSON-ready estimator state of one repetition; empty for
@@ -302,21 +298,7 @@ class Policy:
         return [] if self.estimator is None else self.estimator.snapshot(rep)
 
 
-class _CensoredPolicy(Policy):
-    """What rcucb and klrcucb share: the censored moment estimator, fed every
-    cell at or below the played limit."""
-
-    def __init__(self, instance: InstanceSpec, reps: int = 1):
-        super().__init__(instance, reps)
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
-
-    def _absorb(self, lo, reward):
-        update = self.estimator.update_by_index
-        for first_row, arm0, j, lo_r, reward_r in self._rounds(lo, reward):
-            update(first_row + arm0, j + 1, lo_r, reward_r)
-
-
-class RCUCBPolicy(_CensoredPolicy):
+class RCUCBPolicy(Policy):
     """Optimistic index over all pairs, fed by the censored moment estimator.
 
     Index: scale * (mu_hat + sqrt(2 alpha ln t / N)) + offset, which under
@@ -330,6 +312,7 @@ class RCUCBPolicy(_CensoredPolicy):
     def __init__(self, instance: InstanceSpec, alpha: float = 2.0, reps: int = 1):
         super().__init__(instance, reps)
         self.alpha = alpha
+        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
 
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's index matrix."""
@@ -338,7 +321,7 @@ class RCUCBPolicy(_CensoredPolicy):
                                  self.scale, self.offset).reshape(self.reps, self.n, -1)
 
 
-class KLRCUCBPolicy(_CensoredPolicy):
+class KLRCUCBPolicy(Policy):
     """Divergence-based variant of the censored-estimator policy.
 
     Each pair's index is the largest q with N * d(mu_eff, q) below the
@@ -352,6 +335,7 @@ class KLRCUCBPolicy(_CensoredPolicy):
     def __init__(self, instance: InstanceSpec, c: float = 3.0, reps: int = 1):
         super().__init__(instance, reps)
         self.c = c
+        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
 
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's KL index matrix, which
@@ -392,19 +376,14 @@ class ModifiedUCBPolicy(Policy):
         return _optimistic_index(self.estimator, self.alpha * math.log(t) / 2.0,
                                  self.scale, self.offset).reshape(self.reps, self.n, -1)
 
-    def _absorb(self, lo, reward):
-        update = self.estimator.update_by_index
-        for first_row, arm0, j, lo_r, reward_r in self._rounds(lo, reward):
-            update(first_row + arm0, j, lo_r, reward_r)
-
 
 class ModifiedTSPolicy(Policy):
     """Thompson sampling over pairs with the shared-information posterior.
 
     After the same full sweep as the UCB baseline, each round draws
     theta ~ Beta(a0 + S, b0 + F) for every pair (arm-major order from the
-    repetition's own RNG, one per repetition in rngs) and plays the argmax of
-    scale * theta + offset.
+    repetition's own RNG, one per repetition in the posterior's rngs, which
+    also draw its trials) and plays the argmax of scale * theta + offset.
     """
 
     kind = "ts"
@@ -412,24 +391,17 @@ class ModifiedTSPolicy(Policy):
     def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator],
                  prior: tuple[float, float] = (1.0, 1.0), indicator: str = "per_pair"):
         super().__init__(instance, len(rngs))
-        self.rngs = rngs
-        self.estimator = BetaPosterior(instance.n, instance.grid, prior=prior,
-                                       indicator=indicator, reps=self.reps)
+        self.estimator = BetaPosterior(instance.n, instance.grid, rngs, prior=prior,
+                                       indicator=indicator)
 
     def _choose(self) -> tuple[list[int], list[int]]:
         a, b = self.estimator.posterior_params()
         n = self.n
-        theta = np.concatenate([rng.beta(a[row:row + n], b[row:row + n])
-                                for rng, row in zip(self.rngs, self._first_rows)])
+        theta = np.concatenate([rng.beta(a[row:row + n], b[row:row + n]) for rng, row
+                                in zip(self.estimator.rngs, self._first_rows)])
         theta *= self.scale
         theta += self.offset
         return argmax_pair(theta.reshape(self.reps, n, -1))
-
-    def _absorb(self, lo, reward):
-        update = self.estimator.update_by_index
-        rounds = zip(self.rngs, self._rounds(lo, reward))
-        for rng, (first_row, arm0, j, lo_r, reward_r) in rounds:
-            update(first_row + arm0, j + 1, lo_r, reward_r, rng)
 
 
 class UniformRandomPolicy(Policy):
@@ -476,6 +448,8 @@ def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
     """
     if rngs is not None and len(rngs) != reps:
         raise ConfigError(f"{len(rngs)} RNGs for a block of {reps} repetitions")
+    if rngs is None and spec.kind in ("ts", "uniform_random"):
+        raise ConfigError(f"{spec.kind} policy needs an RNG")
     if spec.kind == "rcucb":
         return RCUCBPolicy(instance, alpha=spec.alpha, reps=reps)
     if spec.kind == "klrcucb":
@@ -483,13 +457,9 @@ def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
     if spec.kind == "ucb":
         return ModifiedUCBPolicy(instance, alpha=spec.alpha, reps=reps)
     if spec.kind == "ts":
-        if rngs is None:
-            raise ConfigError("ts policy needs an RNG")
         return ModifiedTSPolicy(instance, rngs, prior=spec.prior,
                                 indicator=spec.ts_indicator)
     if spec.kind == "uniform_random":
-        if rngs is None:
-            raise ConfigError("uniform_random policy needs an RNG")
         return UniformRandomPolicy(instance, rngs)
     if spec.kind == "fixed_oracle":
         if optimal_pair is None:

@@ -483,6 +483,15 @@ def test_plot_malformed_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", ["missing/x.svg", "."], ids=["missing-dir", "a-dir"])
+def test_plot_unwritable_out_exits_2(tmp_path, capsys, out):
+    agg = tmp_path / "aggregate.csv"
+    agg.write_text(AGGREGATE_HEADER + "1,only,0.25,0.05\n", encoding="utf-8")
+    assert main(["plot", str(agg), str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", ["mean_cum_regret", "stderr"])
 def test_plot_rejects_non_finite(tmp_path, capsys, column, value):

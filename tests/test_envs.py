@@ -1,5 +1,9 @@
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,29 @@ def test_sampling_determinism():
     r2, c2 = arm.sample(np.random.default_rng(42), 5000)
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_array_equal(c1, c2)
+
+
+# sha256 of the costs of 5000 draws of arm 1 of the bundled instance
+COST_DIGEST = (
+    "import hashlib, numpy as np\n"
+    "from rcbandit.envs import GaussianArm\n"
+    "arm = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)\n"
+    "digest = hashlib.sha256(arm.sample(np.random.default_rng(0), 5000)[1]).hexdigest()\n"
+)
+
+
+def test_sampler_bits_do_not_depend_on_the_blas_kernel():
+    """The costs hash the same under OpenBLAS's SandyBridge kernel, which has
+    no fused multiply-add, as in this process: the sampler rounds each product
+    and sum on its own, so no BLAS kernel decides a bit."""
+    here = {}
+    exec(COST_DIGEST, here)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", COST_DIGEST + "print(digest)"], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == here["digest"]
 
 
 def test_gaussian_arm_cached_factor_keeps_identity_and_pickles():

@@ -87,40 +87,38 @@ def test_touch_counter():
 
 def test_naive_update_touches_one_pair():
     est = NaiveEstimator(1, GRID2)
-    est.update_by_index(0, 1, *admitted(0.6, 0.9))
+    est.update_by_index(0, 2, *admitted(0.6, 0.9))
     assert cell(est, 0, 0) == (0.0, 0)
     assert cell(est, 0, 1) == (0.9, 1)
 
 
 def test_naive_running_mean_and_censored():
     est = NaiveEstimator(1, GRID2)
-    est.update_by_index(0, 0, *admitted(0.3, 0.4))
+    est.update_by_index(0, 1, *admitted(0.3, 0.4))
     assert cell(est, 0, 0) == (0.4, 1)
-    est.update_by_index(0, 0, *admitted(0.3, 0.8))
+    est.update_by_index(0, 1, *admitted(0.3, 0.8))
     mu, t = cell(est, 0, 0)
     assert t == 2 and mu == pytest.approx(0.6)
-    est.update_by_index(0, 0, *CENSORED)
+    est.update_by_index(0, 1, *CENSORED)
     mu, t = cell(est, 0, 0)
     assert t == 3 and mu == pytest.approx(1.2 / 3)
 
 
 def test_beta_update_certainties():
-    rng = np.random.default_rng(0)
-    post = BetaPosterior(1, GRID2)
-    post.update_by_index(0, 2, *CENSORED, rng)
+    post = BetaPosterior(1, GRID2, [np.random.default_rng(0)])
+    post.update_by_index(0, 2, *CENSORED)
     assert trials(post, 0, 0) == (0, 1)
     assert trials(post, 0, 1) == (0, 1)
 
-    post.update_by_index(0, 1, *admitted(0.4, 1.0), rng)
+    post.update_by_index(0, 1, *admitted(0.4, 1.0))
     assert trials(post, 0, 0) == (1, 1)
 
 
 def test_beta_update_monte_carlo_rate():
-    rng = np.random.default_rng(123)
-    post = BetaPosterior(1, GRID2)
+    post = BetaPosterior(1, GRID2, [np.random.default_rng(123)])
     trials_run = 100_000
     for _ in range(trials_run):
-        post.update_by_index(0, 1, *admitted(0.4, 0.5), rng)
+        post.update_by_index(0, 1, *admitted(0.4, 0.5))
     s, f = trials(post, 0, 0)
     assert s + f == trials_run
     assert s / trials_run == pytest.approx(0.5, abs=3 * np.sqrt(0.25 / trials_run))
@@ -130,17 +128,16 @@ def test_beta_indicator_variants():
     grid = build_grid(2, 1.0)
     fb = admitted(0.6, 1.0, grid)  # cost above the 0.5 cell, reward 1
 
-    per_pair = BetaPosterior(1, grid, indicator="per_pair")
-    rng = np.random.default_rng(1)
+    per_pair = BetaPosterior(1, grid, [np.random.default_rng(1)], indicator="per_pair")
     for _ in range(50):
-        per_pair.update_by_index(0, 2, *fb, rng)
+        per_pair.update_by_index(0, 2, *fb)
     # cell 0.5 never completes under its own limit: all failures
     assert trials(per_pair, 0, 0) == (0, 50)
     assert trials(per_pair, 0, 1) == (50, 0)
 
-    shared = BetaPosterior(1, grid, indicator="chosen_limit")
+    shared = BetaPosterior(1, grid, [np.random.default_rng(2)], indicator="chosen_limit")
     for _ in range(50):
-        shared.update_by_index(0, 2, *fb, np.random.default_rng(2))
+        shared.update_by_index(0, 2, *fb)
     # the played limit's indicator is shared: certain success everywhere
     assert trials(shared, 0, 0) == (50, 0)
     assert trials(shared, 0, 1) == (50, 0)
@@ -148,9 +145,9 @@ def test_beta_indicator_variants():
 
 def test_beta_validation():
     with pytest.raises(ConfigError):
-        BetaPosterior(1, GRID2, prior=(0.0, 1.0))
+        BetaPosterior(1, GRID2, [np.random.default_rng(0)], prior=(0.0, 1.0))
     with pytest.raises(ConfigError):
-        BetaPosterior(1, GRID2, indicator="other")
+        BetaPosterior(1, GRID2, [np.random.default_rng(0)], indicator="other")
 
 
 def _random_round(rng, grid, j):
@@ -167,15 +164,15 @@ def test_invariants_under_random_play():
     grid = build_grid(5, 1.0)
     cen = CensoredMomentEstimator(3, grid)
     nai = NaiveEstimator(3, grid)
-    beta = BetaPosterior(3, grid)
+    beta = BetaPosterior(3, grid, [rng])
     for _ in range(2000):
         arm0 = int(rng.integers(1, 4)) - 1
         j = int(rng.integers(0, grid.m))
         lo, reward = _random_round(rng, grid, j)
         before = cen.counts.sum()
         cen.update_by_index(arm0, j + 1, lo, reward)
-        nai.update_by_index(arm0, j, lo, reward)
-        beta.update_by_index(arm0, j + 1, lo, reward, rng)
+        nai.update_by_index(arm0, j + 1, lo, reward)
+        beta.update_by_index(arm0, j + 1, lo, reward)
 
         assert cen.counts.sum() - before <= grid.m
 
@@ -205,14 +202,14 @@ def test_snapshots():
     ]
 
     nai = NaiveEstimator(1, grid)
-    nai.update_by_index(0, 1, *admitted(0.6, 0.9))
+    nai.update_by_index(0, 2, *admitted(0.6, 0.9))
     assert nai.snapshot() == [
         {"arm": 1, "tau": 0.5, "t": 0, "sum": 0.0},
         {"arm": 1, "tau": 1.0, "t": 1, "sum": 0.9},
     ]
 
-    beta = BetaPosterior(1, grid)
-    beta.update_by_index(0, 1, *admitted(0.4, 1.0), np.random.default_rng(0))
+    beta = BetaPosterior(1, grid, [np.random.default_rng(0)])
+    beta.update_by_index(0, 1, *admitted(0.4, 1.0))
     assert beta.snapshot() == [
         {"arm": 1, "tau": 0.5, "s": 1, "f": 0},
         {"arm": 1, "tau": 1.0, "s": 0, "f": 0},
@@ -220,7 +217,7 @@ def test_snapshots():
 
 
 def test_posterior_params_include_prior():
-    beta = BetaPosterior(1, GRID2, prior=(2.0, 3.0))
+    beta = BetaPosterior(1, GRID2, [np.random.default_rng(0)], prior=(2.0, 3.0))
     a, b = beta.posterior_params()
     np.testing.assert_allclose(a, 2.0)
     np.testing.assert_allclose(b, 3.0)

@@ -10,8 +10,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from rcbandit import sim
 from rcbandit.envs import GaussianArm
+from rcbandit.oracle import nu_table
 from rcbandit.policies import PolicySpec
 
 from conftest import gaussian_instance
@@ -51,6 +54,26 @@ def test_traced_run_hits_every_policy_hook():
     json.dumps(metrics)
     for kind in KINDS:
         assert metrics[f"policies.{kind}.select_us"] > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_traced_cells_count_what_each_update_touches(kind):
+    """estimators.<kind>.cells is the sum of tau_idx + 1 over the plays for the
+    estimators that touch every limit at or below the play, and one per play
+    for the naive one: the touched-cell count k = j + 1 is the hook's third
+    argument."""
+    tracer = _load_tracer().Tracer()
+    instance = gaussian_instance(4)
+    table = nu_table(instance)
+    tracer.install()
+    try:
+        traces = sim.run_episode(instance, PolicySpec(kind), 60, table, seeds=[3, 4])
+    finally:
+        tracer.uninstall()
+    plays = sum(int(trace.tau_idx.size) for trace in traces)
+    touched = sum(int(trace.tau_idx.sum()) for trace in traces) + plays
+    assert tracer.counts[f"estimators.{kind}.cells"] == (plays if kind == "ucb" else touched)
+    assert tracer.calls(f"estimators.{kind}.update") == plays
 
 
 def test_traced_audit_counts_every_run_draw():
