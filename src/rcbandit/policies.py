@@ -242,7 +242,13 @@ def _optimistic_index(estimator, width: float, scale: np.ndarray,
 class Policy:
     """Base class for a block of reps repetitions played in lockstep: strict
     select/update alternation, round counting, the initialization schedule,
-    and the argmax of index_matrix afterwards, one per repetition."""
+    and the argmax of index_matrix afterwards, one per repetition.
+
+    scale and offset, the objective map nu = scale * mu + offset of
+    core.objective_vectors, are held tiled to the block's (reps * n, m) shape,
+    so the index policies map a block's values with two contiguous in-place
+    ufuncs; each cell gets the same product and sum as from the (m,) vectors.
+    """
 
     kind = "base"
 
@@ -257,10 +263,11 @@ class Policy:
         self._js: list[int] = []
         self._init = init_limits(self.kind, instance.grid.m)
         self._init_rounds = init_length(self.kind, instance)
+        tiles = (reps * self.n, 1)
         scale, offset = objective_vectors(instance.objective, instance.discount,
                                           instance.grid)
-        self.scale = scale
-        self.offset = offset
+        self.scale = np.tile(scale, tiles)
+        self.offset = np.tile(offset, tiles)
 
     def select(self) -> tuple[list[int], list[int]]:
         """(arm0, j) per repetition, in rep order: the 0-based arms and the grid
@@ -465,4 +472,3 @@ def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
         if optimal_pair is None:
             raise ConfigError("fixed_oracle policy needs the oracle's optimal pair")
         return FixedOraclePolicy(instance, *optimal_pair, reps=reps)
-    raise ConfigError(f"unknown policy kind {spec.kind!r}")

@@ -15,8 +15,9 @@ played lo, and the play at grid index j is censored iff lo > j (the audit
 calls core.admits). The initialization schedule a horizon must cover comes
 from policies.init_length. Plays stay grid indices from the round loop to
 the trace file: a RunTrace records each round's (arm0, tau_idx), and the
-trace writer looks their text up in the instance's grid and the table's
-gaps. The per-round hook contract is stated once, in the policies module.
+trace writer looks each row's "arm,tau,censored" text and its gap text up by
+them, in two tables built once per run. The per-round hook contract is
+stated once, in the policies module.
 
 The concentration audit draws each run once and evaluates every limit on
 those draws, as nu_table(..., "monte_carlo") does with its per-arm batch.
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DomainError, InstanceSpec, admits, mix64
+from .core import ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, mix64
 from .envs import sample_episode
 from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moments
 from .policies import PolicySpec, init_length, make_policy
@@ -251,31 +252,43 @@ def _write_lines(handle, columns) -> None:
     handle.write("\n")
 
 
-def _write_trace(handle, rep: int, trace: RunTrace, tau_text: list[str],
+def _write_trace(handle, rep: int, trace: RunTrace, play_text: list[str],
                  gap_text: list[str]) -> None:
     """Append one repetition's _TRACE_HEADER rows, in bytes equal to csv.writer's.
 
-    Numbers are written as str/repr, like csv.writer does. tau_text holds the
-    repr of each grid limit and gap_text that of each gap-table entry, in
-    row-major order, so a round's limit and gap are looked up by its indices.
+    Numbers are written as str/repr, like csv.writer does. Both tables are
+    built once per run (see _trace_text) and looked up by a round's indices:
+    play_text holds the "arm,tau,censored" text of every play at key
+    2 * (arm0 * m + j) + censored, and gap_text the repr of every gap-table
+    entry at arm0 * m + j.
     """
     rep_text = str(rep)
-    m = len(tau_text)
+    m = trace.play_counts.shape[1]
     for start in range(0, trace.horizon, _WRITE_CHUNK):
         part = slice(start, min(start + _WRITE_CHUNK, trace.horizon))
         # intp first: arm0 * m overflows a narrow unsigned type
-        arm0 = trace.arm0[part].astype(np.intp)
-        limit = trace.tau_idx[part].astype(np.intp)
+        cell = trace.arm0[part].astype(np.intp)
+        cell *= m
+        cell += trace.tau_idx[part]
+        key = cell * 2
+        key += trace.censored[part]
         _write_lines(handle, (
             repeat(rep_text),
             map(str, range(part.start + 1, part.stop + 1)),
-            map(str, (arm0 + 1).tolist()),
-            map(tau_text.__getitem__, limit.tolist()),
-            map("01".__getitem__, trace.censored[part].tolist()),
+            map(play_text.__getitem__, key.tolist()),
             map(repr, trace.rewards[part].tolist()),
-            map(gap_text.__getitem__, (arm0 * m + limit).tolist()),
+            map(gap_text.__getitem__, cell.tolist()),
             map(repr, trace.cum_regret[part].tolist()),
         ))
+
+
+def _trace_text(grid: ResourceGrid, gap: np.ndarray) -> tuple[list[str], list[str]]:
+    """The (play_text, gap_text) tables _write_trace looks a round's text up
+    in, for the n x m table of gaps on grid: 2 * n * m plays and n * m gaps."""
+    tau_text = [repr(t) for t in grid.as_array().tolist()]
+    play_text = [f"{arm0 + 1},{tau},{flag}" for arm0 in range(gap.shape[0])
+                 for tau in tau_text for flag in "01"]
+    return play_text, [repr(g) for g in gap.ravel().tolist()]
 
 
 def _rep_bytes(config: ExperimentConfig) -> int:
@@ -327,9 +340,8 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        # the text of every limit and gap, looked up by the traces' indices
-        tau_text = [repr(t) for t in config.instance.grid.as_array().tolist()]
-        gap_text = [repr(g) for g in table.gap.ravel().tolist()]
+        # the text of every play and gap, looked up by the traces' indices
+        play_text, gap_text = _trace_text(config.instance.grid, table.gap)
 
     horizon, reps = config.horizon, config.repetitions
     n_pol = len(config.policies)
@@ -388,7 +400,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
                         handle = open(out / f"trace_{spec.label}.csv", "w",
                                       encoding="utf-8", newline="")
                         handle.write(_TRACE_HEADER)
-                    _write_trace(handle, rep, trace, tau_text, gap_text)
+                    _write_trace(handle, rep, trace, play_text, gap_text)
             # the next block runs inside next(results): hold no trace across it
             del traces, trace
     finally:

@@ -18,6 +18,7 @@ from rcbandit.core import (
     UsageError,
     argmax_pair,
     mix64,
+    objective_vectors,
 )
 from rcbandit.envs import DegenerateArm
 from rcbandit.oracle import nu_table
@@ -161,27 +162,44 @@ def test_argmax_pair_scan_order_and_scale_invariance():
         assert argmax_pair(mat) == argmax_pair(0.01 * mat)
 
 
-def _reference_index(pol):
-    """The general expression, written out as before the fast path existed."""
+# the two objective maps every index is checked under
+OBJECTIVES = [MultiplicativeDiscount(), AdditiveCost(scale=0.5, power=2.0)]
+
+
+def _vectors(inst):
+    """The (m,) objective vectors, which the policies hold tiled to the block."""
+    return objective_vectors(inst.objective, inst.discount, inst.grid)
+
+
+def _reference_index(pol, inst, r):
+    """Repetition r's index, the general expression written out as before the
+    fast path existed, on the (m,) objective vectors."""
     t = pol.t + 1
-    counts = pol.estimator.counts
-    mu = np.where(counts > 0, pol.estimator.sums / np.maximum(counts, 1.0), 0.0)
+    rows = slice(r * pol.n, (r + 1) * pol.n)
+    counts = pol.estimator.counts[rows]
+    mu = np.where(counts > 0, pol.estimator.sums[rows] / np.maximum(counts, 1.0), 0.0)
+    scale, offset = _vectors(inst)
     with np.errstate(divide="ignore", invalid="ignore"):
         if pol.kind == "rcucb":
             radius = np.sqrt(2.0 * pol.alpha * math.log(t) / counts)
         else:
             radius = np.sqrt(pol.alpha * math.log(t) / (2.0 * counts))
-        vals = pol.scale * (mu + radius) + pol.offset
+        vals = scale * (mu + radius) + offset
     return np.where(counts > 0, vals, np.inf)
 
 
 @pytest.mark.parametrize("cls", [RCUCBPolicy, ModifiedUCBPolicy])
 @pytest.mark.parametrize("m", [10, 100])
-@pytest.mark.parametrize("objective", [MultiplicativeDiscount(),
-                                       AdditiveCost(scale=0.5, power=2.0)])
+@pytest.mark.parametrize("objective", OBJECTIVES)
 def test_index_fast_path_is_bit_identical(cls, m, objective):
+    # a single repetition and a block of 3, each checked per repetition
+    for reps in (1, 3):
+        _check_index_fast_path(cls, m, objective, reps)
+
+
+def _check_index_fast_path(cls, m, objective, reps):
     inst = dataclasses.replace(gaussian_instance(m), objective=objective)
-    pol = cls(inst, alpha=1.5 if cls is RCUCBPolicy else 2.5)
+    pol = cls(inst, alpha=1.5 if cls is RCUCBPolicy else 2.5, reps=reps)
     est = pol.estimator
     rng = np.random.default_rng(m)
     for trial in range(25):
@@ -190,15 +208,48 @@ def test_index_fast_path_is_bit_identical(cls, m, objective):
         pol.t = int(rng.integers(inst.n * m, 10**6))
         if trial % 5 == 4:
             # one unplayed cell, which the index refuses
-            cell = (int(rng.integers(inst.n)), int(rng.integers(m)))
+            cell = (int(rng.integers(reps * inst.n)), int(rng.integers(m)))
             est.counts[cell] = 0.0
             est.sums[cell] = 0.0
             with pytest.raises(UsageError):
                 pol.index_matrix()
             continue
-        idx = pol.index_matrix()[0]
-        assert np.array_equal(idx, _reference_index(pol))
-        assert np.isfinite(idx).all()
+        block = pol.index_matrix()
+        assert block.shape == (reps, inst.n, m)
+        for r, idx in enumerate(block):
+            assert np.array_equal(idx, _reference_index(pol, inst, r))
+        assert np.isfinite(block).all()
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("reps", [1, 3])
+def test_ts_index_is_bit_identical(objective, reps, monkeypatch):
+    """The block ts hands argmax_pair is each repetition's theta * scale + offset
+    on the (m,) objective vectors, with theta drawn from twin Generators."""
+    inst = dataclasses.replace(gaussian_instance(10), objective=objective)
+    scale, offset = _vectors(inst)
+    blocks = []
+
+    def recorded(block):
+        blocks.append(block.copy())
+        return argmax_pair(block)
+
+    monkeypatch.setattr(policies, "argmax_pair", recorded)
+    rng = np.random.default_rng(reps)
+    for trial in range(5):
+        seeds = [mix64(trial, r) for r in range(reps)]
+        pol = ModifiedTSPolicy(inst, [np.random.default_rng(s) for s in seeds])
+        est = pol.estimator
+        est.successes[:] = rng.integers(0, 50, size=est.successes.shape)
+        est.failures[:] = rng.integers(0, 50, size=est.failures.shape)
+        pol.t = init_length("ts", inst)
+        pol.select()
+        a, b = est.posterior_params()
+        for r, seed in enumerate(seeds):
+            rows = slice(r * inst.n, (r + 1) * inst.n)
+            theta = np.random.default_rng(seed).beta(a[rows], b[rows])
+            assert np.array_equal(blocks[-1][r], theta * scale + offset)
+    assert len(blocks) == 5
 
 
 def test_ucb_sweep_order():
@@ -334,13 +385,15 @@ def _assert_bisection_argmax(idx, ref):
         assert near[argmax_pair(idx)]
 
 
-@pytest.mark.parametrize("m, blocks", [(10, (1, 3)), (100, (1, 3)), (50, (5,))],
-                         ids=["10", "100", "50"])
-def test_klucb_index_matches_the_bisection(m, blocks):
+@pytest.mark.parametrize("m, blocks, objective", [
+    pytest.param(m, blocks, objective, id=f"{m}{suffix}")
+    for objective, suffix in zip(OBJECTIVES, ("", "-additive"))
+    for m, blocks in ((10, (1, 3)), (100, (1, 3)), (50, (5,)))])
+def test_klucb_index_matches_the_bisection(m, blocks, objective):
     # a single repetition, and blocks of 3 and 5 with their own counts and sums
     # at one t
     for reps in blocks:
-        _check_klucb_index(m, reps)
+        _check_klucb_index(m, reps, objective)
 
 
 def test_klucb_index_of_a_played_block_matches_the_bisection(monkeypatch):
@@ -368,14 +421,16 @@ def test_klucb_index_of_a_played_block_matches_the_bisection(monkeypatch):
     assert len(rounds) == 60
 
 
-def _check_klucb_index(m, reps):
-    pol = KLRCUCBPolicy(gaussian_instance(m), reps=reps)
+def _check_klucb_index(m, reps, objective):
+    inst = dataclasses.replace(gaussian_instance(m), objective=objective)
+    pol = KLRCUCBPolicy(inst, reps=reps)
     est = pol.estimator
     n = pol.n
     rows = [slice(r * n, (r + 1) * n) for r in range(reps)]
+    scale, offset = _vectors(inst)
 
     def mu_eff():
-        return np.clip(pol.scale * mean_matrix(est) + pol.offset, 0.0, 1.0)
+        return np.clip(scale * mean_matrix(est) + offset, 0.0, 1.0)
 
     def reference(r):
         return _reference_klucb_matrix(mu_eff()[rows[r]], est.counts[rows[r]],

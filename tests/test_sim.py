@@ -519,16 +519,42 @@ def _csv_trace_reference(rep, trace, grid, gap):
     return buf.getvalue()
 
 
+def _trace_of_every_play(inst, gap, rng, extra=5) -> RunTrace:
+    """A trace that plays every (arm, limit) pair once censored and once not,
+    then `extra` random plays, in a shuffled order."""
+    n, m = gap.shape
+    cells = np.concatenate([np.arange(n * m).repeat(2), rng.integers(n * m, size=extra)])
+    censored = np.concatenate([np.tile([False, True], n * m), rng.random(extra) < 0.5])
+    order = rng.permutation(cells.size)
+    cells, censored = cells[order], censored[order]
+    arm0 = (cells // m).astype(inst.index_dtype)
+    tau_idx = (cells % m).astype(inst.index_dtype)
+    rewards = np.where(censored, 0.0, rng.random(cells.size))
+    counts = np.zeros((n, m), dtype=np.int64)
+    np.add.at(counts, (arm0, tau_idx), 1)
+    return RunTrace(arm0=arm0, tau_idx=tau_idx, censored=censored, rewards=rewards,
+                    cum_regret=np.cumsum(gap[arm0, tau_idx]), play_counts=counts,
+                    censored_share=float(censored.mean()),
+                    realized_total=float(rewards.sum()))
+
+
 def test_trace_writer_matches_csv_writer(monkeypatch):
-    """Also with both signed zeros in the gap table, and with 10 arms x 100
-    limits, where arm0 * m overflows the traces' uint8 indices."""
-    monkeypatch.setattr(sim, "_WRITE_CHUNK", 64)
+    """Every (arm, limit) pair censored and uncensored, in rows across the
+    writer's chunk boundaries; also with both signed zeros in the gap table,
+    and with 10 arms x 100 limits, where arm0 * m overflows the traces' uint8
+    indices."""
+    chunk = 7
+    monkeypatch.setattr(sim, "_WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(8)
     for inst in (analytic_instance(), gaussian_instance(100)):
         tab = nu_table(inst)
-        trace = _episode(inst, PolicySpec("uniform_random"), 64 * 3 + 5, tab, seed=8)
-        assert 0 < trace.censored.sum() < trace.horizon
+        trace = _trace_of_every_play(inst, tab.gap, rng)
         grid = inst.grid.as_array()
-        m = grid.size
+        n, m = tab.gap.shape
+        plays = set(zip(trace.arm0.tolist(), trace.tau_idx.tolist(),
+                        trace.censored.tolist()))
+        assert len(plays) == 2 * n * m
+        assert trace.horizon > 4 * chunk and trace.horizon % chunk
         signed = tab.gap.copy()
         signed[:, : m // 2] = 0.0
         signed[:, m // 2:] = -0.0
@@ -536,8 +562,7 @@ def test_trace_writer_matches_csv_writer(monkeypatch):
         assert np.signbit(played).any() and not np.signbit(played).all()
         for rep, gap in ((0, tab.gap), (11, signed)):
             buf = io.StringIO()
-            sim._write_trace(buf, rep, trace, [repr(t) for t in grid.tolist()],
-                             [repr(g) for g in gap.ravel().tolist()])
+            sim._write_trace(buf, rep, trace, *sim._trace_text(inst.grid, gap))
             assert buf.getvalue() == _csv_trace_reference(rep, trace, grid, gap)
     assert int(trace.arm0.max()) * m > np.iinfo(trace.arm0.dtype).max
 
