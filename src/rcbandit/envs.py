@@ -64,6 +64,8 @@ class GaussianArm:
     sigma: float
 
     def __post_init__(self) -> None:
+        # a tuple, so the arm hashes: nu_table keys its rows by the arm
+        object.__setattr__(self, "mean", tuple(self.mean))
         if len(self.mean) != 2:
             raise ConfigError("mean must have exactly two components")
         # a NaN mean would only show as a rejection sampler that never accepts
@@ -183,6 +185,9 @@ class TraceArm:
     replay: str = "sample"
 
     def __post_init__(self) -> None:
+        # tuples, so the arm hashes: nu_table keys its rows by the arm
+        object.__setattr__(self, "rewards", tuple(self.rewards))
+        object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.rewards) == 0:
             raise ConfigError("trace arm needs at least one row")
         if len(self.rewards) != len(self.costs):

@@ -109,8 +109,11 @@ class PolicySpec:
         if self.kind == "klrcucb" and not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"c must be non-negative and finite, got {self.c}")
         if self.kind == "ts":
-            if not all(p > 0 and math.isfinite(p) for p in self.prior):
-                raise ConfigError(f"Beta prior parameters must be positive and finite, "
+            # BetaPosterior reads prior[0] and prior[1]: a shorter prior would
+            # fail there, and a third value would be silently ignored
+            if not (len(self.prior) == 2
+                    and all(p > 0 and math.isfinite(p) for p in self.prior)):
+                raise ConfigError(f"Beta prior must be two positive finite numbers, "
                                   f"got {list(self.prior)}")
             if self.ts_indicator not in TS_INDICATORS:
                 raise ConfigError(f"unknown TS indicator {self.ts_indicator!r}")

@@ -20,7 +20,7 @@ them, in two tables built once per run. The per-round hook contract is
 stated once, in the policies module.
 
 The concentration audit draws each run once and evaluates every limit on
-those draws, as nu_table(..., "monte_carlo") does with its per-arm batch.
+those draws, as the oracle's Monte Carlo method does with its per-arm batch.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, mix64
 from .envs import sample_episode
-from .oracle import NuTable, concentration_bound, nu_table, true_mixed_moments
+from .oracle import (MIN_NODES, MIN_SAMPLES, ORACLE_METHODS, NuTable, concentration_bound,
+                     nu_table, true_mixed_moments)
 from .policies import PolicySpec, init_length, make_policy
 
 
@@ -110,6 +111,16 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        # the budgets are checked for every instance, not only for those with a
+        # Gaussian arm; the messages name the oracle.* fields of a JSON config
+        if self.oracle_method not in ORACLE_METHODS:
+            raise ConfigError(f"oracle.method: unknown method {self.oracle_method!r}")
+        if self.oracle_method == "quadrature" and self.oracle_nodes < MIN_NODES:
+            raise ConfigError(f"oracle.nodes: quadrature needs at least {MIN_NODES}, "
+                              f"got {self.oracle_nodes}")
+        if self.oracle_method == "monte_carlo" and self.oracle_samples < MIN_SAMPLES:
+            raise ConfigError(f"oracle.samples: Monte Carlo needs at least {MIN_SAMPLES}, "
+                              f"got {self.oracle_samples}")
         labels = [spec.label for spec in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError("policy labels must be unique; set label explicitly")
@@ -119,6 +130,11 @@ class ExperimentConfig:
                 f"horizon {self.horizon} shorter than the {need}-round "
                 "initialization of the configured policies"
             )
+
+    def table(self) -> NuTable:
+        """The oracle table of the instance under the config's oracle settings."""
+        return nu_table(self.instance, self.oracle_method, nodes=self.oracle_nodes,
+                        samples=self.oracle_samples, seed=self.base_seed)
 
 
 def _check_table(table: NuTable, instance: InstanceSpec) -> None:
@@ -319,23 +335,19 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
 
     Episode seeds are mix64(base_seed, policy index, repetition index). Each
     policy's repetitions are played in blocks (see _blocks), one run_episode
-    call per block; with workers > 1 the blocks run in a process pool.
+    call per block; with workers > 1 the blocks run in a process pool of at
+    most as many workers as there are blocks to run.
     Traces are folded in job order (policy, then repetition), so the
     aggregate matches serial execution exactly, whatever the blocks.
     A failed repetition aborts the experiment with its seed in the message.
 
     The table is the caller's, on exactly the grid's limits (else ConfigError,
-    before anything is written), or computed here from the config's oracle
-    settings. With an output directory, a finished run writes the table it
-    used to nu_table.json beside the other artifacts; no run reads it back,
-    so a rerun overwrites every file it writes.
+    before anything is written), or config.table(). With an output directory,
+    a finished run writes the table it used to nu_table.json beside the other
+    artifacts; no run reads it back, so a rerun overwrites every file it writes.
     """
     if table is None:
-        table = nu_table(
-            config.instance, config.oracle_method,
-            nodes=config.oracle_nodes, samples=config.oracle_samples,
-            seed=config.base_seed,
-        )
+        table = config.table()
     _check_table(table, config.instance)
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
@@ -365,7 +377,9 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
         # imported here, so a serial run does not pay for the pool's import
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=config.workers)
+        # under fork every worker starts at the first submit, so a worker
+        # beyond the number of jobs would only sit idle
+        executor = ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)))
     handle = None
     try:
         # run_episode is looked up at each call, so a wrapper on sim.run_episode runs

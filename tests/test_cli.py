@@ -264,8 +264,14 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
      "instance.discount.rho"),
     (_set(["instance", "objective"], {"kind": "additive_cost", "scale": "2", "power": 1.0}),
      "instance.objective.scale"),
+    # the kind and the replay mode are checked by the types that hold them
+    (_set(["instance", "discount"], {"kind": "cosine"}), "instance.discount"),
+    (_one_arm({"kind": "trace", "path": "rows.csv", "replay": "shuffle"}),
+     "instance.arms[0]"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    # an existing trace file, for the cases whose error is not a missing file
+    (tmp_path / "rows.csv").write_text("arm,reward,cost\n1,0.5,0.2\n", encoding="utf-8")
     path = _write_config(tmp_path, doc)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

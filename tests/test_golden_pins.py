@@ -68,15 +68,10 @@ def _update(h, trace, instance) -> None:
     h.update(np.ascontiguousarray(trace.censored, dtype=np.bool_).tobytes())
 
 
-def _config_table(config):
-    return nu_table(config.instance, config.oracle_method, nodes=config.oracle_nodes,
-                    samples=config.oracle_samples, seed=config.base_seed)
-
-
 @pytest.fixture(scope="module")
 def small_setup():
     config = config_from_dict(BYTE_IDENTITY_CONFIG)
-    return config, _config_table(config)
+    return config, config.table()
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +110,14 @@ def test_m100_klrcucb_pin():
     # one index call covers the block; each repetition takes its own argmax
     seeds = [GAUSSIAN_SEED + 1, GAUSSIAN_SEED, GAUSSIAN_SEED + 2]
     _, trace, _ = run_episode(config.instance, PolicySpec("klrcucb"), horizon,
-                              _config_table(config), seeds)
+                              config.table(), seeds)
     _update(h, trace, config.instance)
     assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_PINS))
 def test_bundled_table_pin(name):
-    table = _config_table(load_config(name))
+    table = load_config(name).table()
     h = hashlib.sha256()
     for values in (table.mu, table.nu, table.gap):
         h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())

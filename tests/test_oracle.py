@@ -14,7 +14,7 @@ from rcbandit.core import (
     build_grid,
     objective_vectors,
 )
-from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
+from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm
 from rcbandit.oracle import (
     MIN_NODES,
     MIN_SAMPLES,
@@ -220,6 +220,20 @@ def test_monte_carlo_rows_of_repeated_arms_differ():
         assert not np.array_equal(tab.se[i], tab.se[k])
     # closed-form arms are exact under either method
     assert np.array_equal(tab.mu[3], tab.mu[6])
+
+
+def test_arms_built_from_lists_give_the_tuple_built_table():
+    # nu_table keys its rows by the arm, which hashes only with tuple fields
+    def instance(seq):
+        arms = (GaussianArm(mean=seq((0.6, 0.45)), x=0.2, sigma=0.1),
+                TraceArm(rewards=seq((0.5, 0.9)), costs=seq((0.2, 0.8))))
+        return InstanceSpec(arms=arms, grid=build_grid(4, 1.0),
+                            discount=DiscountSpec("linear", tau_max=1.0))
+
+    assert instance(list).arms == instance(tuple).arms
+    listed, tupled = nu_table(instance(list)), nu_table(instance(tuple))
+    for name in ("mu", "nu", "gap"):
+        assert getattr(listed, name).tobytes() == getattr(tupled, name).tobytes()
 
 
 def test_monte_carlo_table_near_truth():

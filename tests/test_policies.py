@@ -659,6 +659,10 @@ def test_policy_spec_validation_and_warning():
         PolicySpec(kind="rcucb", alpha=0.0)
     with pytest.raises(ConfigError):
         PolicySpec(kind="ts", prior=(0.0, 1.0))
+    # BetaPosterior reads two values: one would fail there, a third be ignored
+    for prior in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ConfigError, match="prior"):
+            PolicySpec(kind="ts", prior=prior)
     with pytest.raises(ConfigError):
         PolicySpec(kind="ts", ts_indicator="sometimes")
     with pytest.warns(UserWarning):

@@ -209,6 +209,13 @@ def test_config_validation():
         _small_config(repetitions=0)
     with pytest.raises(ConfigError, match="policy"):
         _small_config(policies=())
+    # a library config is refused like the same JSON, on a closed-form instance too
+    with pytest.raises(ConfigError, match="oracle.method"):
+        _small_config(oracle_method="midpoint")
+    with pytest.raises(ConfigError, match="oracle.nodes"):
+        _small_config(oracle_nodes=8)
+    with pytest.raises(ConfigError, match="oracle.samples"):
+        _small_config(oracle_method="monte_carlo", oracle_samples=5000)
 
 
 def test_single_repetition_aggregate():
@@ -383,6 +390,29 @@ def test_blocks_leave_every_worker_busy(monkeypatch):
     assert sim._blocks(cfg) == [range(0, 2), range(2, 5)]
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
     assert sim._blocks(cfg) == [range(rep, rep + 1) for rep in range(5)]
+
+
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    """Under fork every worker starts at the first submit, so a pool larger
+    than the jobs only holds idle processes. A stand-in pool records its size
+    and maps serially, so no process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = _small_config(repetitions=2, workers=64, policies=(PolicySpec("rcucb"),))
+    pooled = run_experiment(cfg)
+    assert sizes == [2]
+    serial = run_experiment(dataclasses.replace(cfg, workers=1))
+    assert np.array_equal(pooled.mean_cum_regret, serial.mean_cum_regret)
 
 
 def test_pool_failures_name_their_seeds(monkeypatch):
