@@ -48,46 +48,8 @@ from .sim import (
     run_experiment,
 )
 
-__all__ = [
-    "AdditiveCost",
-    "Aggregate",
-    "BetaPosterior",
-    "CensoredMomentEstimator",
-    "ConfigError",
-    "DegenerateArm",
-    "DiscountSpec",
-    "DomainError",
-    "ExperimentConfig",
-    "GaussianArm",
-    "InstanceSpec",
-    "KLRCUCBPolicy",
-    "ModifiedTSPolicy",
-    "ModifiedUCBPolicy",
-    "MultiplicativeDiscount",
-    "NaiveEstimator",
-    "NuTable",
-    "PolicySpec",
-    "RCUCBPolicy",
-    "ResourceGrid",
-    "RunTrace",
-    "SamplingError",
-    "TraceArm",
-    "UniformCostArm",
-    "UsageError",
-    "build_grid",
-    "concentration_audit",
-    "concentration_bound",
-    "decomposition_check",
-    "discount_eval",
-    "make_policy",
-    "mix64",
-    "nu_table",
-    "regret_upper_bound",
-    "run_episode",
-    "run_experiment",
-    "sample_episode",
-    "trace_env_load",
-    "true_mixed_moments",
-]
+# the public API is what is imported above, so it is listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if callable(value) and not name.startswith("_"))
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .envs import DegenerateArm, GaussianArm, UniformCostArm, trace_env_load
 from .policies import PolicySpec
 from .sim import AGGREGATE_HEADER, ExperimentConfig, concentration_audit, run_experiment
 
-_REQUIRED = object()
+_REQUIRED, _ABSENT = object(), object()
 
 
 def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
@@ -59,6 +59,13 @@ def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
         return cast(obj[key])
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _given(obj, where: str, **casts) -> dict:
+    """{key: obj[key] converted by casts[key]} for each key of casts that obj
+    sets; a key left out takes the default of the type the value goes to."""
+    values = {key: _read(obj, key, where, cast, _ABSENT) for key, cast in casts.items()}
+    return {key: value for key, value in values.items() if value is not _ABSENT}
 
 
 def _build(where: str, ctor, *args, **kwargs):
@@ -97,12 +104,6 @@ def _str(value) -> str:
     return value
 
 
-def _float_pair(value) -> tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError("expected a list of two numbers")
-    return _float(value[0]), _float(value[1])
-
-
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError("expected a list of numbers")
@@ -112,7 +113,7 @@ def _floats(value) -> tuple[float, ...]:
 def _parse_arm(obj: dict, where: str, base_dir: Path):
     kind = _read(obj, "kind", where)
     if kind == "gaussian":
-        return _build(where, GaussianArm, mean=_read(obj, "mean", where, _float_pair),
+        return _build(where, GaussianArm, mean=_read(obj, "mean", where, _floats),
                       x=_read(obj, "x", where, _float),
                       sigma=_read(obj, "sigma", where, _float))
     if kind == "degenerate":
@@ -122,12 +123,12 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
         return _build(where, UniformCostArm,
                       reward_mean=_read(obj, "reward_mean", where, _float))
     if kind == "trace":
-        replay = _read(obj, "replay", where, default="sample")
+        replay = _given(obj, where, replay=_str)  # empty, or the replay mode set
         path = _read(obj, "path", where, Path)
         if not path.is_absolute():
             path = base_dir / path
         try:
-            arms = _build(where, trace_env_load, path, replay=replay)
+            arms = _build(where, trace_env_load, path, **replay)
         except OSError as exc:
             raise ConfigError(f"{where}.path: {exc}") from None
         idx = _read(obj, "arm", where, _int, 1)
@@ -140,7 +141,7 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    tau_max = _read(obj, "tau_max", "instance", _float, 1.0)
+    tau_max = _read(obj, "tau_max", "instance", _float, DiscountSpec.tau_max)
     # checked here although ResourceGrid checks it too: the grid is built
     # first, and its error would name grid_m or grid_points, not tau_max
     if not (math.isfinite(tau_max) and tau_max > 0):
@@ -157,23 +158,22 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
                       _read(obj, "grid_m", "instance", _int), tau_max)
 
     disc_obj = _read(obj, "discount", "instance")
-    kind = _read(disc_obj, "kind", "instance.discount")
-    discount = _build(
-        "instance.discount", DiscountSpec, kind, tau_max=tau_max,
-        k=_read(disc_obj, "k", "instance.discount", _float, None),
-        rho=_read(disc_obj, "rho", "instance.discount", _float, None),
-    )
+    discount = _build("instance.discount", DiscountSpec,
+                      _read(disc_obj, "kind", "instance.discount"), tau_max=tau_max,
+                      **_given(disc_obj, "instance.discount", k=_float, rho=_float))
 
-    objv = _read(obj, "objective", "instance", default={"kind": "multiplicative"})
-    okind = _read(objv, "kind", "instance.objective")
-    if okind == "multiplicative":
-        objective = MultiplicativeDiscount()
-    elif okind == "additive_cost":
-        objective = _build("instance.objective", AdditiveCost,
-                           scale=_read(objv, "scale", "instance.objective", _float, 1.0),
-                           power=_read(objv, "power", "instance.objective", _float, 1.0))
-    else:
-        raise ConfigError(f"instance.objective.kind: unknown kind {okind!r}")
+    objective = {}  # InstanceSpec's default objective, unless the config sets one
+    if "objective" in obj:
+        objv = _read(obj, "objective", "instance")
+        okind = _read(objv, "kind", "instance.objective")
+        if okind == "multiplicative":
+            objective["objective"] = MultiplicativeDiscount()
+        elif okind == "additive_cost":
+            objective["objective"] = _build(
+                "instance.objective", AdditiveCost,
+                **_given(objv, "instance.objective", scale=_float, power=_float))
+        else:
+            raise ConfigError(f"instance.objective.kind: unknown kind {okind!r}")
 
     arms_obj = _read(obj, "arms", "instance")
     if not isinstance(arms_obj, list) or not arms_obj:
@@ -182,23 +182,23 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
         _parse_arm(a, f"instance.arms[{i}]", base_dir)
         for i, a in enumerate(arms_obj)
     )
-    return InstanceSpec(arms=arms, grid=grid, discount=discount,
-                        objective=objective)
+    return InstanceSpec(arms=arms, grid=grid, discount=discount, **objective)
 
 
 def _parse_policy(obj: dict, where: str) -> PolicySpec:
     kind = _read(obj, "kind", where)
-    kwargs = {}
-    for key, field, cast in (("label", "label", _str), ("alpha", "alpha", _float),
-                             ("c", "c", _float), ("prior", "prior", _float_pair),
-                             ("indicator", "ts_indicator", _str)):
-        if key in obj:
-            kwargs[field] = _read(obj, key, where, cast)
+    kwargs = _given(obj, where, label=_str, alpha=_float, c=_float, prior=_floats,
+                    indicator=_str)
+    if "indicator" in kwargs:
+        kwargs["ts_indicator"] = kwargs.pop("indicator")
     return _build(where, PolicySpec, kind, **kwargs)
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a decoded JSON document."""
+    """Build a validated ExperimentConfig from a decoded JSON document.
+
+    Only the fields the document sets are passed on (see _given), so each
+    default is the one of the library type that holds the field."""
     if base_dir is None:
         base_dir = Path.cwd()
     instance = _parse_instance(_read(doc, "instance", ""), base_dir)
@@ -208,19 +208,15 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     policies = tuple(
         _parse_policy(p, f"policies[{i}]") for i, p in enumerate(pol_obj)
     )
-    oracle = _read(doc, "oracle", "", default={})
+    oracle = _given(_read(doc, "oracle", "", default={}), "oracle",
+                    method=_str, nodes=_int, samples=_int)
     return ExperimentConfig(
         instance=instance,
         policies=policies,
         horizon=_read(doc, "horizon", "", _int),
-        repetitions=_read(doc, "repetitions", "", _int, 20),
-        base_seed=_read(doc, "base_seed", "", _int, 0),
-        oracle_method=_read(oracle, "method", "oracle", default="quadrature"),
-        oracle_nodes=_read(oracle, "nodes", "oracle", _int, 200),
-        oracle_samples=_read(oracle, "samples", "oracle", _int, 1_000_000),
-        workers=_read(doc, "workers", "", _int, 1),
-        output_dir=_read(doc, "output_dir", "", lambda v: v if v is None else Path(v), None),
-        dump_state=_read(doc, "dump_state", "", _bool, False),
+        **{f"oracle_{key}": value for key, value in oracle.items()},
+        **_given(doc, "", repetitions=_int, base_seed=_int, workers=_int,
+                 output_dir=lambda v: v if v is None else Path(v), dump_state=_bool),
     )
 
 

@@ -105,9 +105,10 @@ class DiscountSpec:
             raise ConfigError(f"unknown discount kind {self.kind!r}")
         if not self.tau_max > 0:
             raise ConfigError("discount tau_max must be positive")
+        # NaN fails every check; an infinite k would zero every gap (polynomial)
         if self.kind == "polynomial":
-            if self.k is None or not self.k > 1:
-                raise ConfigError("polynomial discount needs k > 1")
+            if self.k is None or not 1 < self.k < math.inf:
+                raise ConfigError("polynomial discount needs a finite k > 1")
         elif self.kind == "sublinear":
             if self.k is None or not 0 < self.k < 1:
                 raise ConfigError("sublinear discount needs k in (0, 1)")
@@ -115,8 +116,8 @@ class DiscountSpec:
             if self.rho is None or not 0 < self.rho < 1:
                 raise ConfigError("geometric discount needs rho in (0, 1)")
         elif self.kind == "exponential":
-            if self.k is None or not self.k > 0:
-                raise ConfigError("exponential discount needs k > 0")
+            if self.k is None or not 0 < self.k < math.inf:
+                raise ConfigError("exponential discount needs a finite k > 0")
 
 
 def discount_eval(spec: DiscountSpec, tau_tilde):
@@ -201,8 +202,8 @@ class MultiplicativeDiscount:
 class AdditiveCost:
     """Objective nu = mu - c(tau') with c(t) = scale * (t / tau_max) ** power.
 
-    scale in [0, 1] keeps c mapping [0, tau_max] into [0, 1]; power > 0 keeps
-    it monotone non-decreasing.
+    scale in [0, 1] keeps c mapping [0, tau_max] into [0, 1]; a finite
+    power > 0 keeps it monotone non-decreasing and continuous.
     """
 
     scale: float = 1.0
@@ -211,8 +212,8 @@ class AdditiveCost:
     def __post_init__(self) -> None:
         if not 0.0 <= self.scale <= 1.0:
             raise ConfigError("additive cost scale must lie in [0, 1]")
-        if not self.power > 0:
-            raise ConfigError("additive cost power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ConfigError("additive cost power must be positive and finite")
 
 
 Objective = Union[MultiplicativeDiscount, AdditiveCost]

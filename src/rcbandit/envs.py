@@ -241,7 +241,7 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
     return rewards, lo
 
 
-def trace_env_load(path, replay: str = "sample") -> tuple[TraceArm, ...]:
+def trace_env_load(path, replay: str = TraceArm.replay) -> tuple[TraceArm, ...]:
     """Load per-arm traces from a CSV with header ``arm,reward,cost``.
 
     Arm indices are 1-based, and every arm up to the largest index must have

@@ -92,29 +92,38 @@ class NaiveEstimator(_CountSumEstimator):
 TS_INDICATORS = ("per_pair", "chosen_limit")
 
 
+def check_beta(prior, indicator: str) -> tuple[float, float]:
+    """The prior as two floats, the one check of PolicySpec and BetaPosterior:
+    ConfigError unless it is two positive finite numbers (NaN fails, a third
+    would be ignored) and indicator is one of TS_INDICATORS."""
+    if not (len(prior) == 2 and all(0 < p < np.inf for p in prior)):
+        raise ConfigError(f"Beta prior must be two positive finite numbers, "
+                          f"got {list(prior)}")
+    if indicator not in TS_INDICATORS:
+        raise ConfigError(f"unknown TS indicator {indicator!r}")
+    return float(prior[0]), float(prior[1])
+
+
 class BetaPosterior:
     """Beta(a0 + S, b0 + F) posterior per pair, grown by Bernoulli trials.
 
     An update touches every tau' <= tau_chosen. The trial success probability
-    is reward * 1{tau' admits cost} under the default "per_pair" indicator
+    is reward * 1{tau' admits cost} under the "per_pair" indicator
     (each cell is credited only for completions under its own limit), or
     reward under "chosen_limit" (every touched cell shares the played limit's
     indicator, which admitted the cost). Censored rounds have success
     probability zero either way. Trials are independent uniform draws
     compared against the probabilities, in ascending tau' order, drawn from
-    rngs[rep], one Generator per repetition of the block, in rep order.
+    rngs[rep], one Generator per repetition of the block, in rep order. The
+    prior and indicator come from the policy, at PolicySpec's defaults.
     """
 
     def __init__(self, n: int, grid: ResourceGrid, rngs: list[np.random.Generator],
-                 prior: tuple[float, float] = (1.0, 1.0), indicator: str = "per_pair"):
-        if not (prior[0] > 0 and prior[1] > 0):
-            raise ConfigError("Beta prior parameters must be positive")
-        if indicator not in TS_INDICATORS:
-            raise ConfigError(f"unknown TS indicator {indicator!r}")
+                 prior: tuple[float, float], indicator: str):
         self.grid = grid
         self.n = n
         self.rngs = rngs
-        self.prior = (float(prior[0]), float(prior[1]))
+        self.prior = check_beta(prior, indicator)
         self.indicator = indicator
         self.successes = np.zeros((len(rngs) * n, grid.m))
         self.failures = np.zeros((len(rngs) * n, grid.m))

@@ -27,9 +27,26 @@ import numpy as np
 from .core import DomainError, InstanceSpec, admits, argmax_pair, mix64, objective_vectors
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
-# smallest budgets the oracle accepts: quadrature nodes per axis, Monte Carlo draws
-MIN_NODES = 32
-MIN_SAMPLES = 10_000
+DEFAULT_METHOD = "quadrature"
+# the default and the smallest budget of each method: quadrature nodes per
+# axis, Monte Carlo draws
+DEFAULT_NODES, MIN_NODES = 200, 32
+DEFAULT_SAMPLES, MIN_SAMPLES = 1_000_000, 10_000
+
+
+def oracle_budget(method: str = DEFAULT_METHOD, nodes: int = DEFAULT_NODES,
+                  samples: int = DEFAULT_SAMPLES) -> int:
+    """The budget method spends, nodes or samples. The oracle settings' one
+    rule: DomainError, led by the field at fault, for an unknown method or a
+    budget below its method's smallest, whether or not an arm would spend it."""
+    if method not in ORACLE_METHODS:
+        raise DomainError(f"method: unknown method {method!r}")
+    if method == "quadrature" and nodes < MIN_NODES:
+        raise DomainError(f"nodes: quadrature needs at least {MIN_NODES}, got {nodes}")
+    if method == "monte_carlo" and samples < MIN_SAMPLES:
+        raise DomainError(f"samples: Monte Carlo needs at least {MIN_SAMPLES}, "
+                          f"got {samples}")
+    return nodes if method == "quadrature" else samples
 
 
 @lru_cache(maxsize=8)
@@ -42,10 +59,11 @@ def _gl_on(a: float, b: float, nodes: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def true_mixed_moments(arm, taus, *, nodes: int = 200) -> np.ndarray:
+def true_mixed_moments(arm, taus, *, nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Exact E[R * 1{C <= tau'}] for each tau' in taus, the path nu_table and the
     audit share: the arm's closed form (``mixed_moment``) if it has one, else
-    quadrature with `nodes` points per axis and the normalizer integrated once.
+    quadrature with `nodes` points per axis (see oracle_budget) and the
+    normalizer integrated once.
 
     Each quadrature integral is einsum("i,j,ij->", [r *] reward weights, cost
     weights on [0, tau'], norm * exp(-0.5 q)) over the nodes x nodes grid, with
@@ -59,8 +77,7 @@ def true_mixed_moments(arm, taus, *, nodes: int = 200) -> np.ndarray:
     """
     if hasattr(arm, "mixed_moment"):
         return np.array([float(arm.mixed_moment(float(tau))) for tau in taus])
-    if nodes < MIN_NODES:
-        raise DomainError(f"quadrature needs at least {MIN_NODES} nodes per axis")
+    oracle_budget(nodes=nodes)
     cov = arm.cov()
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     inv00 = cov[1, 1] / det
@@ -153,8 +170,9 @@ class NuTable:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1), encoding="utf-8")
 
 
-def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
-             nodes: int = 200, samples: int = 1_000_000, seed: int = 0) -> NuTable:
+def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
+             nodes: int = DEFAULT_NODES, samples: int = DEFAULT_SAMPLES,
+             seed: int = 0) -> NuTable:
     """Evaluate every pair of the instance and locate the optimum.
 
     Closed-form and quadrature rows depend on the arm alone, so each distinct
@@ -164,12 +182,10 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
     across all grid points, so the same draws produce monotone mu estimates in
     tau'; equal arms get different streams and different rows, so Monte Carlo
     rows are not shared. The optimum uses the policies' tie-break,
-    core.argmax_pair (smallest tau', then smallest arm).
+    core.argmax_pair (smallest tau', then smallest arm). The settings pass
+    oracle_budget first, whatever the arms.
     """
-    if method not in ORACLE_METHODS:
-        raise DomainError(f"unknown oracle method {method!r}")
-    if method == "monte_carlo" and samples < MIN_SAMPLES:
-        raise DomainError(f"Monte Carlo needs at least {MIN_SAMPLES} samples")
+    budget = oracle_budget(method, nodes, samples)
     grid = instance.grid
     taus = grid.as_array()
     n, m = instance.n, grid.m
@@ -197,7 +213,7 @@ def nu_table(instance: InstanceSpec, method: str = "quadrature", *,
         taus=tuple(float(t) for t in taus),
         mu=mu, se=se, nu=nu, gap=gap,
         optimal_arm=arm0 + 1, optimal_tau=float(taus[j_opt]), nu_star=nu_star,
-        method=method, budget=nodes if method == "quadrature" else samples,
+        method=method, budget=budget,
     )
 
 

@@ -20,10 +20,11 @@ censoring rule in core; envs.sample_episode computes lo once per episode and
 the estimators read it, so no cost is compared with a limit here.
 
 Every policy starts with the schedule of init_limits, written once here:
-Policy.select plays it, and init_length (which the runners check the horizon
-against) counts it. The schedule gives every pair a count N >= 1 of the
-estimator its index reads, and the index functions require that: an index
-matrix holds no +inf cell, and an unplayed pair raises UsageError.
+Policy.select plays it, init_length counts it, and check_horizon, which the
+runners call, holds a horizon to it. The schedule gives every pair a count
+N >= 1 of the estimator its index reads, and the index functions require
+that: an index matrix holds no +inf cell, and an unplayed pair raises
+UsageError.
 
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
@@ -59,12 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, InstanceSpec, UsageError, argmax_pair, objective_vectors
-from .estimators import (
-    TS_INDICATORS,
-    BetaPosterior,
-    CensoredMomentEstimator,
-    NaiveEstimator,
-)
+from .estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator, check_beta
 
 POLICY_KINDS = ("rcucb", "klrcucb", "ucb", "ts", "uniform_random", "fixed_oracle")
 
@@ -74,7 +70,8 @@ class PolicySpec:
     """Declarative policy choice used by experiment configs.
 
     alpha drives the confidence radii of rcucb/ucb, c the exploration budget
-    of klrcucb, prior and ts_indicator the Thompson sampling posterior.
+    of klrcucb, prior and ts_indicator the Thompson sampling posterior; the
+    policy classes read their defaults from here.
     """
 
     kind: str
@@ -109,14 +106,7 @@ class PolicySpec:
         if self.kind == "klrcucb" and not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"c must be non-negative and finite, got {self.c}")
         if self.kind == "ts":
-            # BetaPosterior reads prior[0] and prior[1]: a shorter prior would
-            # fail there, and a third value would be silently ignored
-            if not (len(self.prior) == 2
-                    and all(p > 0 and math.isfinite(p) for p in self.prior)):
-                raise ConfigError(f"Beta prior must be two positive finite numbers, "
-                                  f"got {list(self.prior)}")
-            if self.ts_indicator not in TS_INDICATORS:
-                raise ConfigError(f"unknown TS indicator {self.ts_indicator!r}")
+            check_beta(self.prior, self.ts_indicator)
 
 
 def init_limits(kind: str, m: int) -> range:
@@ -137,6 +127,16 @@ def init_limits(kind: str, m: int) -> range:
 def init_length(kind: str, instance: InstanceSpec) -> int:
     """Number of prescribed initialization rounds before the index takes over."""
     return instance.n * len(init_limits(kind, instance.grid.m))
+
+
+def check_horizon(horizon: int, kinds, instance: InstanceSpec) -> None:
+    """ConfigError unless horizon covers the init_length of every kind, for
+    the policies of a config and for a single episode's alike."""
+    kind = max(kinds, key=lambda k: init_length(k, instance))
+    need = init_length(kind, instance)
+    if horizon < need:
+        raise ConfigError(f"horizon {horizon} shorter than the {need}-round "
+                          f"initialization of {kind}")
 
 
 def _exploration_budget(t: int, c: float) -> float:
@@ -319,7 +319,7 @@ class RCUCBPolicy(Policy):
 
     kind = "rcucb"
 
-    def __init__(self, instance: InstanceSpec, alpha: float = 2.0, reps: int = 1):
+    def __init__(self, instance: InstanceSpec, alpha: float = PolicySpec.alpha, reps: int = 1):
         super().__init__(instance, reps)
         self.alpha = alpha
         self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
@@ -342,7 +342,7 @@ class KLRCUCBPolicy(Policy):
 
     kind = "klrcucb"
 
-    def __init__(self, instance: InstanceSpec, c: float = 3.0, reps: int = 1):
+    def __init__(self, instance: InstanceSpec, c: float = PolicySpec.c, reps: int = 1):
         super().__init__(instance, reps)
         self.c = c
         self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
@@ -373,7 +373,7 @@ class ModifiedUCBPolicy(Policy):
 
     kind = "ucb"
 
-    def __init__(self, instance: InstanceSpec, alpha: float = 2.0, reps: int = 1):
+    def __init__(self, instance: InstanceSpec, alpha: float = PolicySpec.alpha, reps: int = 1):
         super().__init__(instance, reps)
         self.alpha = alpha
         self.estimator = NaiveEstimator(instance.n, instance.grid, reps)
@@ -399,7 +399,8 @@ class ModifiedTSPolicy(Policy):
     kind = "ts"
 
     def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator],
-                 prior: tuple[float, float] = (1.0, 1.0), indicator: str = "per_pair"):
+                 prior: tuple[float, float] = PolicySpec.prior,
+                 indicator: str = PolicySpec.ts_indicator):
         super().__init__(instance, len(rngs))
         self.estimator = BetaPosterior(instance.n, instance.grid, rngs, prior=prior,
                                        indicator=indicator)

@@ -12,8 +12,8 @@ A round is censored by the one statement of the censoring rule in core:
 sample_episode computes lo = ResourceGrid.first_admitting(cost) for every
 round and arm once per episode, the block loop reads each repetition's
 played lo, and the play at grid index j is censored iff lo > j (the audit
-calls core.admits). The initialization schedule a horizon must cover comes
-from policies.init_length. Plays stay grid indices from the round loop to
+calls core.admits). policies.check_horizon holds a horizon to the
+initialization schedule. Plays stay grid indices from the round loop to
 the trace file: a RunTrace records each round's (arm0, tau_idx), and the
 trace writer looks each row's "arm,tau,censored" text and its gap text up by
 them, in two tables built once per run. The per-round hook contract is
@@ -38,9 +38,9 @@ import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, mix64
 from .envs import sample_episode
-from .oracle import (MIN_NODES, MIN_SAMPLES, ORACLE_METHODS, NuTable, concentration_bound,
-                     nu_table, true_mixed_moments)
-from .policies import PolicySpec, init_length, make_policy
+from .oracle import (DEFAULT_METHOD, DEFAULT_NODES, DEFAULT_SAMPLES, NuTable,
+                     concentration_bound, nu_table, oracle_budget, true_mixed_moments)
+from .policies import PolicySpec, check_horizon, make_policy
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,16 +88,17 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything run_experiment needs; the CLI builds this from JSON."""
+    """Everything run_experiment needs; the CLI builds this from JSON, passing
+    only the fields the JSON sets, so these defaults are the config's."""
 
     instance: InstanceSpec
     policies: tuple[PolicySpec, ...]
     horizon: int
     repetitions: int = 20
     base_seed: int = 0
-    oracle_method: str = "quadrature"
-    oracle_nodes: int = 200
-    oracle_samples: int = 1_000_000
+    oracle_method: str = DEFAULT_METHOD
+    oracle_nodes: int = DEFAULT_NODES
+    oracle_samples: int = DEFAULT_SAMPLES
     workers: int = 1
     output_dir: Path | None = None
     dump_state: bool = False
@@ -105,31 +106,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise ConfigError("at least one policy is required")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        # the budgets are checked for every instance, not only for those with a
-        # Gaussian arm; the messages name the oracle.* fields of a JSON config
-        if self.oracle_method not in ORACLE_METHODS:
-            raise ConfigError(f"oracle.method: unknown method {self.oracle_method!r}")
-        if self.oracle_method == "quadrature" and self.oracle_nodes < MIN_NODES:
-            raise ConfigError(f"oracle.nodes: quadrature needs at least {MIN_NODES}, "
-                              f"got {self.oracle_nodes}")
-        if self.oracle_method == "monte_carlo" and self.oracle_samples < MIN_SAMPLES:
-            raise ConfigError(f"oracle.samples: Monte Carlo needs at least {MIN_SAMPLES}, "
-                              f"got {self.oracle_samples}")
+        # a float would fail deep in a run, or, as a seed, be truncated silently
+        for name in ("horizon", "repetitions", "workers", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
+            if value < 1 and name != "base_seed":
+                raise ConfigError(f"{name} must be at least 1")
+        # the messages name the oracle.* fields of a JSON config
+        try:
+            oracle_budget(self.oracle_method, self.oracle_nodes, self.oracle_samples)
+        except DomainError as exc:
+            raise ConfigError(f"oracle.{exc}") from None
         labels = [spec.label for spec in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError("policy labels must be unique; set label explicitly")
-        need = max(init_length(s.kind, self.instance) for s in self.policies)
-        if self.horizon < need:
-            raise ConfigError(
-                f"horizon {self.horizon} shorter than the {need}-round "
-                "initialization of the configured policies"
-            )
+        check_horizon(self.horizon, [spec.kind for spec in self.policies], self.instance)
 
     def table(self) -> NuTable:
         """The oracle table of the instance under the config's oracle settings."""
@@ -167,12 +159,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     block; the per-round hook contract is stated in the policies module.
     """
     _check_table(table, instance)
-    need = init_length(spec.kind, instance)
-    if horizon < need:
-        raise ConfigError(
-            f"horizon {horizon} shorter than the {need}-round initialization "
-            f"of {spec.kind}"
-        )
+    check_horizon(horizon, [spec.kind], instance)
     draws = []
     for index, seed in enumerate(seeds):
         try:

@@ -12,9 +12,17 @@ from rcbandit.cli import (
     main,
     render_svg,
 )
-from rcbandit.core import AdditiveCost, ConfigError, ResourceGrid
-from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm
-from rcbandit.sim import AGGREGATE_HEADER
+from rcbandit.core import (
+    AdditiveCost,
+    ConfigError,
+    DiscountSpec,
+    InstanceSpec,
+    ResourceGrid,
+    build_grid,
+)
+from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, trace_env_load
+from rcbandit.policies import POLICY_KINDS, PolicySpec
+from rcbandit.sim import AGGREGATE_HEADER, ExperimentConfig
 
 SMALL_CONFIG = {
     "instance": {
@@ -122,6 +130,30 @@ def test_config_field_errors(tmp_path):
     bad["oracle"] = {"method": "midpoint"}
     with pytest.raises(ConfigError, match="oracle.method"):
         config_from_dict(bad)
+
+
+def test_unset_fields_take_the_library_defaults(tmp_path):
+    """A config of only its required fields gives the config the library types
+    build with no optional argument: the CLI restates no default."""
+    (tmp_path / "rows.csv").write_text("arm,reward,cost\n1,0.5,0.2\n", encoding="utf-8")
+    doc = {"instance": {"grid_m": 4, "discount": {"kind": "linear"},
+                        "arms": [{"kind": "degenerate", "reward": 0.9, "cost": 0.2},
+                                 {"kind": "trace", "path": "rows.csv"}]},
+           "policies": [{"kind": kind} for kind in POLICY_KINDS],
+           "horizon": 60}
+    discount = DiscountSpec("linear")
+    instance = InstanceSpec(
+        arms=(DegenerateArm(r0=0.9, c0=0.2), *trace_env_load(tmp_path / "rows.csv")),
+        grid=build_grid(4, discount.tau_max), discount=discount)
+    expected = ExperimentConfig(instance=instance,
+                                policies=tuple(PolicySpec(kind) for kind in POLICY_KINDS),
+                                horizon=60)
+    assert config_from_dict(doc, tmp_path) == expected
+    doc["instance"]["discount"] = {"kind": "polynomial", "k": 2.0}
+    doc["instance"]["objective"] = {"kind": "additive_cost"}
+    parsed = config_from_dict(doc, tmp_path).instance
+    assert parsed.discount == DiscountSpec("polynomial", k=2.0)
+    assert parsed.objective == AdditiveCost()
 
 
 def test_trace_arm_selection_errors(tmp_path):
@@ -268,6 +300,13 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["instance", "discount"], {"kind": "cosine"}), "instance.discount"),
     (_one_arm({"kind": "trace", "path": "rows.csv", "replay": "shuffle"}),
      "instance.arms[0]"),
+    # an infinite exponent makes every gap 0, and every policy's regret with it
+    (_set(["instance", "discount"], {"kind": "polynomial", "k": float("inf")}),
+     "instance.discount"),
+    (_set(["instance", "discount"], {"kind": "exponential", "k": float("inf")}),
+     "instance.discount"),
+    (_set(["instance", "objective"], {"kind": "additive_cost", "power": float("inf")}),
+     "instance.objective"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     # an existing trace file, for the cases whose error is not a missing file

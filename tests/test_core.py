@@ -103,6 +103,10 @@ def test_discount_domain_errors():
         dict(kind="geometric", tau_max=1.0, rho=1.0),
         dict(kind="exponential", tau_max=1.0, k=0.0),
         dict(kind="polynomial", tau_max=1.0),
+        # an infinite k makes gamma 0 at every grid point, and every gap 0
+        dict(kind="polynomial", tau_max=1.0, k=math.inf),
+        dict(kind="exponential", tau_max=1.0, k=math.inf),
+        dict(kind="polynomial", tau_max=1.0, k=math.nan),
     ],
 )
 def test_discount_spec_validation(kwargs):
@@ -242,6 +246,9 @@ def test_additive_cost_eval_and_validation():
         AdditiveCost(scale=1.5)
     with pytest.raises(ConfigError):
         AdditiveCost(power=0.0)
+    for power in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            AdditiveCost(power=power)
 
 
 class _FixedDrawArm:

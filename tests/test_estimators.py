@@ -3,6 +3,7 @@ import pytest
 
 from rcbandit.core import ConfigError, build_grid
 from rcbandit.estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator
+from rcbandit.policies import PolicySpec
 
 from conftest import mean_matrix
 
@@ -20,6 +21,15 @@ CENSORED = (GRID2.m, 0.0)  # a cost above every limit: censored at any k
 def cell(est, arm0, j):
     """(mu_hat, N) of one cell of a count/sum estimator."""
     return float(mean_matrix(est)[arm0, j]), int(est.counts[arm0, j])
+
+
+TS = PolicySpec("ts")
+
+
+def posterior(n, grid, seed, prior=TS.prior, indicator=TS.ts_indicator):
+    """A BetaPosterior of n arms and one repetition, at the ts policy's
+    defaults unless prior or indicator is given."""
+    return BetaPosterior(n, grid, [np.random.default_rng(seed)], prior, indicator)
 
 
 def trials(post, arm0, j):
@@ -105,7 +115,7 @@ def test_naive_running_mean_and_censored():
 
 
 def test_beta_update_certainties():
-    post = BetaPosterior(1, GRID2, [np.random.default_rng(0)])
+    post = posterior(1, GRID2, 0)
     post.update_by_index(0, 2, *CENSORED)
     assert trials(post, 0, 0) == (0, 1)
     assert trials(post, 0, 1) == (0, 1)
@@ -115,7 +125,7 @@ def test_beta_update_certainties():
 
 
 def test_beta_update_monte_carlo_rate():
-    post = BetaPosterior(1, GRID2, [np.random.default_rng(123)])
+    post = posterior(1, GRID2, 123)
     trials_run = 100_000
     for _ in range(trials_run):
         post.update_by_index(0, 1, *admitted(0.4, 0.5))
@@ -128,14 +138,14 @@ def test_beta_indicator_variants():
     grid = build_grid(2, 1.0)
     fb = admitted(0.6, 1.0, grid)  # cost above the 0.5 cell, reward 1
 
-    per_pair = BetaPosterior(1, grid, [np.random.default_rng(1)], indicator="per_pair")
+    per_pair = posterior(1, grid, 1, indicator="per_pair")
     for _ in range(50):
         per_pair.update_by_index(0, 2, *fb)
     # cell 0.5 never completes under its own limit: all failures
     assert trials(per_pair, 0, 0) == (0, 50)
     assert trials(per_pair, 0, 1) == (50, 0)
 
-    shared = BetaPosterior(1, grid, [np.random.default_rng(2)], indicator="chosen_limit")
+    shared = posterior(1, grid, 2, indicator="chosen_limit")
     for _ in range(50):
         shared.update_by_index(0, 2, *fb)
     # the played limit's indicator is shared: certain success everywhere
@@ -145,9 +155,14 @@ def test_beta_indicator_variants():
 
 def test_beta_validation():
     with pytest.raises(ConfigError):
-        BetaPosterior(1, GRID2, [np.random.default_rng(0)], prior=(0.0, 1.0))
+        posterior(1, GRID2, 0, prior=(0.0, 1.0))
     with pytest.raises(ConfigError):
-        BetaPosterior(1, GRID2, [np.random.default_rng(0)], indicator="other")
+        posterior(1, GRID2, 0, indicator="other")
+    # the rule PolicySpec applies too: one value would fail, a third be ignored,
+    # and an infinite one give a degenerate posterior
+    for prior in ((1.0,), (float("inf"), 1.0), (1.0, 2.0, 3.0)):
+        with pytest.raises(ConfigError, match="prior"):
+            posterior(1, GRID2, 0, prior=prior)
 
 
 def _random_round(rng, grid, j):
@@ -164,7 +179,7 @@ def test_invariants_under_random_play():
     grid = build_grid(5, 1.0)
     cen = CensoredMomentEstimator(3, grid)
     nai = NaiveEstimator(3, grid)
-    beta = BetaPosterior(3, grid, [rng])
+    beta = BetaPosterior(3, grid, [rng], TS.prior, TS.ts_indicator)
     for _ in range(2000):
         arm0 = int(rng.integers(1, 4)) - 1
         j = int(rng.integers(0, grid.m))
@@ -208,7 +223,7 @@ def test_snapshots():
         {"arm": 1, "tau": 1.0, "t": 1, "sum": 0.9},
     ]
 
-    beta = BetaPosterior(1, grid, [np.random.default_rng(0)])
+    beta = posterior(1, grid, 0)
     beta.update_by_index(0, 1, *admitted(0.4, 1.0))
     assert beta.snapshot() == [
         {"arm": 1, "tau": 0.5, "s": 1, "f": 0},
@@ -217,7 +232,7 @@ def test_snapshots():
 
 
 def test_posterior_params_include_prior():
-    beta = BetaPosterior(1, GRID2, [np.random.default_rng(0)], prior=(2.0, 3.0))
+    beta = posterior(1, GRID2, 0, prior=(2.0, 3.0))
     a, b = beta.posterior_params()
     np.testing.assert_allclose(a, 2.0)
     np.testing.assert_allclose(b, 3.0)

@@ -1,5 +1,6 @@
 """Import hygiene: every name a module imports is read somewhere in that
-module, and importing the CLI leaves the process pool out."""
+module, every private module-level name of the package is read somewhere in
+the package, and importing the CLI leaves the process pool out."""
 
 import ast
 import os
@@ -48,6 +49,50 @@ def test_scan_sees_an_unread_import():
 )
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each private (single-underscore) name that a module
+    binds at its top level and no module of sources reads, as a name, an
+    attribute or an import."""
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            bound += [(module, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}:{name}" for module, name in bound if name not in read)
+
+
+def test_scan_sees_an_unread_private_name():
+    sources = {
+        "a": "_USED, _SPARE = 1, 2\n_LEFT: int = 3\ndef _helper():\n    return _USED\n"
+             "class _Kept:\n    pass\n__all__ = []\n",
+        "b": "from .a import _Kept\nimport a\nprint(a._helper())\n",
+    }
+    assert unread_private_names(sources) == ["a:_LEFT", "a:_SPARE"]
+
+
+def test_no_unread_private_names():
+    """A private constant or helper that a change leaves unread cannot linger."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in ROOT.glob("src/rcbandit/*.py")}
+    assert unread_private_names(sources) == []
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -115,6 +115,10 @@ def test_budget_validation():
         nu_table(inst, "monte_carlo", samples=MIN_SAMPLES - 1)
     with pytest.raises(DomainError):
         nu_table(inst, "midpoint")
+    # the rule holds whatever the arms, as for an ExperimentConfig: a closed-form
+    # instance would spend no node, yet too few are refused
+    with pytest.raises(DomainError, match=f"nodes: quadrature needs at least {MIN_NODES}"):
+        nu_table(analytic_instance(), nodes=8)
 
 
 def test_degenerate_density_rejected():

@@ -678,6 +678,28 @@ def test_policy_spec_validation_and_warning():
             PolicySpec(kind="ucb", label=label)
 
 
+def test_policies_hold_the_spec_defaults():
+    """Each policy class, built by make_policy or directly with no parameter,
+    holds its kind's PolicySpec values: the classes restate no default."""
+    inst = _inst(n_arms=2)
+    for kind in policies.POLICY_KINDS:
+        spec = PolicySpec(kind)
+        built = [make_policy(spec, inst, rngs=[np.random.default_rng(0)],
+                             optimal_pair=(0, 0))]
+        if kind in ("rcucb", "ucb", "klrcucb"):
+            built.append(type(built[0])(inst))
+        if kind == "ts":
+            built.append(ModifiedTSPolicy(inst, [np.random.default_rng(0)]))
+        for pol in built:
+            if kind in ("rcucb", "ucb"):
+                assert pol.alpha == spec.alpha
+            if kind == "klrcucb":
+                assert pol.c == spec.c
+            if kind == "ts":
+                assert pol.estimator.prior == spec.prior
+                assert pol.estimator.indicator == spec.ts_indicator
+
+
 def test_init_length():
     inst = _inst(n_arms=3, points=(0.25, 0.5))
     assert init_length("rcucb", inst) == 3

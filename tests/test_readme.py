@@ -1,11 +1,14 @@
-"""README's Quickstart runs as written, so a public name it uses cannot drift
-from the package unnoticed."""
+"""README's Quickstart runs as written and its Config schema gives the
+library's defaults, so neither can drift from the package unnoticed."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import rcbandit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,26 @@ def test_quickstart_runs():
     for line in per_seed:
         regret, share = map(float, line.split())
         assert regret >= 0.0 and 0.0 <= share <= 1.0
+
+
+def test_config_schema_defaults_match_the_types():
+    """Each default the Config schema table gives in JSON is the value of the
+    library field it names, so the README cannot drift from the types."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    checked = 0
+    for row in re.findall(r"^\|(.*)\|$", section, re.M):
+        cells = [cell.strip() for cell in row.split("|")]
+        owners = re.findall(r"`([A-Z]\w*)\.(\w+)`", cells[2])
+        default = re.match(r"`([^`]*)`", cells[1])
+        if len(owners) != 1 or default is None:
+            continue
+        try:
+            want = json.loads(default.group(1))
+        except json.JSONDecodeError:
+            continue  # a default that is not JSON, such as an objective kind
+        cls, field = owners[0]
+        got = getattr(getattr(rcbandit, cls), field)
+        assert (list(got) if isinstance(got, tuple) else got) == want, cells[0]
+        checked += 1
+    assert checked >= 15

@@ -216,6 +216,11 @@ def test_config_validation():
         _small_config(oracle_nodes=8)
     with pytest.raises(ConfigError, match="oracle.samples"):
         _small_config(oracle_method="monte_carlo", oracle_samples=5000)
+    # a float would fail deep in the run, or, as a seed, be truncated silently
+    for field, value in (("horizon", 150.5), ("horizon", True), ("repetitions", 2.0),
+                         ("workers", False), ("base_seed", 1.5), ("base_seed", "5")):
+        with pytest.raises(ConfigError, match=f"^{field}: expected an integer"):
+            _small_config(**{field: value})
 
 
 def test_single_repetition_aggregate():
