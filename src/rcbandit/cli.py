@@ -187,11 +187,8 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
 
 def _parse_policy(obj: dict, where: str) -> PolicySpec:
     kind = _read(obj, "kind", where)
-    kwargs = _given(obj, where, label=_str, alpha=_float, c=_float, prior=_floats,
-                    indicator=_str)
-    if "indicator" in kwargs:
-        kwargs["ts_indicator"] = kwargs.pop("indicator")
-    return _build(where, PolicySpec, kind, **kwargs)
+    return _build(where, PolicySpec, kind, **_given(
+        obj, where, label=_str, alpha=_float, c=_float, prior=_floats, indicator=_str))
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:

@@ -217,6 +217,12 @@ def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
     )
 
 
+def check_alpha(alpha: float) -> None:
+    """DomainError unless alpha is finite and exceeds 1, as the bounds need."""
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
 def regret_upper_bound(table: NuTable, horizon, alpha: float):
     """Gap-dependent upper bound on expected cumulative regret at the horizon.
 
@@ -224,8 +230,7 @@ def regret_upper_bound(table: NuTable, horizon, alpha: float):
     4 alpha ln(T) / gap + gap * (1 + (4 / ln((a+1)/2)) * ((a+1)/(a-1))^2).
     Accepts a scalar horizon or an array of horizons.
     """
-    if not alpha > 1:
-        raise DomainError("alpha must exceed 1")
+    check_alpha(alpha)
     t = np.asarray(horizon, dtype=float)
     if np.any(t < 1):
         raise DomainError("horizon must be >= 1")
@@ -246,8 +251,7 @@ def regret_upper_bound(table: NuTable, horizon, alpha: float):
 def concentration_bound(t, alpha: float):
     """Two-sided tail bound for the optimistic index deviation at round t:
     (1 + ln t / ln((a+1)/2)) * t^(-2a/(a+1)). Scalar or array t."""
-    if not alpha > 1:
-        raise DomainError("alpha must exceed 1")
+    check_alpha(alpha)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 2):
         raise DomainError("t must be >= 2")

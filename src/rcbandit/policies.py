@@ -19,6 +19,11 @@ order. A repetition's round is censored iff its lo > j, the grid form of the
 censoring rule in core; envs.sample_episode computes lo once per episode and
 the estimators read it, so no cost is compared with a limit here.
 
+make_policy builds a policy from its PolicySpec and one Generator per
+repetition, one lookup in POLICY_CLASSES. Each class reads its parameters
+from the spec and names them in reads, the one table of which kind reads
+which parameter; PolicySpec refuses any other parameter set.
+
 Every policy starts with the schedule of init_limits, written once here:
 Policy.select plays it, init_length counts it, and check_horizon, which the
 runners call, holds a horizon to it. The schedule gives every pair a count
@@ -55,23 +60,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import ConfigError, InstanceSpec, UsageError, argmax_pair, objective_vectors
 from .estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator, check_beta
 
-POLICY_KINDS = ("rcucb", "klrcucb", "ucb", "ts", "uniform_random", "fixed_oracle")
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative policy choice used by experiment configs.
 
     alpha drives the confidence radii of rcucb/ucb, c the exploration budget
-    of klrcucb, prior and ts_indicator the Thompson sampling posterior; the
-    policy classes read their defaults from here.
+    of klrcucb, prior and indicator the Thompson sampling posterior; each
+    policy class reads the ones named in its reads from here.
     """
 
     kind: str
@@ -79,10 +81,10 @@ class PolicySpec:
     alpha: float = 2.0
     c: float = 3.0
     prior: tuple[float, float] = (1.0, 1.0)
-    ts_indicator: str = "per_pair"
+    indicator: str = "per_pair"
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in POLICY_CLASSES:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
@@ -92,8 +94,14 @@ class PolicySpec:
                 and self.label.isprintable()) or any(ch in self.label for ch in "/\\"):
             raise ConfigError(f"label {self.label!r} must be a non-empty file name "
                               "part of printable characters, without / or \\")
+        reads = POLICY_CLASSES[self.kind].reads
+        # the parameters follow kind and label; a prior may be any sequence
+        for field in fields(self)[2:]:
+            if field.name not in reads and not np.array_equal(getattr(self, field.name),
+                                                              field.default):
+                raise ConfigError(f"{field.name}: {self.kind} has no such parameter")
         # written so that NaN fails every check; inf would give a degenerate index
-        if self.kind in ("rcucb", "ucb"):
+        if "alpha" in reads:
             if not (self.alpha > 0 and math.isfinite(self.alpha)):
                 raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
             if self.alpha <= 1:
@@ -103,10 +111,10 @@ class PolicySpec:
                     UserWarning,
                     stacklevel=2,
                 )
-        if self.kind == "klrcucb" and not (self.c >= 0 and math.isfinite(self.c)):
+        if "c" in reads and not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"c must be non-negative and finite, got {self.c}")
-        if self.kind == "ts":
-            check_beta(self.prior, self.ts_indicator)
+        if "prior" in reads:
+            check_beta(self.prior, self.indicator)
 
 
 def init_limits(kind: str, m: int) -> range:
@@ -254,14 +262,19 @@ class Policy:
     """
 
     kind = "base"
+    reads: tuple[str, ...] = ()  # the PolicySpec fields the class reads
+    estimator_type = None  # built as estimator_type(n, grid, reps) if set
 
-    def __init__(self, instance: InstanceSpec, reps: int = 1):
+    def __init__(self, instance: InstanceSpec, spec: PolicySpec, rngs: list[np.random.Generator]):
+        self.spec = spec
+        self.rngs = rngs
         self.grid = instance.grid
         self.n = instance.n
-        self.reps = reps
+        self.reps = reps = len(rngs)
         self._first_rows = range(0, reps * self.n, self.n)
         self.t = 0
-        self.estimator = None
+        self.estimator = (None if self.estimator_type is None
+                          else self.estimator_type(self.n, self.grid, reps))
         self._arms0: list[int] | None = None  # the selection awaiting its update
         self._js: list[int] = []
         self._init = init_limits(self.kind, instance.grid.m)
@@ -318,16 +331,13 @@ class RCUCBPolicy(Policy):
     """
 
     kind = "rcucb"
-
-    def __init__(self, instance: InstanceSpec, alpha: float = PolicySpec.alpha, reps: int = 1):
-        super().__init__(instance, reps)
-        self.alpha = alpha
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
+    reads = ("alpha",)
+    estimator_type = CensoredMomentEstimator
 
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's index matrix."""
         t = self.t + 1
-        return _optimistic_index(self.estimator, 2.0 * self.alpha * math.log(t),
+        return _optimistic_index(self.estimator, 2.0 * self.spec.alpha * math.log(t),
                                  self.scale, self.offset).reshape(self.reps, self.n, -1)
 
 
@@ -341,11 +351,8 @@ class KLRCUCBPolicy(Policy):
     """
 
     kind = "klrcucb"
-
-    def __init__(self, instance: InstanceSpec, c: float = PolicySpec.c, reps: int = 1):
-        super().__init__(instance, reps)
-        self.c = c
-        self.estimator = CensoredMomentEstimator(instance.n, instance.grid, reps)
+    reads = ("c",)
+    estimator_type = CensoredMomentEstimator
 
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's KL index matrix, which
@@ -360,7 +367,7 @@ class KLRCUCBPolicy(Policy):
         mu_eff += self.offset
         np.clip(mu_eff, 0.0, 1.0, out=mu_eff)
         return _klucb_index_matrix(mu_eff.reshape(shape), counts.reshape(shape), t,
-                                   self.c)
+                                   self.spec.c)
 
 
 class ModifiedUCBPolicy(Policy):
@@ -372,18 +379,15 @@ class ModifiedUCBPolicy(Policy):
     """
 
     kind = "ucb"
-
-    def __init__(self, instance: InstanceSpec, alpha: float = PolicySpec.alpha, reps: int = 1):
-        super().__init__(instance, reps)
-        self.alpha = alpha
-        self.estimator = NaiveEstimator(instance.n, instance.grid, reps)
+    reads = ("alpha",)
+    estimator_type = NaiveEstimator
 
     def index_matrix(self) -> np.ndarray:
         """The (reps, n, m) stack of every repetition's index matrix."""
         t = self.t + 1
         # alpha ln t / (2 T) as (alpha ln t / 2) / T: halving is exact, so the
         # quotient, and every bit of the index, is the same
-        return _optimistic_index(self.estimator, self.alpha * math.log(t) / 2.0,
+        return _optimistic_index(self.estimator, self.spec.alpha * math.log(t) / 2.0,
                                  self.scale, self.offset).reshape(self.reps, self.n, -1)
 
 
@@ -392,24 +396,23 @@ class ModifiedTSPolicy(Policy):
 
     After the same full sweep as the UCB baseline, each round draws
     theta ~ Beta(a0 + S, b0 + F) for every pair (arm-major order from the
-    repetition's own RNG, one per repetition in the posterior's rngs, which
-    also draw its trials) and plays the argmax of scale * theta + offset.
+    repetition's own RNG, which the posterior also draws its trials from) and
+    plays the argmax of scale * theta + offset.
     """
 
     kind = "ts"
+    reads = ("prior", "indicator")
 
-    def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator],
-                 prior: tuple[float, float] = PolicySpec.prior,
-                 indicator: str = PolicySpec.ts_indicator):
-        super().__init__(instance, len(rngs))
-        self.estimator = BetaPosterior(instance.n, instance.grid, rngs, prior=prior,
-                                       indicator=indicator)
+    def __init__(self, instance: InstanceSpec, spec: PolicySpec, rngs: list[np.random.Generator]):
+        super().__init__(instance, spec, rngs)
+        self.estimator = BetaPosterior(instance.n, instance.grid, rngs, prior=spec.prior,
+                                       indicator=spec.indicator)
 
     def _choose(self) -> tuple[list[int], list[int]]:
         a, b = self.estimator.posterior_params()
         n = self.n
         theta = np.concatenate([rng.beta(a[row:row + n], b[row:row + n]) for rng, row
-                                in zip(self.estimator.rngs, self._first_rows)])
+                                in zip(self.rngs, self._first_rows)])
         theta *= self.scale
         theta += self.offset
         return argmax_pair(theta.reshape(self.reps, n, -1))
@@ -420,10 +423,6 @@ class UniformRandomPolicy(Policy):
     own RNG; a regret-curve anchor."""
 
     kind = "uniform_random"
-
-    def __init__(self, instance: InstanceSpec, rngs: list[np.random.Generator]):
-        super().__init__(instance, len(rngs))
-        self.rngs = rngs
 
     def _choose(self) -> tuple[list[int], list[int]]:
         m = self.grid.m
@@ -437,8 +436,9 @@ class FixedOraclePolicy(Policy):
 
     kind = "fixed_oracle"
 
-    def __init__(self, instance: InstanceSpec, arm0: int, j: int, reps: int = 1):
-        super().__init__(instance, reps)
+    def __init__(self, instance: InstanceSpec, spec: PolicySpec,
+                 rngs: list[np.random.Generator], arm0: int, j: int):
+        super().__init__(instance, spec, rngs)
         if not (0 <= arm0 < instance.n and 0 <= j < instance.grid.m):
             raise ConfigError(f"pair ({arm0}, {j}) outside arms 0..{instance.n - 1} "
                               f"and grid indices 0..{instance.grid.m - 1}")
@@ -448,31 +448,17 @@ class FixedOraclePolicy(Policy):
         return [self._pair[0]] * self.reps, [self._pair[1]] * self.reps
 
 
-def make_policy(spec: PolicySpec, instance: InstanceSpec, reps: int = 1,
-                rngs: list[np.random.Generator] | None = None,
-                optimal_pair: tuple[int, int] | None = None) -> Policy:
-    """Instantiate the policy described by spec for a block of reps repetitions.
+# the one table of kinds, a class each, in definition order: PolicySpec and
+# make_policy look a kind up here
+POLICY_CLASSES = {cls.kind: cls for cls in Policy.__subclasses__()}
+POLICY_KINDS = tuple(POLICY_CLASSES)
 
-    rngs, one Generator per repetition, is required by the stochastic
-    policies (ts, uniform_random); optimal_pair = (arm0, j), the 0-based arm
-    and the grid index of the limit, is required by fixed_oracle.
-    """
-    if rngs is not None and len(rngs) != reps:
-        raise ConfigError(f"{len(rngs)} RNGs for a block of {reps} repetitions")
-    if rngs is None and spec.kind in ("ts", "uniform_random"):
-        raise ConfigError(f"{spec.kind} policy needs an RNG")
-    if spec.kind == "rcucb":
-        return RCUCBPolicy(instance, alpha=spec.alpha, reps=reps)
-    if spec.kind == "klrcucb":
-        return KLRCUCBPolicy(instance, c=spec.c, reps=reps)
-    if spec.kind == "ucb":
-        return ModifiedUCBPolicy(instance, alpha=spec.alpha, reps=reps)
-    if spec.kind == "ts":
-        return ModifiedTSPolicy(instance, rngs, prior=spec.prior,
-                                indicator=spec.ts_indicator)
-    if spec.kind == "uniform_random":
-        return UniformRandomPolicy(instance, rngs)
-    if spec.kind == "fixed_oracle":
-        if optimal_pair is None:
-            raise ConfigError("fixed_oracle policy needs the oracle's optimal pair")
-        return FixedOraclePolicy(instance, *optimal_pair, reps=reps)
+
+def make_policy(spec: PolicySpec, instance: InstanceSpec, rngs: list[np.random.Generator],
+                optimal_pair: tuple[int, int]) -> Policy:
+    """spec's policy, one repetition per Generator in rngs; fixed_oracle plays
+    optimal_pair = (arm0, j), the oracle optimum's 0-based arm and grid index."""
+    cls = POLICY_CLASSES[spec.kind]
+    if cls is FixedOraclePolicy:
+        return cls(instance, spec, rngs, *optimal_pair)
+    return cls(instance, spec, rngs)

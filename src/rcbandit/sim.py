@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, mix64
 from .envs import sample_episode
-from .oracle import (DEFAULT_METHOD, DEFAULT_NODES, DEFAULT_SAMPLES, NuTable,
+from .oracle import (DEFAULT_METHOD, DEFAULT_NODES, DEFAULT_SAMPLES, NuTable, check_alpha,
                      concentration_bound, nu_table, oracle_budget, true_mixed_moments)
 from .policies import PolicySpec, check_horizon, make_policy
 
@@ -54,13 +54,19 @@ class RunTrace:
     rewards: np.ndarray
     cum_regret: np.ndarray
     play_counts: np.ndarray
-    censored_share: float
-    realized_total: float
     final_state: list | None = None
 
     @property
     def horizon(self) -> int:
         return self.arm0.shape[0]
+
+    @property
+    def censored_share(self) -> float:
+        return float(self.censored.mean()) if self.horizon else 0.0
+
+    @property
+    def realized_total(self) -> float:
+        return float(self.rewards.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +178,9 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     lo_matrices = [lo for _, lo in draws]
     del draws
     reps = len(seeds)
-    policy = make_policy(spec, instance, reps,
-                         rngs=[np.random.default_rng(mix64(seed, 1)) for seed in seeds],
-                         optimal_pair=(table.optimal_arm - 1,
-                                       table.taus.index(table.optimal_tau)))
+    policy = make_policy(spec, instance,
+                         [np.random.default_rng(mix64(seed, 1)) for seed in seeds],
+                         (table.optimal_arm - 1, table.taus.index(table.optimal_tau)))
 
     # round after round, the arm and limit indices of every repetition
     code = instance.index_dtype.char
@@ -212,8 +217,6 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
             rewards=observed,
             cum_regret=np.cumsum(table.gap[played, limit]),
             play_counts=counts,
-            censored_share=float(censored.mean()) if horizon else 0.0,
-            realized_total=float(observed.sum()),
             final_state=policy.snapshot(r) if keep_state else None,
         ))
     return traces
@@ -506,8 +509,7 @@ def concentration_audit(arm_spec, taus, alpha: float = 2.0, t_check: int = 1000,
     # a NaN limit would fail every deviation test, and both rates would read 0
     if not (np.isfinite(taus).all() and (taus > 0.0).all()):
         raise DomainError("taus must be finite and positive")
-    if not (math.isfinite(alpha) and alpha > 1):
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
+    check_alpha(alpha)
     if t_check < 2:
         raise DomainError("t_check must be at least 2")
     if runs < 1:

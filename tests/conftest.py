@@ -1,10 +1,12 @@
-"""Shared instance builders for the test suite, the block-of-one forms of
-the policy round calls, and the mean matrix of a count/sum estimator."""
+"""Shared instance builders for the test suite, a policy builder and the
+block-of-one forms of the policy round calls, and the mean matrix of a
+count/sum estimator."""
 
 import numpy as np
 
 from rcbandit.core import DiscountSpec, InstanceSpec, build_grid
 from rcbandit.envs import DegenerateArm, GaussianArm, UniformCostArm
+from rcbandit.policies import PolicySpec, make_policy
 
 # correlation parameters of the bundled synthetic 10-arm Gaussian instance
 SYNTHETIC_X = (0.2, 0.3, 0.4, 0.4, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6)
@@ -74,6 +76,15 @@ BYTE_IDENTITY_CONFIG = {
     "base_seed": 99,
     "workers": 1,
 }
+
+
+def build_policy(kind, instance, reps=1, rngs=None, pair=(0, 0), **params):
+    """make_policy of PolicySpec(kind, **params) for a block of reps
+    repetitions, with Generators seeded 0, 1, ... unless rngs gives them;
+    fixed_oracle plays pair."""
+    if rngs is None:
+        rngs = [np.random.default_rng(rep) for rep in range(reps)]
+    return make_policy(PolicySpec(kind, **params), instance, rngs, pair)
 
 
 def select1(policy):

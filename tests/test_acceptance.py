@@ -21,12 +21,13 @@ from rcbandit.core import admits, mix64
 from rcbandit.envs import GaussianArm
 from rcbandit.estimators import CensoredMomentEstimator
 from rcbandit.oracle import nu_table, regret_upper_bound, true_mixed_moments
-from rcbandit.policies import PolicySpec, make_policy
+from rcbandit.policies import PolicySpec
 from rcbandit.sim import ExperimentConfig, concentration_audit, run_experiment
 
 from conftest import (
     BYTE_IDENTITY_CONFIG,
     analytic_instance,
+    build_policy,
     gaussian_instance,
     mean_matrix,
     select1,
@@ -156,7 +157,7 @@ def test_update_touch_budget(kind, salt):
     instance = gaussian_instance()
     m = instance.grid.m
     env = np.random.default_rng(mix64(77, salt, 0))
-    policy = make_policy(PolicySpec(kind=kind), instance)
+    policy = build_policy(kind, instance)
     total = 0
     rounds = 2000
     for _ in range(rounds):

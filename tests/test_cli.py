@@ -101,7 +101,7 @@ def test_config_parse_all_arm_kinds(tmp_path):
     rcucb, klrcucb, ts, uniform = cfg.policies
     assert (rcucb.kind, rcucb.label, rcucb.alpha) == ("rcucb", "rcucb", 2.5)
     assert (klrcucb.kind, klrcucb.c) == ("klrcucb", 4.0)
-    assert (ts.prior, ts.ts_indicator) == ((2.0, 3.0), "per_pair")
+    assert (ts.prior, ts.indicator) == ((2.0, 3.0), "per_pair")
     assert (uniform.kind, uniform.label) == ("uniform_random", "uniform_random")
     assert (cfg.horizon, cfg.repetitions, cfg.base_seed) == (100, 5, 123)
     assert (cfg.oracle_method, cfg.oracle_samples) == ("monte_carlo", 50000)
@@ -307,6 +307,8 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
      "instance.discount"),
     (_set(["instance", "objective"], {"kind": "additive_cost", "power": float("inf")}),
      "instance.objective"),
+    # a parameter the kind does not read would otherwise be ignored
+    (_set(["policies", 0], {"kind": "rcucb", "c": -5}), "policies[0]"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     # an existing trace file, for the cases whose error is not a missing file
@@ -582,7 +584,7 @@ def test_bundled_configs_encode_the_synthetic_setup(m):
         assert arm.sigma == 0.1
     labels = [s.label for s in cfg.policies]
     assert labels == ["rcucb", "ucb", "ts"]
-    assert cfg.policies[2].ts_indicator == "chosen_limit"
+    assert cfg.policies[2].indicator == "chosen_limit"
 
 
 def test_bundled_config_with_suffix_also_resolves():

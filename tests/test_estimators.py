@@ -26,7 +26,7 @@ def cell(est, arm0, j):
 TS = PolicySpec("ts")
 
 
-def posterior(n, grid, seed, prior=TS.prior, indicator=TS.ts_indicator):
+def posterior(n, grid, seed, prior=TS.prior, indicator=TS.indicator):
     """A BetaPosterior of n arms and one repetition, at the ts policy's
     defaults unless prior or indicator is given."""
     return BetaPosterior(n, grid, [np.random.default_rng(seed)], prior, indicator)
@@ -179,7 +179,7 @@ def test_invariants_under_random_play():
     grid = build_grid(5, 1.0)
     cen = CensoredMomentEstimator(3, grid)
     nai = NaiveEstimator(3, grid)
-    beta = BetaPosterior(3, grid, [rng], TS.prior, TS.ts_indicator)
+    beta = BetaPosterior(3, grid, [rng], TS.prior, TS.indicator)
     for _ in range(2000):
         arm0 = int(rng.integers(1, 4)) - 1
         j = int(rng.integers(0, grid.m))

@@ -305,10 +305,19 @@ def test_regret_bound_increasing_in_horizon():
 
 def test_regret_bound_validation():
     tab = _table_with_gaps([[0.0, 0.1]])
-    with pytest.raises(DomainError):
-        regret_upper_bound(tab, 1000, alpha=1.0)
+    for alpha in (1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="finite and exceed 1"):
+            regret_upper_bound(tab, 1000, alpha=alpha)
     with pytest.raises(DomainError):
         regret_upper_bound(tab, 0, alpha=2.0)
+
+
+def test_concentration_bound_validation():
+    for alpha in (1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="finite and exceed 1"):
+            concentration_bound(1000, alpha)
+    with pytest.raises(DomainError):
+        concentration_bound(1, 2.0)
 
 
 def test_concentration_bound_frozen_value():

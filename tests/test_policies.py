@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -36,7 +37,7 @@ from rcbandit.policies import (
 )
 from rcbandit.sim import run_episode
 
-from conftest import gaussian_instance, mean_matrix, select1, update1
+from conftest import build_policy, gaussian_instance, mean_matrix, select1, update1
 
 # independently evaluated index values at t=10, mu_hat=0.9, N=4, alpha=2,
 # linear discount with tau_max=1 on grid points 0.25 / 0.5
@@ -114,7 +115,7 @@ def _inject(policy, counts, mu, t):
 
 def test_rcucb_initialization_order():
     inst = _inst(n_arms=3)
-    pol = RCUCBPolicy(inst)
+    pol = build_policy("rcucb", inst)
     seen = []
     for _ in range(3):
         seen.append(select1(pol))
@@ -125,7 +126,7 @@ def test_rcucb_initialization_order():
 
 
 def test_rcucb_index_values():
-    pol = RCUCBPolicy(_inst(), alpha=2.0)
+    pol = build_policy("rcucb", _inst(), alpha=2.0)
     _inject(pol, counts=4.0, mu=0.9, t=10)
     idx = pol.index_matrix()[0]
     assert idx[0, 0] == pytest.approx(RCUCB_IDX_A, abs=1e-12)
@@ -135,7 +136,7 @@ def test_rcucb_index_values():
 
 def test_rcucb_unplayed_pair_raises():
     # the initialization gives every pair a count; an index without one is misuse
-    pol = RCUCBPolicy(_inst(n_arms=2))
+    pol = build_policy("rcucb", _inst(n_arms=2))
     _inject(pol, counts=4.0, mu=0.9, t=10)
     pol.estimator.counts[1, 1] = 0.0
     with pytest.raises(UsageError, match="N >= 1"):
@@ -147,7 +148,7 @@ def test_rcucb_unplayed_pair_raises():
 def test_rcucb_tie_break_smallest_tau_then_arm():
     # a zero-scale additive objective makes every pair's index identical
     inst = _inst(n_arms=2, objective=AdditiveCost(scale=0.0))
-    pol = RCUCBPolicy(inst)
+    pol = build_policy("rcucb", inst)
     _inject(pol, counts=4.0, mu=0.5, t=10)
     assert select1(pol) == (0, 0)
 
@@ -181,9 +182,9 @@ def _reference_index(pol, inst, r):
     scale, offset = _vectors(inst)
     with np.errstate(divide="ignore", invalid="ignore"):
         if pol.kind == "rcucb":
-            radius = np.sqrt(2.0 * pol.alpha * math.log(t) / counts)
+            radius = np.sqrt(2.0 * pol.spec.alpha * math.log(t) / counts)
         else:
-            radius = np.sqrt(pol.alpha * math.log(t) / (2.0 * counts))
+            radius = np.sqrt(pol.spec.alpha * math.log(t) / (2.0 * counts))
         vals = scale * (mu + radius) + offset
     return np.where(counts > 0, vals, np.inf)
 
@@ -199,7 +200,7 @@ def test_index_fast_path_is_bit_identical(cls, m, objective):
 
 def _check_index_fast_path(cls, m, objective, reps):
     inst = dataclasses.replace(gaussian_instance(m), objective=objective)
-    pol = cls(inst, alpha=1.5 if cls is RCUCBPolicy else 2.5, reps=reps)
+    pol = build_policy(cls.kind, inst, reps=reps, alpha=1.5 if cls is RCUCBPolicy else 2.5)
     est = pol.estimator
     rng = np.random.default_rng(m)
     for trial in range(25):
@@ -238,7 +239,7 @@ def test_ts_index_is_bit_identical(objective, reps, monkeypatch):
     rng = np.random.default_rng(reps)
     for trial in range(5):
         seeds = [mix64(trial, r) for r in range(reps)]
-        pol = ModifiedTSPolicy(inst, [np.random.default_rng(s) for s in seeds])
+        pol = build_policy("ts", inst, rngs=[np.random.default_rng(s) for s in seeds])
         est = pol.estimator
         est.successes[:] = rng.integers(0, 50, size=est.successes.shape)
         est.failures[:] = rng.integers(0, 50, size=est.failures.shape)
@@ -254,7 +255,7 @@ def test_ts_index_is_bit_identical(objective, reps, monkeypatch):
 
 def test_ucb_sweep_order():
     inst = _inst(n_arms=2, points=(0.5, 1.0))
-    pol = ModifiedUCBPolicy(inst)
+    pol = build_policy("ucb", inst)
     seen = []
     for _ in range(4):
         seen.append(select1(pol))
@@ -263,14 +264,14 @@ def test_ucb_sweep_order():
 
 
 def test_ucb_index_value():
-    pol = ModifiedUCBPolicy(_inst(), alpha=2.0)
+    pol = build_policy("ucb", _inst(), alpha=2.0)
     _inject(pol, counts=4.0, mu=0.9, t=10)
     assert pol.index_matrix()[0][0, 0] == pytest.approx(UCB_IDX, abs=1e-12)
 
 
 def test_ucb_tie_break():
     inst = _inst(n_arms=3, objective=AdditiveCost(scale=0.0))
-    pol = ModifiedUCBPolicy(inst)
+    pol = build_policy("ucb", inst)
     _inject(pol, counts=2.0, mu=0.3, t=20)
     assert select1(pol) == (0, 0)
 
@@ -324,7 +325,7 @@ def test_klucb_index_domain():
 
 def test_klrcucb_select_and_init():
     inst = _inst(n_arms=2, points=(0.5,))
-    pol = KLRCUCBPolicy(inst)
+    pol = build_policy("klrcucb", inst)
     assert select1(pol) == (0, 0)
     update1(pol, *CENSORED)
     assert select1(pol) == (1, 0)
@@ -337,7 +338,7 @@ def test_klrcucb_select_and_init():
 
 def test_klrcucb_smaller_count_larger_index():
     inst = _inst(n_arms=2, points=(0.5,))
-    pol = KLRCUCBPolicy(inst)
+    pol = build_policy("klrcucb", inst)
     _inject(pol, counts=5.0, mu=0.4, t=50)
     pol.estimator.counts[1, 0] = 2.0
     pol.estimator.sums[1, 0] = 0.8  # same mu_hat = 0.4, so mu_eff = 0.2 for both
@@ -423,7 +424,7 @@ def test_klucb_index_of_a_played_block_matches_the_bisection(monkeypatch):
 
 def _check_klucb_index(m, reps, objective):
     inst = dataclasses.replace(gaussian_instance(m), objective=objective)
-    pol = KLRCUCBPolicy(inst, reps=reps)
+    pol = build_policy("klrcucb", inst, reps=reps)
     est = pol.estimator
     n = pol.n
     rows = [slice(r * n, (r + 1) * n) for r in range(reps)]
@@ -434,7 +435,7 @@ def _check_klucb_index(m, reps, objective):
 
     def reference(r):
         return _reference_klucb_matrix(mu_eff()[rows[r]], est.counts[rows[r]],
-                                       pol.t + 1, pol.c)
+                                       pol.t + 1, pol.spec.c)
 
     rng = np.random.default_rng(100 + m)
     covered = set()
@@ -494,7 +495,7 @@ def _check_klucb_index(m, reps, objective):
                 assert np.all(np.abs(idx - ref) <= BISECTION_WIDTH)
                 for i, j in np.ndindex(idx.shape):
                     scalar = klucb_index(float(mu[i, j]), int(est.counts[r * n + i, j]),
-                                         pol.t + 1, pol.c)
+                                         pol.t + 1, pol.spec.c)
                     assert idx[i, j] == pytest.approx(scalar, abs=1e-9)
             if case in (3, 7):
                 a, j, other = ties[r]
@@ -553,7 +554,7 @@ def test_klucb_index_exact_values(t):
 
 def test_klrcucb_matches_scalar_index():
     inst = _inst(n_arms=1, points=(0.5,))
-    pol = KLRCUCBPolicy(inst, c=0.0)
+    pol = build_policy("klrcucb", inst, c=0.0)
     _inject(pol, counts=10.0, mu=1.0, t=100)
     # mu_eff = gamma(0.5) * 1.0 = 0.5, N=10, t=100
     assert pol.index_matrix()[0][0, 0] == pytest.approx(KLUCB_IDX, abs=1e-6)
@@ -561,7 +562,7 @@ def test_klrcucb_matches_scalar_index():
 
 def test_ts_single_pair_always_selected():
     inst = _inst(n_arms=1, points=(0.5,))
-    pol = ModifiedTSPolicy(inst, [np.random.default_rng(0)])
+    pol = build_policy("ts", inst)
     for _ in range(10):
         assert select1(pol) == (0, 0)
         update1(pol, *CENSORED)
@@ -569,7 +570,7 @@ def test_ts_single_pair_always_selected():
 
 def test_ts_zero_discount_pair_never_selected():
     inst = _inst(n_arms=1, points=(0.5, 1.0))  # linear discount: gamma(1.0) = 0
-    pol = ModifiedTSPolicy(inst, [np.random.default_rng(1)])
+    pol = build_policy("ts", inst, rngs=[np.random.default_rng(1)])
     limits = []
     for t in range(200):
         _, j = select1(pol)
@@ -581,7 +582,7 @@ def test_ts_zero_discount_pair_never_selected():
 
 def test_ts_posterior_concentration():
     inst = _inst(n_arms=2, points=(0.5,))
-    pol = ModifiedTSPolicy(inst, [np.random.default_rng(2)])
+    pol = build_policy("ts", inst, rngs=[np.random.default_rng(2)])
     pol.t = 2  # past the sweep
     pol.estimator.successes[0, 0] = 1_000_000
     pol.estimator.failures[1, 0] = 1_000_000
@@ -596,7 +597,7 @@ def test_ts_posterior_concentration():
 
 def test_ts_sweep_matches_ucb_sweep():
     inst = _inst(n_arms=2, points=(0.5, 1.0))
-    pol = ModifiedTSPolicy(inst, [np.random.default_rng(3)])
+    pol = build_policy("ts", inst, rngs=[np.random.default_rng(3)])
     seen = []
     for _ in range(4):
         seen.append(select1(pol))
@@ -605,7 +606,7 @@ def test_ts_sweep_matches_ucb_sweep():
 
 
 def test_alternation_enforced():
-    pol = RCUCBPolicy(_inst())
+    pol = build_policy("rcucb", _inst())
     with pytest.raises(UsageError):
         update1(pol, *CENSORED)
     select1(pol)
@@ -619,7 +620,7 @@ def test_alternation_enforced():
 
 
 def test_t_counts_cycles():
-    pol = ModifiedUCBPolicy(_inst(n_arms=2))
+    pol = build_policy("ucb", _inst(n_arms=2))
     for k in range(6):
         assert pol.t == k
         select1(pol)
@@ -628,7 +629,7 @@ def test_t_counts_cycles():
 
 def test_uniform_random_covers_pairs():
     inst = _inst(n_arms=2, points=(0.25, 0.5, 0.75, 1.0))
-    pol = UniformRandomPolicy(inst, [np.random.default_rng(4)])
+    pol = build_policy("uniform_random", inst, rngs=[np.random.default_rng(4)])
     counts = {}
     rounds = 4000
     for _ in range(rounds):
@@ -642,14 +643,14 @@ def test_uniform_random_covers_pairs():
 
 def test_fixed_oracle_policy():
     inst = _inst(n_arms=2)
-    pol = FixedOraclePolicy(inst, arm0=1, j=0)
+    pol = build_policy("fixed_oracle", inst, pair=(1, 0))
     for _ in range(5):
         assert select1(pol) == (1, 0)
         update1(pol, *CENSORED)
     with pytest.raises(ConfigError):
-        FixedOraclePolicy(inst, arm0=inst.n, j=0)
+        build_policy("fixed_oracle", inst, pair=(inst.n, 0))
     with pytest.raises(ConfigError):
-        FixedOraclePolicy(inst, arm0=1, j=inst.grid.m)
+        build_policy("fixed_oracle", inst, pair=(1, inst.grid.m))
 
 
 def test_policy_spec_validation_and_warning():
@@ -664,7 +665,16 @@ def test_policy_spec_validation_and_warning():
         with pytest.raises(ConfigError, match="prior"):
             PolicySpec(kind="ts", prior=prior)
     with pytest.raises(ConfigError):
-        PolicySpec(kind="ts", ts_indicator="sometimes")
+        PolicySpec(kind="ts", indicator="sometimes")
+    # a parameter its kind does not read is refused by name, not ignored
+    for field, spec in (("c", dict(kind="rcucb", c=5.0)),
+                        ("alpha", dict(kind="klrcucb", alpha=3.0)),
+                        ("prior", dict(kind="ucb", prior=(2.0, 3.0))),
+                        ("indicator", dict(kind="uniform_random", indicator="chosen_limit"))):
+        with pytest.raises(ConfigError, match=f"^{field}: {spec['kind']} has no such"):
+            PolicySpec(**spec)
+    # one set at its default is no mistake, whatever sequence holds a prior
+    PolicySpec(kind="ucb", c=3, prior=np.array([1.0, 1.0]), indicator="per_pair")
     with pytest.warns(UserWarning):
         PolicySpec(kind="rcucb", alpha=1.0)
     with warnings.catch_warnings():
@@ -679,25 +689,27 @@ def test_policy_spec_validation_and_warning():
 
 
 def test_policies_hold_the_spec_defaults():
-    """Each policy class, built by make_policy or directly with no parameter,
-    holds its kind's PolicySpec values: the classes restate no default."""
+    """Each kind, built by make_policy from a spec that sets every parameter
+    its class reads away from the default, runs with that spec; no policy
+    class has a parameter default of its own."""
     inst = _inst(n_arms=2)
-    for kind in policies.POLICY_KINDS:
-        spec = PolicySpec(kind)
-        built = [make_policy(spec, inst, rngs=[np.random.default_rng(0)],
-                             optimal_pair=(0, 0))]
-        if kind in ("rcucb", "ucb", "klrcucb"):
-            built.append(type(built[0])(inst))
+    changed = {"alpha": 3.0, "c": 1.0, "prior": (2.0, 3.0), "indicator": "chosen_limit"}
+    rngs = [np.random.default_rng(0)]
+    for kind, cls in policies.POLICY_CLASSES.items():
+        spec = PolicySpec(kind, **{field: changed[field] for field in cls.reads})
+        pol = make_policy(spec, inst, rngs, (0, 0))
+        assert type(pol) is cls and pol.spec is spec
         if kind == "ts":
-            built.append(ModifiedTSPolicy(inst, [np.random.default_rng(0)]))
-        for pol in built:
-            if kind in ("rcucb", "ucb"):
-                assert pol.alpha == spec.alpha
-            if kind == "klrcucb":
-                assert pol.c == spec.c
-            if kind == "ts":
-                assert pol.estimator.prior == spec.prior
-                assert pol.estimator.indicator == spec.ts_indicator
+            assert pol.estimator.prior == spec.prior
+            assert pol.estimator.indicator == spec.indicator
+        if hasattr(pol, "index_matrix"):
+            # the index moves with the parameter the spec sets
+            default = make_policy(PolicySpec(kind), inst, rngs, (0, 0))
+            for built in (pol, default):
+                _inject(built, counts=4.0, mu=0.3, t=10)
+            assert not np.array_equal(pol.index_matrix(), default.index_matrix())
+        params = inspect.signature(cls).parameters.values()
+        assert all(param.default is param.empty for param in params), kind
 
 
 def test_init_length():
@@ -712,31 +724,22 @@ def test_init_length():
 
 def test_make_policy_dispatch():
     inst = _inst(n_arms=2)
-    rng = np.random.default_rng(0)
-    assert isinstance(make_policy(PolicySpec("rcucb"), inst), RCUCBPolicy)
-    assert isinstance(make_policy(PolicySpec("klrcucb"), inst), KLRCUCBPolicy)
-    assert isinstance(make_policy(PolicySpec("ucb"), inst), ModifiedUCBPolicy)
-    assert isinstance(make_policy(PolicySpec("ts"), inst, rngs=[rng]), ModifiedTSPolicy)
-    assert isinstance(
-        make_policy(PolicySpec("uniform_random"), inst, rngs=[rng]), UniformRandomPolicy
-    )
-    assert isinstance(
-        make_policy(PolicySpec("fixed_oracle"), inst, optimal_pair=(1, 0)),
-        FixedOraclePolicy,
-    )
-    with pytest.raises(ConfigError):
-        make_policy(PolicySpec("ts"), inst)
-    with pytest.raises(ConfigError):
-        make_policy(PolicySpec("fixed_oracle"), inst)
-    with pytest.raises(ConfigError, match="RNGs"):
-        make_policy(PolicySpec("ts"), inst, reps=2, rngs=[rng])
+    rngs = [np.random.default_rng(0)]
+    for kind, cls in (("rcucb", RCUCBPolicy), ("klrcucb", KLRCUCBPolicy),
+                      ("ucb", ModifiedUCBPolicy), ("ts", ModifiedTSPolicy),
+                      ("uniform_random", UniformRandomPolicy),
+                      ("fixed_oracle", FixedOraclePolicy)):
+        assert type(make_policy(PolicySpec(kind), inst, rngs, (1, 0))) is cls
+    assert select1(make_policy(PolicySpec("fixed_oracle"), inst, rngs, (1, 0))) == (1, 0)
+    # a block of reps repetitions is one Generator each
+    assert make_policy(PolicySpec("rcucb"), inst, rngs * 3, (1, 0)).reps == 3
 
 
 def test_snapshot_shapes():
     inst = _inst(n_arms=1)
-    pol = RCUCBPolicy(inst)
+    pol = build_policy("rcucb", inst)
     select1(pol)
     update1(pol, *CENSORED)
     snap = pol.snapshot()
     assert len(snap) == 2 and {"arm", "tau", "n", "sum"} == set(snap[0])
-    assert UniformRandomPolicy(inst, [np.random.default_rng(0)]).snapshot() == []
+    assert build_policy("uniform_random", inst).snapshot() == []

@@ -1,5 +1,6 @@
 """README's Quickstart runs as written and its Config schema gives the
-library's defaults, so neither can drift from the package unnoticed."""
+library's defaults and each policy kind's parameters, so none of them can
+drift from the package unnoticed."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import rcbandit
+from rcbandit.policies import POLICY_CLASSES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +55,16 @@ def test_config_schema_defaults_match_the_types():
         assert (list(got) if isinstance(got, tuple) else got) == want, cells[0]
         checked += 1
     assert checked >= 15
+
+
+def test_policy_parameter_table_matches_the_classes():
+    """The Config schema's table of policy kinds gives each kind's class and
+    the parameters it reads, as the class declares them in reads."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for kind, cells in re.findall(r"^\| `(\w+)` \|(.*)\|$", section, re.M):
+        if kind in POLICY_CLASSES:
+            reads, cls = cells.split("|")
+            table[kind] = tuple(re.findall(r"`(\w+)`", reads)), cls.strip().strip("`")
+    assert table == {kind: (cls.reads, cls.__name__) for kind, cls in POLICY_CLASSES.items()}

@@ -320,11 +320,11 @@ def test_failed_round_loop_names_the_whole_block(monkeypatch):
 
 BLOCK_SPECS = [PolicySpec(kind) for kind in
                ("rcucb", "klrcucb", "ucb", "uniform_random", "fixed_oracle")] + [
-    PolicySpec("ts", ts_indicator=indicator) for indicator in ("per_pair", "chosen_limit")]
+    PolicySpec("ts", indicator=indicator) for indicator in ("per_pair", "chosen_limit")]
 
 
 @pytest.mark.parametrize("spec", BLOCK_SPECS,
-                         ids=[f"{s.kind}-{s.ts_indicator}" if s.kind == "ts" else s.kind
+                         ids=[f"{s.kind}-{s.indicator}" if s.kind == "ts" else s.kind
                               for s in BLOCK_SPECS])
 def test_block_matches_blocks_of_one(spec):
     """A block of five repetitions plays each exactly as a block of one does."""
@@ -568,9 +568,7 @@ def _trace_of_every_play(inst, gap, rng, extra=5) -> RunTrace:
     counts = np.zeros((n, m), dtype=np.int64)
     np.add.at(counts, (arm0, tau_idx), 1)
     return RunTrace(arm0=arm0, tau_idx=tau_idx, censored=censored, rewards=rewards,
-                    cum_regret=np.cumsum(gap[arm0, tau_idx]), play_counts=counts,
-                    censored_share=float(censored.mean()),
-                    realized_total=float(rewards.sum()))
+                    cum_regret=np.cumsum(gap[arm0, tau_idx]), play_counts=counts)
 
 
 def test_trace_writer_matches_csv_writer(monkeypatch):
