@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -514,9 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="empirical concentration audit")
     audit.add_argument("config")
-    audit.add_argument("--alpha", type=float, default=2.0)
-    audit.add_argument("--t", type=int, default=1000)
-    audit.add_argument("--runs", type=int, default=10_000)
+    # the flags default to concentration_audit's own parameters
+    own = inspect.signature(concentration_audit).parameters
+    audit.add_argument("--alpha", type=float, default=own["alpha"].default)
+    audit.add_argument("--t", type=int, default=own["t_check"].default)
+    audit.add_argument("--runs", type=int, default=own["runs"].default)
     audit.add_argument("--seed", type=int, help="override base seed")
     audit.set_defaults(func=cmd_audit)
 

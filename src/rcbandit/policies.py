@@ -19,17 +19,17 @@ order. A repetition's round is censored iff its lo > j, the grid form of the
 censoring rule in core; envs.sample_episode computes lo once per episode and
 the estimators read it, so no cost is compared with a limit here.
 
-make_policy builds a policy from its PolicySpec and one Generator per
-repetition, one lookup in POLICY_CLASSES. Each class reads its parameters
-from the spec and names them in reads, the one table of which kind reads
-which parameter; PolicySpec refuses any other parameter set.
+POLICY_CLASSES, built from the classes, is the one table of kinds: each
+class states its kind, the PolicySpec fields it reads (PolicySpec refuses
+any other set) and its initialization schedule, init_limits. make_policy
+builds a policy from its spec and one Generator per repetition, one lookup
+there; a class refuses another kind's spec.
 
-Every policy starts with the schedule of init_limits, written once here:
-Policy.select plays it, init_length counts it, and check_horizon, which the
-runners call, holds a horizon to it. The schedule gives every pair a count
-N >= 1 of the estimator its index reads, and the index functions require
-that: an index matrix holds no +inf cell, and an unplayed pair raises
-UsageError.
+Every policy starts with its class's init_limits: Policy.select plays it,
+init_length counts it, and check_horizon, which the runners call, holds a
+horizon to it. The schedule gives every pair a count N >= 1 of the
+estimator its index reads, and the index functions require that: an index
+matrix holds no +inf cell, and an unplayed pair raises UsageError.
 
 Per-round hook contract: the per-layer benchmark trace (perfbench/tracer.py)
 wraps these callables from outside the package, so each must stay a separate
@@ -117,29 +117,15 @@ class PolicySpec:
             check_beta(self.prior, self.indicator)
 
 
-def init_limits(kind: str, m: int) -> range:
-    """Grid indices that each arm plays in turn before the policy's own rule.
-
-    rcucb and klrcucb play every arm once at the largest limit, which gives
-    every cell of the censored estimator a count; ucb and ts sweep every
-    limit, because their per-pair statistics learn only from the pair played.
-    Round t (0-based) of the schedule plays arm t // len, limit [t % len].
-    """
-    if kind in ("rcucb", "klrcucb"):
-        return range(m - 1, m)
-    if kind in ("ucb", "ts"):
-        return range(m)
-    return range(0)
-
-
 def init_length(kind: str, instance: InstanceSpec) -> int:
-    """Number of prescribed initialization rounds before the index takes over."""
-    return instance.n * len(init_limits(kind, instance.grid.m))
+    """Number of prescribed initialization rounds of kind's policy before its
+    own rule takes over: every arm plays its class's init_limits of the grid."""
+    return instance.n * len(range(instance.grid.m)[POLICY_CLASSES[kind].init_limits])
 
 
 def check_horizon(horizon: int, kinds, instance: InstanceSpec) -> None:
-    """ConfigError unless horizon covers the init_length of every kind, for
-    the policies of a config and for a single episode's alike."""
+    """ConfigError unless horizon covers the init_length of every kind in
+    kinds, for the policies of a config and for a single episode's alike."""
     kind = max(kinds, key=lambda k: init_length(k, instance))
     need = init_length(kind, instance)
     if horizon < need:
@@ -154,8 +140,8 @@ def _exploration_budget(t: int, c: float) -> float:
 
 
 def _require_played(counts: np.ndarray) -> None:
-    """The index precondition: every pair has N >= 1, which the init_limits
-    schedule guarantees before Policy.select first asks for an index."""
+    """The index precondition: every pair has N >= 1, which each index class's
+    init_limits guarantees before Policy.select first asks for an index."""
     if counts.min() < 1.0:
         raise UsageError("index asked for before every pair has a count (N >= 1)")
 
@@ -263,9 +249,15 @@ class Policy:
 
     kind = "base"
     reads: tuple[str, ...] = ()  # the PolicySpec fields the class reads
+    # a slice of range(m): the grid indices every arm plays in turn before the
+    # policy's own rule, so round t (0-based) plays arm t // len, limit [t % len]
+    init_limits = slice(0)
     estimator_type = None  # built as estimator_type(n, grid, reps) if set
 
     def __init__(self, instance: InstanceSpec, spec: PolicySpec, rngs: list[np.random.Generator]):
+        if spec.kind != self.kind:
+            raise ConfigError(f"{type(self).__name__} plays kind {self.kind}, "
+                              f"but the spec is of kind {spec.kind}")
         self.spec = spec
         self.rngs = rngs
         self.grid = instance.grid
@@ -277,8 +269,8 @@ class Policy:
                           else self.estimator_type(self.n, self.grid, reps))
         self._arms0: list[int] | None = None  # the selection awaiting its update
         self._js: list[int] = []
-        self._init = init_limits(self.kind, instance.grid.m)
-        self._init_rounds = init_length(self.kind, instance)
+        self._init = range(self.grid.m)[self.init_limits]
+        self._init_rounds = self.n * len(self._init)
         tiles = (reps * self.n, 1)
         scale, offset = objective_vectors(instance.objective, instance.discount,
                                           instance.grid)
@@ -327,11 +319,12 @@ class RCUCBPolicy(Policy):
     Index: scale * (mu_hat + sqrt(2 alpha ln t / N)) + offset, which under
     multiplicative discounting is gamma(tau') * mu_hat plus the equally
     discounted confidence radius. Rounds 1..n play (arm t, largest grid
-    point), after which every cell has N >= 1.
+    point), which gives every cell of the censored estimator N >= 1.
     """
 
     kind = "rcucb"
     reads = ("alpha",)
+    init_limits = slice(-1, None)  # every arm at the largest limit
     estimator_type = CensoredMomentEstimator
 
     def index_matrix(self) -> np.ndarray:
@@ -352,6 +345,7 @@ class KLRCUCBPolicy(Policy):
 
     kind = "klrcucb"
     reads = ("c",)
+    init_limits = slice(-1, None)  # every arm at the largest limit
     estimator_type = CensoredMomentEstimator
 
     def index_matrix(self) -> np.ndarray:
@@ -373,13 +367,15 @@ class KLRCUCBPolicy(Policy):
 class ModifiedUCBPolicy(Policy):
     """Pairwise UCB on the naive estimator.
 
-    The first n*m rounds sweep every pair once (arm-major, ascending tau');
+    The first n*m rounds sweep every pair once (arm-major, ascending tau'),
+    because the per-pair statistics learn only from the pair played;
     afterwards the index is scale * (mu_tilde + sqrt(alpha ln t / (2 T)))
     + offset.
     """
 
     kind = "ucb"
     reads = ("alpha",)
+    init_limits = slice(None)  # every arm at every limit
     estimator_type = NaiveEstimator
 
     def index_matrix(self) -> np.ndarray:
@@ -402,6 +398,7 @@ class ModifiedTSPolicy(Policy):
 
     kind = "ts"
     reads = ("prior", "indicator")
+    init_limits = slice(None)  # every arm at every limit
 
     def __init__(self, instance: InstanceSpec, spec: PolicySpec, rngs: list[np.random.Generator]):
         super().__init__(instance, spec, rngs)
@@ -448,10 +445,9 @@ class FixedOraclePolicy(Policy):
         return [self._pair[0]] * self.reps, [self._pair[1]] * self.reps
 
 
-# the one table of kinds, a class each, in definition order: PolicySpec and
-# make_policy look a kind up here
+# the one table of kinds, a class each, in definition order: PolicySpec,
+# make_policy, init_length and check_horizon look a kind up here
 POLICY_CLASSES = {cls.kind: cls for cls in Policy.__subclasses__()}
-POLICY_KINDS = tuple(POLICY_CLASSES)
 
 
 def make_policy(spec: PolicySpec, instance: InstanceSpec, rngs: list[np.random.Generator],

@@ -1,12 +1,15 @@
 """Config parsing, CLI exit codes, emitted files, and SVG structure."""
 
+import inspect
 import json
 import re
 from xml.etree import ElementTree
 
 import pytest
 
+from rcbandit import cli
 from rcbandit.cli import (
+    build_parser,
     config_from_dict,
     load_config,
     main,
@@ -21,8 +24,8 @@ from rcbandit.core import (
     build_grid,
 )
 from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, trace_env_load
-from rcbandit.policies import POLICY_KINDS, PolicySpec
-from rcbandit.sim import AGGREGATE_HEADER, ExperimentConfig
+from rcbandit.policies import POLICY_CLASSES, PolicySpec
+from rcbandit.sim import AGGREGATE_HEADER, ExperimentConfig, concentration_audit
 
 SMALL_CONFIG = {
     "instance": {
@@ -139,14 +142,14 @@ def test_unset_fields_take_the_library_defaults(tmp_path):
     doc = {"instance": {"grid_m": 4, "discount": {"kind": "linear"},
                         "arms": [{"kind": "degenerate", "reward": 0.9, "cost": 0.2},
                                  {"kind": "trace", "path": "rows.csv"}]},
-           "policies": [{"kind": kind} for kind in POLICY_KINDS],
+           "policies": [{"kind": kind} for kind in POLICY_CLASSES],
            "horizon": 60}
     discount = DiscountSpec("linear")
     instance = InstanceSpec(
         arms=(DegenerateArm(r0=0.9, c0=0.2), *trace_env_load(tmp_path / "rows.csv")),
         grid=build_grid(4, discount.tau_max), discount=discount)
     expected = ExperimentConfig(instance=instance,
-                                policies=tuple(PolicySpec(kind) for kind in POLICY_KINDS),
+                                policies=tuple(PolicySpec(kind) for kind in POLICY_CLASSES),
                                 horizon=60)
     assert config_from_dict(doc, tmp_path) == expected
     doc["instance"]["discount"] = {"kind": "polynomial", "k": 2.0}
@@ -442,6 +445,21 @@ def test_audit_gaussian_small(tmp_path, capsys):
     code = main(["audit", str(path), "--t", "100", "--runs", "50"])
     assert code == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_audit_flags_take_the_library_defaults(monkeypatch):
+    """--alpha, --t and --runs default to concentration_audit's own alpha,
+    t_check and runs; the CLI restates none of them, so a default moved there
+    moves the flag's."""
+    def moved(arm_spec, taus, alpha=3.5, t_check=77, runs=5, base_seed=0):
+        raise AssertionError("the parser only reads the defaults")
+
+    for audit in (concentration_audit, moved):
+        monkeypatch.setattr(cli, "concentration_audit", audit)
+        own = inspect.signature(audit).parameters
+        args = build_parser().parse_args(["audit", "config.json"])
+        assert (args.alpha, args.t, args.runs) == tuple(
+            own[name].default for name in ("alpha", "t_check", "runs"))
 
 
 def _solid_polyline_ys(svg: str):

@@ -735,6 +735,22 @@ def test_make_policy_dispatch():
     assert make_policy(PolicySpec("rcucb"), inst, rngs * 3, (1, 0)).reps == 3
 
 
+def test_a_policy_class_refuses_another_kinds_spec():
+    """Built directly, each class takes only a spec of its own kind; another
+    kind's spec, whose parameters the class would not read, is refused with a
+    message naming both kinds."""
+    inst = _inst(n_arms=2)
+    rngs = [np.random.default_rng(0)]
+    for kind, cls in policies.POLICY_CLASSES.items():
+        pair = (1, 0) if cls is FixedOraclePolicy else ()
+        assert cls(inst, PolicySpec(kind), rngs, *pair).spec.kind == kind
+        for other in policies.POLICY_CLASSES:
+            if other != kind:
+                message = f"{cls.__name__} plays kind {kind}, but the spec is of kind {other}$"
+                with pytest.raises(ConfigError, match=message):
+                    cls(inst, PolicySpec(other), rngs, *pair)
+
+
 def test_snapshot_shapes():
     inst = _inst(n_arms=1)
     pol = build_policy("rcucb", inst)

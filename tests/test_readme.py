@@ -57,14 +57,22 @@ def test_config_schema_defaults_match_the_types():
     assert checked >= 15
 
 
+# the README's initialization text of each schedule, as grid indices of m = 3
+INIT_TEXT = {(2,): "every arm at the largest limit", (0, 1, 2): "every arm at every limit",
+             (): "none"}
+
+
 def test_policy_parameter_table_matches_the_classes():
-    """The Config schema's table of policy kinds gives each kind's class and
-    the parameters it reads, as the class declares them in reads."""
+    """The Config schema's table of policy kinds gives each kind's class, the
+    parameters it reads and its initialization, as the class declares them in
+    reads and init_limits."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
     table = {}
     for kind, cells in re.findall(r"^\| `(\w+)` \|(.*)\|$", section, re.M):
         if kind in POLICY_CLASSES:
-            reads, cls = cells.split("|")
-            table[kind] = tuple(re.findall(r"`(\w+)`", reads)), cls.strip().strip("`")
-    assert table == {kind: (cls.reads, cls.__name__) for kind, cls in POLICY_CLASSES.items()}
+            reads, init, cls = cells.split("|")
+            table[kind] = (tuple(re.findall(r"`(\w+)`", reads)), init.strip(),
+                           cls.strip().strip("`"))
+    assert table == {kind: (cls.reads, INIT_TEXT[tuple(range(3)[cls.init_limits])],
+                            cls.__name__) for kind, cls in POLICY_CLASSES.items()}
