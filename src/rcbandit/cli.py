@@ -33,7 +33,7 @@ from .core import (
     ResourceGrid,
     build_grid,
 )
-from .envs import DegenerateArm, GaussianArm, UniformCostArm, trace_env_load
+from .envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, trace_env_load
 from .policies import PolicySpec
 from .sim import AGGREGATE_HEADER, ExperimentConfig, concentration_audit, run_experiment
 
@@ -41,12 +41,10 @@ _REQUIRED, _ABSENT = object(), object()
 
 
 def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
-    """obj[key] converted by cast, or default when the key is absent.
-
-    Every config value is read through here, so a missing field, a container
-    that is not an object, or a value cast rejects (ValueError, TypeError or
-    OverflowError, e.g. int(inf)) becomes a ConfigError naming the field path.
-    """
+    """obj[key] converted by cast, or default when the key is absent. Every
+    config value is read here, so a missing field, a container that is not an
+    object, or a value cast rejects (ValueError, TypeError or OverflowError,
+    e.g. int(inf)) becomes a ConfigError naming the field path."""
     path = f"{where}.{key}" if where else key
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config'}: expected an object")
@@ -62,10 +60,15 @@ def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _given(obj, where: str, **casts) -> dict:
-    """{key: obj[key] converted by casts[key]} for each key of casts that obj
-    sets; a key left out takes the default of the type the value goes to."""
-    values = {key: _read(obj, key, where, cast, _ABSENT) for key, cast in casts.items()}
+def _object(obj, where: str, casts: dict, required=()) -> dict:
+    """{key: obj[key] cast by casts[key]} for each key of casts that obj sets (all
+    of required); any other key is refused, so a misspelt one cannot go unread."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in casts:
+            raise ConfigError(f"{where + '.' if where else ''}{key}: unknown key; "
+                              f"{where or 'the config'} holds {', '.join(casts)}")
+    values = {key: _read(obj, key, where, cast, _REQUIRED if key in required else _ABSENT)
+              for key, cast in casts.items()}
     return {key: value for key, value in values.items() if value is not _ABSENT}
 
 
@@ -93,12 +96,6 @@ def _float(value) -> float:
     return float(value)
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _str(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -111,111 +108,106 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(_float(v) for v in value)
 
 
+# each field annotation's JSON cast; "X | None" defaults to None, which JSON cannot set
+_CASTS = {"float": _float, "str": _str, "tuple[float, float]": _floats}
+
+
+def _typed(obj, where: str, cls, **given):
+    """cls built from given and obj, whose keys are kind (a field of cls, or the
+    key that chose cls) and the fields of cls not given, each cast by _CASTS of
+    its annotation and required if it has no default; a given _ABSENT is left out."""
+    own = [f for f in dataclasses.fields(cls) if f.name not in given]
+    casts = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in own}
+    values = _object(obj, where, {"kind": _str} | casts,
+                     [f.name for f in own if f.default is dataclasses.MISSING])
+    return _build(where, cls, **{k: v for k, v in given.items() if v is not _ABSENT},
+                  **{f.name: values[f.name] for f in own if f.name in values})
+
+
+def _kind(obj, where: str, types: dict):
+    """The type that obj's kind names in types."""
+    kind = _read(obj, "kind", where, _str)
+    if kind not in types:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}; expected {', '.join(types)}")
+    return types[kind]
+
+
+# the type that each arm kind and each objective kind builds
+_ARM_TYPES = {"gaussian": GaussianArm, "degenerate": DegenerateArm,
+              "uniform_cost": UniformCostArm, "trace": TraceArm}
+_OBJECTIVE_TYPES = {"multiplicative": MultiplicativeDiscount, "additive_cost": AdditiveCost}
+
+
 def _parse_arm(obj: dict, where: str, base_dir: Path):
-    kind = _read(obj, "kind", where)
-    if kind == "gaussian":
-        return _build(where, GaussianArm, mean=_read(obj, "mean", where, _floats),
-                      x=_read(obj, "x", where, _float),
-                      sigma=_read(obj, "sigma", where, _float))
-    if kind == "degenerate":
-        return _build(where, DegenerateArm, r0=_read(obj, "reward", where, _float),
-                      c0=_read(obj, "cost", where, _float))
-    if kind == "uniform_cost":
-        return _build(where, UniformCostArm,
-                      reward_mean=_read(obj, "reward_mean", where, _float))
-    if kind == "trace":
-        replay = _given(obj, where, replay=_str)  # empty, or the replay mode set
-        path = _read(obj, "path", where, Path)
-        if not path.is_absolute():
-            path = base_dir / path
-        try:
-            arms = _build(where, trace_env_load, path, **replay)
-        except OSError as exc:
-            raise ConfigError(f"{where}.path: {exc}") from None
-        idx = _read(obj, "arm", where, _int, 1)
-        if not 1 <= idx <= len(arms):
-            raise ConfigError(
-                f"{where}.arm: trace file holds arms 1..{len(arms)}, got {idx}"
-            )
-        return arms[idx - 1]
-    raise ConfigError(f"{where}.kind: unknown arm kind {kind!r}")
+    cls = _kind(obj, where, _ARM_TYPES)
+    if cls is not TraceArm:
+        return _typed(obj, where, cls)
+    # a trace arm picks one arm of a trace file, so its keys are its own
+    values = _object(obj, where, {"kind": _str, "path": Path, "replay": _str, "arm": _int},
+                     ("path",))
+    try:  # an absolute path replaces base_dir
+        arms = _build(where, trace_env_load, base_dir / values["path"],
+                      values.get("replay", TraceArm.replay))
+    except OSError as exc:
+        raise ConfigError(f"{where}.path: {exc}") from None
+    idx = values.get("arm", 1)
+    if not 1 <= idx <= len(arms):
+        raise ConfigError(f"{where}.arm: trace file holds arms 1..{len(arms)}, got {idx}")
+    return arms[idx - 1]
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    tau_max = _read(obj, "tau_max", "instance", _float, DiscountSpec.tau_max)
-    # checked here although ResourceGrid checks it too: the grid is built
-    # first, and its error would name grid_m or grid_points, not tau_max
-    if not (math.isfinite(tau_max) and tau_max > 0):
-        raise ConfigError(
-            f"instance.tau_max: expected a positive finite number, got {tau_max}"
-        )
-    if "grid_m" in obj and "grid_points" in obj:
+    values = _object(obj, "instance", {"tau_max": _float, "grid_m": _int, "grid_points": _floats,
+                                       "discount": None, "objective": None, "arms": None},
+                     ("discount", "arms"))
+    tau_max = values.get("tau_max", _ABSENT)
+    # checked here although DiscountSpec and ResourceGrid check it too: their
+    # errors would name the discount or the grid, not tau_max
+    if tau_max is not _ABSENT and not (math.isfinite(tau_max) and tau_max > 0):
+        raise ConfigError(f"instance.tau_max: expected a positive finite number, got {tau_max}")
+    # tau_max is the instance's, so the discount object may not set it
+    discount = _typed(values["discount"], "instance.discount", DiscountSpec, tau_max=tau_max)
+    if "grid_m" in values and "grid_points" in values:
         raise ConfigError("instance: give grid_m or grid_points, not both")
-    if "grid_points" in obj:
-        grid = _build("instance.grid_points", ResourceGrid,
-                      _read(obj, "grid_points", "instance", _floats), tau_max)
+    if "grid_points" in values:
+        grid = _build("instance.grid_points", ResourceGrid, values["grid_points"],
+                      discount.tau_max)
     else:
-        grid = _build("instance.grid_m", build_grid,
-                      _read(obj, "grid_m", "instance", _int), tau_max)
-
-    disc_obj = _read(obj, "discount", "instance")
-    discount = _build("instance.discount", DiscountSpec,
-                      _read(disc_obj, "kind", "instance.discount"), tau_max=tau_max,
-                      **_given(disc_obj, "instance.discount", k=_float, rho=_float))
+        grid = _build("instance.grid_m", build_grid, _read(obj, "grid_m", "instance", _int),
+                      discount.tau_max)
 
     objective = {}  # InstanceSpec's default objective, unless the config sets one
-    if "objective" in obj:
-        objv = _read(obj, "objective", "instance")
-        okind = _read(objv, "kind", "instance.objective")
-        if okind == "multiplicative":
-            objective["objective"] = MultiplicativeDiscount()
-        elif okind == "additive_cost":
-            objective["objective"] = _build(
-                "instance.objective", AdditiveCost,
-                **_given(objv, "instance.objective", scale=_float, power=_float))
-        else:
-            raise ConfigError(f"instance.objective.kind: unknown kind {okind!r}")
+    if "objective" in values:
+        objective["objective"] = _typed(
+            values["objective"], "instance.objective",
+            _kind(values["objective"], "instance.objective", _OBJECTIVE_TYPES))
 
-    arms_obj = _read(obj, "arms", "instance")
+    arms_obj = values["arms"]
     if not isinstance(arms_obj, list) or not arms_obj:
         raise ConfigError("instance.arms: expected a non-empty list")
-    arms = tuple(
-        _parse_arm(a, f"instance.arms[{i}]", base_dir)
-        for i, a in enumerate(arms_obj)
-    )
+    arms = tuple(_parse_arm(a, f"instance.arms[{i}]", base_dir) for i, a in enumerate(arms_obj))
     return InstanceSpec(arms=arms, grid=grid, discount=discount, **objective)
 
 
-def _parse_policy(obj: dict, where: str) -> PolicySpec:
-    kind = _read(obj, "kind", where)
-    return _build(where, PolicySpec, kind, **_given(
-        obj, where, label=_str, alpha=_float, c=_float, prior=_floats, indicator=_str))
-
-
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a decoded JSON document.
-
-    Only the fields the document sets are passed on (see _given), so each
-    default is the one of the library type that holds the field."""
+    """A validated ExperimentConfig from a decoded JSON document. Only the
+    fields the document sets are passed on (see _object), so each default is
+    the one of the library type that holds the field."""
     if base_dir is None:
         base_dir = Path.cwd()
-    instance = _parse_instance(_read(doc, "instance", ""), base_dir)
-    pol_obj = _read(doc, "policies", "")
+    values = _object(doc, "", {
+        "instance": None, "policies": None, "horizon": _int, "repetitions": _int,
+        "base_seed": _int, "oracle": None, "workers": _int, "dump_state": None,
+        "output_dir": lambda v: v if v is None else Path(v)}, ("instance", "policies", "horizon"))
+    instance = _parse_instance(values.pop("instance"), base_dir)
+    pol_obj = values.pop("policies")
     if not isinstance(pol_obj, list) or not pol_obj:
         raise ConfigError("policies: expected a non-empty list")
-    policies = tuple(
-        _parse_policy(p, f"policies[{i}]") for i, p in enumerate(pol_obj)
-    )
-    oracle = _given(_read(doc, "oracle", "", default={}), "oracle",
-                    method=_str, nodes=_int, samples=_int)
-    return ExperimentConfig(
-        instance=instance,
-        policies=policies,
-        horizon=_read(doc, "horizon", "", _int),
-        **{f"oracle_{key}": value for key, value in oracle.items()},
-        **_given(doc, "", repetitions=_int, base_seed=_int, workers=_int,
-                 output_dir=lambda v: v if v is None else Path(v), dump_state=_bool),
-    )
+    policies = tuple(_typed(p, f"policies[{i}]", PolicySpec) for i, p in enumerate(pol_obj))
+    oracle = _object(values.pop("oracle", {}), "oracle",
+                     {"method": _str, "nodes": _int, "samples": _int})
+    return ExperimentConfig(instance=instance, policies=policies, **values,
+                            **{f"oracle_{key}": value for key, value in oracle.items()})
 
 
 def _locate_config(name: str) -> tuple[str, Path]:
@@ -237,8 +229,6 @@ def load_config(name: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name}: top-level JSON value must be an object")
     return config_from_dict(doc, base_dir)
 
 

@@ -134,22 +134,22 @@ def _truncated_batch(mean, chol, rng, size):
 
 @dataclass(frozen=True)
 class DegenerateArm:
-    """Point mass at (r0, c0); handy because every moment is exact."""
+    """Point mass at (reward, cost); handy because every moment is exact."""
 
-    r0: float
-    c0: float
+    reward: float
+    cost: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.r0 <= 1.0:
-            raise ConfigError("r0 must lie in [0, 1]")
-        if not self.c0 >= 0.0:
-            raise ConfigError("c0 must be non-negative")
+        if not 0.0 <= self.reward <= 1.0:
+            raise ConfigError("reward must lie in [0, 1]")
+        if not self.cost >= 0.0:
+            raise ConfigError("cost must be non-negative")
 
     def sample(self, rng, size):
-        return np.full(size, self.r0), np.full(size, self.c0)
+        return np.full(size, self.reward), np.full(size, self.cost)
 
     def mixed_moment(self, tau_prime: float) -> float:
-        return self.r0 if admits(self.c0, tau_prime) else 0.0
+        return self.reward if admits(self.cost, tau_prime) else 0.0
 
 
 @dataclass(frozen=True)

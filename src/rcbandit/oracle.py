@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -37,10 +38,13 @@ DEFAULT_SAMPLES, MIN_SAMPLES = 1_000_000, 10_000
 def oracle_budget(method: str = DEFAULT_METHOD, nodes: int = DEFAULT_NODES,
                   samples: int = DEFAULT_SAMPLES) -> int:
     """The budget method spends, nodes or samples. The oracle settings' one
-    rule: DomainError, led by the field at fault, for an unknown method or a
-    budget below its method's smallest, whether or not an arm would spend it."""
+    rule: DomainError, led by the field at fault, for an unknown method, or a
+    budget not an integer or below its method's smallest, even one no arm spends."""
     if method not in ORACLE_METHODS:
         raise DomainError(f"method: unknown method {method!r}")
+    for name, value in (("nodes", nodes), ("samples", samples)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name}: expected an integer, got {value!r}")
     if method == "quadrature" and nodes < MIN_NODES:
         raise DomainError(f"nodes: quadrature needs at least {MIN_NODES}, got {nodes}")
     if method == "monte_carlo" and samples < MIN_SAMPLES:

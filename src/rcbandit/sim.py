@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -119,6 +120,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: expected an integer, got {value!r}")
             if value < 1 and name != "base_seed":
                 raise ConfigError(f"{name} must be at least 1")
+        # a string such as "no" would be truthy, and write the state files
+        if not isinstance(self.dump_state, bool):
+            raise ConfigError(f"dump_state: expected true or false, got {self.dump_state!r}")
+        if not (self.output_dir is None or isinstance(self.output_dir, (str, os.PathLike))):
+            raise ConfigError(f"output_dir: expected a path or None, got {self.output_dir!r}")
         # the messages name the oracle.* fields of a JSON config
         try:
             oracle_budget(self.oracle_method, self.oracle_nodes, self.oracle_samples)

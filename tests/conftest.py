@@ -28,8 +28,8 @@ def gaussian_instance(m: int = 10) -> InstanceSpec:
 def analytic_instance() -> InstanceSpec:
     """Three analytic arms with exactly known gaps on a 4-point grid."""
     arms = (
-        DegenerateArm(r0=0.9, c0=0.2),
-        DegenerateArm(r0=0.7, c0=0.45),
+        DegenerateArm(reward=0.9, cost=0.2),
+        DegenerateArm(reward=0.7, cost=0.45),
         UniformCostArm(reward_mean=0.8),
     )
     return InstanceSpec(
@@ -41,7 +41,7 @@ def analytic_instance() -> InstanceSpec:
 
 def two_degenerate_instance() -> InstanceSpec:
     """Two point-mass arms; the optimum is arm 1 at the smallest grid point."""
-    arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.9))
+    arms = (DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=1.0, cost=0.9))
     return InstanceSpec(
         arms=arms,
         grid=build_grid(4, 1.0),

@@ -97,7 +97,7 @@ def test_config_parse_all_arm_kinds(tmp_path):
     assert inst.objective == AdditiveCost(scale=0.5, power=2.0)
     assert inst.arms == (
         GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1),
-        DegenerateArm(r0=0.9, c0=0.2),
+        DegenerateArm(reward=0.9, cost=0.2),
         UniformCostArm(reward_mean=0.8),
         TraceArm(rewards=(0.1,), costs=(0.1,), replay="cyclic"),
     )
@@ -146,7 +146,7 @@ def test_unset_fields_take_the_library_defaults(tmp_path):
            "horizon": 60}
     discount = DiscountSpec("linear")
     instance = InstanceSpec(
-        arms=(DegenerateArm(r0=0.9, c0=0.2), *trace_env_load(tmp_path / "rows.csv")),
+        arms=(DegenerateArm(reward=0.9, cost=0.2), *trace_env_load(tmp_path / "rows.csv")),
         grid=build_grid(4, discount.tau_max), discount=discount)
     expected = ExperimentConfig(instance=instance,
                                 policies=tuple(PolicySpec(kind) for kind in POLICY_CLASSES),
@@ -312,6 +312,22 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
      "instance.objective"),
     # a parameter the kind does not read would otherwise be ignored
     (_set(["policies", 0], {"kind": "rcucb", "c": -5}), "policies[0]"),
+    # so would a key that no type holds, in every kind of object
+    (_set(["repetiton"], 3), "repetiton"),
+    (_set(["oracle", "node"], 8), "oracle.node"),
+    (_set(["instance", "grid"], 8), "instance.grid"),
+    (_set(["instance", "discount", "kk"], 2.0), "instance.discount.kk"),
+    (_set(["instance", "discount", "tau_max"], 2.0), "instance.discount.tau_max"),
+    (_set(["instance", "objective"], {"kind": "additive_cost", "scal": 0.5}),
+     "instance.objective.scal"),
+    (_set(["instance", "objective", "scale"], 0.5), "instance.objective.scale"),
+    (_set(["instance", "arms", 0, "sigmaa"], 0.1, GAUSSIAN), "instance.arms[0].sigmaa"),
+    (_set(["instance", "arms", 0, "c0"], 0.5), "instance.arms[0].c0"),
+    (_set(["instance", "arms", 0, "reward"], 0.5, {"kind": "uniform_cost", "reward_mean": 0.8}),
+     "instance.arms[0].reward"),
+    (_one_arm({"kind": "trace", "path": "rows.csv", "rpelay": "cyclic"}),
+     "instance.arms[0].rpelay"),
+    (_set(["policies", 0, "alhpa"], 9), "policies[0].alhpa"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     # an existing trace file, for the cases whose error is not a missing file

@@ -144,7 +144,7 @@ def test_gaussian_arm_cached_factor_keeps_identity_and_pickles():
 
 
 def test_degenerate_instance_rounds():
-    arms = (DegenerateArm(r0=1.0, c0=0.3), DegenerateArm(r0=1.0, c0=0.3))
+    arms = (DegenerateArm(reward=1.0, cost=0.3), DegenerateArm(reward=1.0, cost=0.3))
     inst = InstanceSpec(arms=arms, grid=build_grid(2, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
     rewards, lo = sample_episode(inst, np.random.default_rng(0), 1)
@@ -182,7 +182,7 @@ def test_sample_episode_lo_is_first_admitting_of_the_arms_draws():
 ], ids=["10-uint8", "255-uint8", "256-uint16", "300-uint16", "300_arms-10-uint16"])
 def test_sample_episode_lo_dtype_holds_m(n, m, dtype):
     """lo is in the instance's index type, which holds 0..max(n, m)."""
-    arms = (DegenerateArm(r0=0.5, c0=0.3), DegenerateArm(r0=0.5, c0=2.0)) * (n // 2)
+    arms = (DegenerateArm(reward=0.5, cost=0.3), DegenerateArm(reward=0.5, cost=2.0)) * (n // 2)
     inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
     _, lo = sample_episode(inst, np.random.default_rng(0), 3)
@@ -228,8 +228,8 @@ def test_gaussian_sample_holds_row_blocks():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: DegenerateArm(r0=0.5, c0=float("nan")),
-    lambda: DegenerateArm(r0=0.5, c0=-0.1),
+    lambda: DegenerateArm(reward=0.5, cost=float("nan")),
+    lambda: DegenerateArm(reward=0.5, cost=-0.1),
     lambda: GaussianArm(mean=(float("nan"), 0.5), x=0.2, sigma=0.1),
     lambda: GaussianArm(mean=(0.5, float("inf")), x=0.2, sigma=0.1),
     lambda: GaussianArm(mean=(0.5, 0.5), x=0.2, sigma=float("inf")),

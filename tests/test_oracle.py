@@ -96,7 +96,7 @@ def test_quadrature_keeps_the_plain_expression_bits(nodes):
 
 def test_analytic_arms_are_exact_under_both_methods():
     inst = InstanceSpec(
-        arms=(DegenerateArm(r0=0.8, c0=0.3), UniformCostArm(reward_mean=0.6)),
+        arms=(DegenerateArm(reward=0.8, cost=0.3), UniformCostArm(reward_mean=0.6)),
         grid=ResourceGrid((0.2, 0.25, 0.5), 1.0),
         discount=DiscountSpec("linear"),
     )
@@ -119,6 +119,13 @@ def test_budget_validation():
     # instance would spend no node, yet too few are refused
     with pytest.raises(DomainError, match=f"nodes: quadrature needs at least {MIN_NODES}"):
         nu_table(analytic_instance(), nodes=8)
+    # a budget that is not an integer is refused by name, not by numpy
+    with pytest.raises(DomainError, match="^nodes: expected an integer"):
+        nu_table(inst, nodes=200.5)
+    with pytest.raises(DomainError, match="^samples: expected an integer"):
+        nu_table(inst, "monte_carlo", samples=True)
+    with pytest.raises(DomainError, match="^nodes: expected an integer"):
+        true_mixed_moments(ARM1, [0.5], nodes=64.0)
 
 
 def test_degenerate_density_rejected():
@@ -129,7 +136,7 @@ def test_degenerate_density_rejected():
 
 def test_single_arm_table():
     inst = InstanceSpec(
-        arms=(DegenerateArm(r0=1.0, c0=0.0),),
+        arms=(DegenerateArm(reward=1.0, cost=0.0),),
         grid=build_grid(2, 1.0),
         discount=DiscountSpec("linear"),
     )
@@ -191,11 +198,11 @@ def test_monte_carlo_table_is_seed_deterministic():
 def _repeated_arms_instance() -> InstanceSpec:
     a = GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1)
     b = GaussianArm(mean=(0.5, 0.5), x=0.6, sigma=0.1)
-    d = DegenerateArm(r0=0.7, c0=0.45)
+    d = DegenerateArm(reward=0.7, cost=0.45)
     return InstanceSpec(
         # equal by value, not only by identity
         arms=(a, b, GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1), d, b, a,
-              DegenerateArm(r0=0.7, c0=0.45)),
+              DegenerateArm(reward=0.7, cost=0.45)),
         grid=build_grid(7, 1.0),
         discount=DiscountSpec("linear"),
     )
@@ -340,7 +347,7 @@ def test_concentration_bound_alpha_near_one_blows_up():
 
 def test_additive_objective_table():
     inst = InstanceSpec(
-        arms=(DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=0.7, c0=0.45)),
+        arms=(DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=0.7, cost=0.45)),
         grid=build_grid(4, 1.0),
         discount=DiscountSpec("linear"),
         objective=AdditiveCost(scale=0.5),

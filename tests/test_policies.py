@@ -97,7 +97,7 @@ def klucb_index(mu_eff: float, n: int, t: int, c: float) -> float:
 
 def _inst(n_arms=1, points=(0.25, 0.5), objective=MultiplicativeDiscount(),
           tau_max=1.0):
-    arms = tuple(DegenerateArm(r0=0.5, c0=0.1) for _ in range(n_arms))
+    arms = tuple(DegenerateArm(reward=0.5, cost=0.1) for _ in range(n_arms))
     return InstanceSpec(
         arms=arms,
         grid=ResourceGrid(points=points, tau_max=tau_max),

@@ -1,6 +1,6 @@
-"""README's Quickstart runs as written and its Config schema gives the
-library's defaults and each policy kind's parameters, so none of them can
-drift from the package unnoticed."""
+"""README's Quickstart runs as written, and its Config schema gives a config
+the reader takes, the library's defaults and each policy kind's parameters,
+so none of them can drift from the package unnoticed."""
 
 import json
 import os
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import rcbandit
+from rcbandit.cli import config_from_dict
 from rcbandit.policies import POLICY_CLASSES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +33,18 @@ def test_quickstart_runs():
     for line in per_seed:
         regret, share = map(float, line.split())
         assert regret >= 0.0 and 0.0 <= share <= 1.0
+
+
+def test_config_schema_example_is_read_as_written(tmp_path):
+    """The Config schema's JSON example passes the config reader, which refuses
+    any key that no type holds, so README shows no key a config cannot set."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    (tmp_path / "rows.csv").write_text("arm,reward,cost\n1,0.5,0.2\n", encoding="utf-8")
+    cfg = config_from_dict(doc, tmp_path)
+    assert len(cfg.instance.arms) == len(doc["instance"]["arms"])
+    assert [spec.kind for spec in cfg.policies] == [p["kind"] for p in doc["policies"]]
 
 
 def test_config_schema_defaults_match_the_types():

@@ -72,7 +72,7 @@ def test_identical_seeds_identical_traces():
 
 def test_single_pair_instance_has_zero_regret():
     inst = InstanceSpec(
-        arms=(DegenerateArm(r0=0.7, c0=0.1),),
+        arms=(DegenerateArm(reward=0.7, cost=0.1),),
         grid=build_grid(1, 1.0),
         discount=DiscountSpec("linear"),
     )
@@ -94,7 +94,7 @@ def test_fixed_oracle_has_zero_regret():
 def test_a_table_on_nearby_limits_is_refused(tmp_path):
     """A table whose limits are not exactly the grid's is refused by
     run_episode, and by run_experiment before it writes any file."""
-    arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.4))
+    arms = (DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=1.0, cost=0.4))
 
     def instance(points):
         return InstanceSpec(arms=arms, grid=ResourceGrid(points=points, tau_max=1.0),
@@ -163,7 +163,7 @@ def test_run_episode_table_mismatch():
 
 def test_cost_at_a_grid_point_is_censored_only_below_it():
     grid = build_grid(4, 1.0)
-    inst = InstanceSpec(arms=(DegenerateArm(r0=0.8, c0=grid.points[1]),), grid=grid,
+    inst = InstanceSpec(arms=(DegenerateArm(reward=0.8, cost=grid.points[1]),), grid=grid,
                         discount=DiscountSpec("linear"))
     tab = nu_table(inst)
     played = _episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
@@ -216,6 +216,14 @@ def test_config_validation():
         _small_config(oracle_nodes=8)
     with pytest.raises(ConfigError, match="oracle.samples"):
         _small_config(oracle_method="monte_carlo", oracle_samples=5000)
+    for field, value in (("nodes", 200.5), ("nodes", True), ("samples", 1e6)):
+        with pytest.raises(ConfigError, match=f"^oracle.{field}: expected an integer"):
+            _small_config(**{f"oracle_{field}": value})
+    # "no" would be truthy, and write the state files
+    with pytest.raises(ConfigError, match="^dump_state: expected true or false"):
+        _small_config(dump_state="no")
+    with pytest.raises(ConfigError, match="^output_dir: expected a path"):
+        _small_config(output_dir=5)
     # a float would fail deep in the run, or, as a seed, be truncated silently
     for field, value in (("horizon", 150.5), ("horizon", True), ("repetitions", 2.0),
                          ("workers", False), ("base_seed", 1.5), ("base_seed", "5")):
@@ -261,7 +269,7 @@ def test_failed_repetition_names_its_seed():
         discount=DiscountSpec("linear"),
     )
     tab = nu_table(InstanceSpec(
-        arms=(DegenerateArm(r0=0.5, c0=0.5),),
+        arms=(DegenerateArm(reward=0.5, cost=0.5),),
         grid=build_grid(2, 1.0),
         discount=DiscountSpec("linear"),
     ))
@@ -289,7 +297,7 @@ def test_failed_repetition_in_a_block_names_its_seed():
     # repetition 1's environment stream is mix64(seed, 0)
     bad = InstanceSpec(arms=(_NanCostOnStream(mix64(seed, 0)),), grid=grid,
                        discount=DiscountSpec("linear"))
-    tab = nu_table(InstanceSpec(arms=(DegenerateArm(r0=0.5, c0=0.5),), grid=grid,
+    tab = nu_table(InstanceSpec(arms=(DegenerateArm(reward=0.5, cost=0.5),), grid=grid,
                                 discount=DiscountSpec("linear")))
     cfg = ExperimentConfig(instance=bad, policies=(PolicySpec("uniform_random"),),
                            horizon=10, repetitions=2, base_seed=99)
@@ -369,7 +377,7 @@ def test_rep_bytes_is_what_one_repetition_holds(n, m):
     """_rep_bytes is the bytes of sample_episode's two matrices and of every
     RunTrace array of a one-seed run_episode, whose index type widens with
     300 arms or 300 limits."""
-    arms = (DegenerateArm(r0=0.9, c0=0.2), DegenerateArm(r0=1.0, c0=0.4)) * (n // 2)
+    arms = (DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=1.0, cost=0.4)) * (n // 2)
     inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
                         discount=DiscountSpec("linear", tau_max=1.0))
     spec = PolicySpec("uniform_random")
@@ -487,7 +495,7 @@ def test_persistence_round_trip(tmp_path):
 def _changed_arm(cfg):
     # arm 1 of analytic_instance() goes from (0.9, 0.2) to (0.1, 0.9), which
     # moves the optimum; the old table would report the wrong regret
-    arms = (DegenerateArm(r0=0.1, c0=0.9),) + cfg.instance.arms[1:]
+    arms = (DegenerateArm(reward=0.1, cost=0.9),) + cfg.instance.arms[1:]
     return {"instance": dataclasses.replace(cfg.instance, arms=arms)}
 
 
@@ -623,7 +631,7 @@ def test_aggregate_writer_matches_csv_writer(monkeypatch, tmp_path):
 
 def test_audit_degenerate_arm_is_exact():
     [(upper, lower, bound)] = concentration_audit(
-        DegenerateArm(r0=0.6, c0=0.3), [0.5], alpha=2.0, t_check=50, runs=40
+        DegenerateArm(reward=0.6, cost=0.3), [0.5], alpha=2.0, t_check=50, runs=40
     )
     assert upper == 0.0
     assert lower == 0.0
@@ -656,11 +664,11 @@ def test_audit_doubling_alpha_weakly_decreases_rates():
 @pytest.mark.parametrize("value", [1.0, 0.5, float("inf"), float("nan")])
 def test_audit_rejects_alpha_not_finite_above_one(value):
     with pytest.raises(DomainError, match="alpha"):
-        concentration_audit(DegenerateArm(r0=0.5, c0=0.5), [0.5], alpha=value)
+        concentration_audit(DegenerateArm(reward=0.5, cost=0.5), [0.5], alpha=value)
 
 
 def test_audit_validation():
-    arm = DegenerateArm(r0=0.5, c0=0.5)
+    arm = DegenerateArm(reward=0.5, cost=0.5)
     with pytest.raises(DomainError):
         concentration_audit(arm, [0.5], t_check=1)
     with pytest.raises(DomainError):
@@ -695,7 +703,7 @@ AUDIT_ARMS = {
     # wide enough that two draws at tau' = 0.1 can clear the alpha = 1.01 radius
     "gaussian": GaussianArm(mean=(0.9, 0.3), x=0.0, sigma=0.5),
     "uniform_cost": UniformCostArm(reward_mean=0.95),
-    "degenerate": DegenerateArm(r0=0.6, c0=0.35),
+    "degenerate": DegenerateArm(reward=0.6, cost=0.35),
 }
 
 
