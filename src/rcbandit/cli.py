@@ -32,6 +32,7 @@ from .core import (
     MultiplicativeDiscount,
     ResourceGrid,
     build_grid,
+    check_integer,
 )
 from .envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, trace_env_load
 from .policies import PolicySpec
@@ -78,15 +79,6 @@ def _build(where: str, ctor, *args, **kwargs):
         return ctor(*args, **kwargs)
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-def _int(value) -> int:
-    """A JSON integer; an integral float such as 3.0 passes, a bool does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _float(value) -> float:
@@ -143,7 +135,7 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
     if cls is not TraceArm:
         return _typed(obj, where, cls)
     # a trace arm picks one arm of a trace file, so its keys are its own
-    values = _object(obj, where, {"kind": _str, "path": Path, "replay": _str, "arm": _int},
+    values = _object(obj, where, {"kind": _str, "path": Path, "replay": _str, "arm": None},
                      ("path",))
     try:  # an absolute path replaces base_dir
         arms = _build(where, trace_env_load, base_dir / values["path"],
@@ -151,13 +143,14 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
     except OSError as exc:
         raise ConfigError(f"{where}.path: {exc}") from None
     idx = values.get("arm", 1)
+    check_integer(f"{where}.arm", idx, ConfigError)
     if not 1 <= idx <= len(arms):
         raise ConfigError(f"{where}.arm: trace file holds arms 1..{len(arms)}, got {idx}")
     return arms[idx - 1]
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    values = _object(obj, "instance", {"tau_max": _float, "grid_m": _int, "grid_points": _floats,
+    values = _object(obj, "instance", {"tau_max": _float, "grid_m": None, "grid_points": _floats,
                                        "discount": None, "objective": None, "arms": None},
                      ("discount", "arms"))
     tau_max = values.get("tau_max", _ABSENT)
@@ -173,8 +166,9 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
         grid = _build("instance.grid_points", ResourceGrid, values["grid_points"],
                       discount.tau_max)
     else:
-        grid = _build("instance.grid_m", build_grid, _read(obj, "grid_m", "instance", _int),
-                      discount.tau_max)
+        grid_m = _read(obj, "grid_m", "instance")
+        check_integer("instance.grid_m", grid_m, ConfigError)  # build_grid's error would name m
+        grid = _build("instance.grid_m", build_grid, grid_m, discount.tau_max)
 
     objective = {}  # InstanceSpec's default objective, unless the config sets one
     if "objective" in values:
@@ -196,8 +190,8 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     if base_dir is None:
         base_dir = Path.cwd()
     values = _object(doc, "", {
-        "instance": None, "policies": None, "horizon": _int, "repetitions": _int,
-        "base_seed": _int, "oracle": None, "workers": _int, "dump_state": None,
+        "instance": None, "policies": None, "horizon": None, "repetitions": None,
+        "base_seed": None, "oracle": None, "workers": None, "dump_state": None,
         "output_dir": lambda v: v if v is None else Path(v)}, ("instance", "policies", "horizon"))
     instance = _parse_instance(values.pop("instance"), base_dir)
     pol_obj = values.pop("policies")
@@ -205,7 +199,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
         raise ConfigError("policies: expected a non-empty list")
     policies = tuple(_typed(p, f"policies[{i}]", PolicySpec) for i, p in enumerate(pol_obj))
     oracle = _object(values.pop("oracle", {}), "oracle",
-                     {"method": _str, "nodes": _int, "samples": _int})
+                     {"method": _str, "nodes": None, "samples": None})
     return ExperimentConfig(instance=instance, policies=policies, **values,
                             **{f"oracle_{key}": value for key, value in oracle.items()})
 
@@ -287,20 +281,17 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # concentration_audit checks these too, but its errors would name its own
-    # parameters (alpha, t_check, runs), not the flags the user gave
-    if not (math.isfinite(args.alpha) and args.alpha > 1.0):
-        raise ConfigError(f"--alpha must be finite and exceed 1, got {args.alpha}")
-    if args.t < 2:
-        raise ConfigError("--t must be at least 2")
-    if args.runs < 1:
-        raise ConfigError("--runs must be at least 1")
     config = _apply_overrides(load_config(args.config), args)
     points = config.instance.grid.points
-    results = concentration_audit(
-        config.instance.arms[0], points, alpha=args.alpha, t_check=args.t,
-        runs=args.runs, base_seed=config.base_seed,
-    )
+    try:
+        results = concentration_audit(
+            config.instance.arms[0], points, alpha=args.alpha, t_check=args.t,
+            runs=args.runs, base_seed=config.base_seed,
+        )
+    except DomainError as exc:  # led by the parameter at fault: name its flag
+        param = str(exc).partition(" ")[0].rstrip(":")
+        flag = {"alpha": "--alpha", "t_check": "--t", "runs": "--runs"}.get(param, param)
+        raise ConfigError(flag + str(exc)[len(param):]) from None
     all_pass = True
     for tau, (upper, lower, bound) in zip(points, results):
         if bound >= 1.0:

@@ -33,6 +33,12 @@ class UsageError(RuntimeError):
     """An API protocol was violated, e.g. update without a preceding select."""
 
 
+def check_integer(name: str, value, error: type[ValueError] = DomainError) -> None:
+    """error, led by name, unless value is an int (not 2.0, True or np.int64)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name}: expected an integer, got {value!r}")
+
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -103,8 +109,8 @@ class DiscountSpec:
     def __post_init__(self) -> None:
         if self.kind not in DISCOUNT_KINDS:
             raise ConfigError(f"unknown discount kind {self.kind!r}")
-        if not self.tau_max > 0:
-            raise ConfigError("discount tau_max must be positive")
+        if not 0 < self.tau_max < math.inf:
+            raise ConfigError("discount tau_max must be positive and finite")
         # NaN fails every check; an infinite k would zero every gap (polynomial)
         if self.kind == "polynomial":
             if self.k is None or not 1 < self.k < math.inf:
@@ -185,6 +191,7 @@ class ResourceGrid:
 
 def build_grid(m: int, tau_max: float) -> ResourceGrid:
     """Equidistant grid {j * tau_max / m : j = 1..m}; includes tau_max, excludes 0."""
+    check_integer("grid size m", m)
     if m < 1:
         raise DomainError("grid size m must be >= 1")
     if not tau_max > 0:

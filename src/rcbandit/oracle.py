@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, InstanceSpec, admits, argmax_pair, mix64, objective_vectors
+from .core import (DomainError, InstanceSpec, admits, argmax_pair, check_integer, mix64,
+                   objective_vectors)
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
 DEFAULT_METHOD = "quadrature"
@@ -42,9 +42,8 @@ def oracle_budget(method: str = DEFAULT_METHOD, nodes: int = DEFAULT_NODES,
     budget not an integer or below its method's smallest, even one no arm spends."""
     if method not in ORACLE_METHODS:
         raise DomainError(f"method: unknown method {method!r}")
-    for name, value in (("nodes", nodes), ("samples", samples)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name}: expected an integer, got {value!r}")
+    check_integer("nodes", nodes)
+    check_integer("samples", samples)
     if method == "quadrature" and nodes < MIN_NODES:
         raise DomainError(f"nodes: quadrature needs at least {MIN_NODES}, got {nodes}")
     if method == "monte_carlo" and samples < MIN_SAMPLES:

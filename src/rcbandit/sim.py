@@ -37,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, mix64
+from .core import (ConfigError, DomainError, InstanceSpec, ResourceGrid, admits, check_integer,
+                   mix64)
 from .envs import sample_episode
 from .oracle import (DEFAULT_METHOD, DEFAULT_NODES, DEFAULT_SAMPLES, NuTable, check_alpha,
                      concentration_bound, nu_table, oracle_budget, true_mixed_moments)
@@ -114,10 +115,10 @@ class ExperimentConfig:
         if not self.policies:
             raise ConfigError("at least one policy is required")
         # a float would fail deep in a run, or, as a seed, be truncated silently
+        # (a numpy integer seed would pass, but json.dumps cannot write it)
         for name in ("horizon", "repetitions", "workers", "base_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
+            check_integer(name, value, ConfigError)
             if value < 1 and name != "base_seed":
                 raise ConfigError(f"{name} must be at least 1")
         # a string such as "no" would be truthy, and write the state files
@@ -516,10 +517,10 @@ def concentration_audit(arm_spec, taus, alpha: float = 2.0, t_check: int = 1000,
     if not (np.isfinite(taus).all() and (taus > 0.0).all()):
         raise DomainError("taus must be finite and positive")
     check_alpha(alpha)
-    if t_check < 2:
-        raise DomainError("t_check must be at least 2")
-    if runs < 1:
-        raise DomainError("runs must be at least 1")
+    for name, value, least in (("t_check", t_check, 2), ("runs", runs, 1)):
+        check_integer(name, value)
+        if value < least:
+            raise DomainError(f"{name} must be at least {least}")
     mu = true_mixed_moments(arm_spec, taus)[:, None]
     radius = math.sqrt(2.0 * alpha * math.log(t_check) / t_check)
     # runs per pass, then limits per block of a pass: a block holds at most

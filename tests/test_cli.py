@@ -328,6 +328,15 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_one_arm({"kind": "trace", "path": "rows.csv", "rpelay": "cyclic"}),
      "instance.arms[0].rpelay"),
     (_set(["policies", 0, "alhpa"], 9), "policies[0].alhpa"),
+    # an integer field takes a JSON integer; an integral float is refused too
+    (_set(["horizon"], 60.0), "horizon"),
+    (_set(["repetitions"], 2.0), "repetitions"),
+    (_set(["base_seed"], 11.0), "base_seed"),
+    (_set(["workers"], 1.0), "workers"),
+    (_set(["instance", "grid_m"], 4.0), "instance.grid_m"),
+    (_set(["oracle", "nodes"], 200.0), "oracle.nodes"),
+    (_set(["oracle", "samples"], 1e6), "oracle.samples"),
+    (_one_arm({"kind": "trace", "path": "rows.csv", "arm": 1.0}), "instance.arms[0].arm"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     # an existing trace file, for the cases whose error is not a missing file
@@ -450,6 +459,18 @@ def test_audit_rejects_non_finite_alpha(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --alpha")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t", "1", "--t must be at least 2"),
+    ("--runs", "0", "--runs must be at least 1"),
+])
+def test_audit_flag_errors_name_the_flag(tmp_path, capsys, flag, value, message):
+    """concentration_audit checks the flags; its message names the flag, not
+    its own parameter (t_check, runs)."""
+    path = _write_config(tmp_path, SMALL_CONFIG)
+    assert main(["audit", str(path), flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_audit_gaussian_small(tmp_path, capsys):

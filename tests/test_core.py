@@ -107,6 +107,9 @@ def test_discount_domain_errors():
         dict(kind="polynomial", tau_max=1.0, k=math.inf),
         dict(kind="exponential", tau_max=1.0, k=math.inf),
         dict(kind="polynomial", tau_max=1.0, k=math.nan),
+        # an infinite tau_max makes every discount value nan
+        dict(kind="linear", tau_max=math.inf),
+        dict(kind="linear", tau_max=math.nan),
     ],
 )
 def test_discount_spec_validation(kwargs):
@@ -142,6 +145,10 @@ def test_build_grid_errors():
         build_grid(0, 1.0)
     with pytest.raises(DomainError):
         build_grid(5, 0.0)
+    # an integral float, a bool or a numpy integer is not a grid size
+    for m in (4.0, True, np.int64(4)):
+        with pytest.raises(DomainError, match="^grid size m: expected an integer"):
+            build_grid(m, 1.0)
 
 
 @pytest.mark.parametrize("grid", [build_grid(10, 1.0), build_grid(7, 2.0),

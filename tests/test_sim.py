@@ -673,6 +673,11 @@ def test_audit_validation():
         concentration_audit(arm, [0.5], t_check=1)
     with pytest.raises(DomainError):
         concentration_audit(arm, [0.5], runs=0)
+    # the message leads with the parameter, which the CLI maps to its flag
+    for kwargs in (dict(t_check=50.0), dict(t_check=True), dict(runs=10.0), dict(runs=True)):
+        [(name, _)] = kwargs.items()
+        with pytest.raises(DomainError, match=f"^{name}: expected an integer"):
+            concentration_audit(arm, [0.5], **kwargs)
     with pytest.raises(DomainError, match="taus"):
         concentration_audit(arm, [])
     # a NaN limit made every deviation test false, so the audit read PASS
