@@ -33,6 +33,7 @@ from .core import (
     ResourceGrid,
     build_grid,
     check_integer,
+    check_tau_max,
 )
 from .envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, trace_env_load
 from .policies import PolicySpec
@@ -104,16 +105,15 @@ def _floats(value) -> tuple[float, ...]:
 _CASTS = {"float": _float, "str": _str, "tuple[float, float]": _floats}
 
 
-def _typed(obj, where: str, cls, **given):
-    """cls built from given and obj, whose keys are kind (a field of cls, or the
-    key that chose cls) and the fields of cls not given, each cast by _CASTS of
-    its annotation and required if it has no default; a given _ABSENT is left out."""
-    own = [f for f in dataclasses.fields(cls) if f.name not in given]
-    casts = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in own}
+def _typed(obj, where: str, cls):
+    """cls built from obj, whose keys are kind (a field of cls, or the key that
+    chose cls) and the fields of cls, each cast by _CASTS of its annotation and
+    required if it has no default."""
+    fields = dataclasses.fields(cls)
+    casts = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in fields}
     values = _object(obj, where, {"kind": _str} | casts,
-                     [f.name for f in own if f.default is dataclasses.MISSING])
-    return _build(where, cls, **{k: v for k, v in given.items() if v is not _ABSENT},
-                  **{f.name: values[f.name] for f in own if f.name in values})
+                     [f.name for f in fields if f.default is dataclasses.MISSING])
+    return _build(where, cls, **{f.name: values[f.name] for f in fields if f.name in values})
 
 
 def _kind(obj, where: str, types: dict):
@@ -153,22 +153,17 @@ def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
     values = _object(obj, "instance", {"tau_max": _float, "grid_m": None, "grid_points": _floats,
                                        "discount": None, "objective": None, "arms": None},
                      ("discount", "arms"))
-    tau_max = values.get("tau_max", _ABSENT)
-    # checked here although DiscountSpec and ResourceGrid check it too: their
-    # errors would name the discount or the grid, not tau_max
-    if tau_max is not _ABSENT and not (math.isfinite(tau_max) and tau_max > 0):
-        raise ConfigError(f"instance.tau_max: expected a positive finite number, got {tau_max}")
-    # tau_max is the instance's, so the discount object may not set it
-    discount = _typed(values["discount"], "instance.discount", DiscountSpec, tau_max=tau_max)
+    tau_max = values.get("tau_max", ResourceGrid.tau_max)
+    check_tau_max("instance.tau_max", tau_max)  # the grid's error would name its own field
+    discount = _typed(values["discount"], "instance.discount", DiscountSpec)
     if "grid_m" in values and "grid_points" in values:
         raise ConfigError("instance: give grid_m or grid_points, not both")
     if "grid_points" in values:
-        grid = _build("instance.grid_points", ResourceGrid, values["grid_points"],
-                      discount.tau_max)
+        grid = _build("instance.grid_points", ResourceGrid, values["grid_points"], tau_max)
     else:
         grid_m = _read(obj, "grid_m", "instance")
         check_integer("instance.grid_m", grid_m, ConfigError)  # build_grid's error would name m
-        grid = _build("instance.grid_m", build_grid, grid_m, discount.tau_max)
+        grid = _build("instance.grid_m", build_grid, grid_m, tau_max)
 
     objective = {}  # InstanceSpec's default objective, unless the config sets one
     if "objective" in values:

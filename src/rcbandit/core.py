@@ -11,6 +11,7 @@ per repetition) and the oracle's optimum (over one matrix) share.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -37,6 +38,13 @@ def check_integer(name: str, value, error: type[ValueError] = DomainError) -> No
     """error, led by name, unless value is an int (not 2.0, True or np.int64)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name}: expected an integer, got {value!r}")
+
+
+def check_tau_max(name: str, value) -> None:
+    """ConfigError, led by name, unless value is a positive finite real number
+    (not a bool or a string): the rule of the cap on the resource limits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigError(f"{name}: expected a positive finite number, got {value!r}")
 
 
 _MASK64 = (1 << 64) - 1
@@ -89,7 +97,8 @@ DISCOUNT_KINDS = ("linear", "polynomial", "sublinear", "geometric", "exponential
 
 @dataclass(frozen=True)
 class DiscountSpec:
-    """A monotone non-increasing reward discount gamma over [0, tau_max].
+    """A monotone non-increasing reward discount gamma over [0, tau_max], the
+    cap that the grid holds (ResourceGrid.tau_max) and discount_eval takes.
 
     Closed forms (t denotes the evaluated resource amount):
 
@@ -102,15 +111,12 @@ class DiscountSpec:
     """
 
     kind: str
-    tau_max: float = 1.0
     k: float | None = None
     rho: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in DISCOUNT_KINDS:
             raise ConfigError(f"unknown discount kind {self.kind!r}")
-        if not 0 < self.tau_max < math.inf:
-            raise ConfigError("discount tau_max must be positive and finite")
         # NaN fails every check; an infinite k would zero every gap (polynomial)
         if self.kind == "polynomial":
             if self.k is None or not 1 < self.k < math.inf:
@@ -126,25 +132,24 @@ class DiscountSpec:
                 raise ConfigError("exponential discount needs a finite k > 0")
 
 
-def discount_eval(spec: DiscountSpec, tau_tilde):
+def discount_eval(spec: DiscountSpec, tau_max: float, tau_tilde):
     """Evaluate gamma(tau_tilde) for a scalar or array of resource amounts.
 
-    Raises DomainError if any value lies outside [0, spec.tau_max].
+    Raises DomainError if any value lies outside [0, tau_max].
     """
     t = np.asarray(tau_tilde, dtype=float)
-    if np.any(t < 0.0) or np.any(t > spec.tau_max):
-        raise DomainError(f"tau_tilde must lie in [0, {spec.tau_max}]")
-    tau = spec.tau_max
+    if np.any(t < 0.0) or np.any(t > tau_max):
+        raise DomainError(f"tau_tilde must lie in [0, {tau_max}]")
     if spec.kind == "linear":
-        out = (tau - t) / tau
+        out = (tau_max - t) / tau_max
     elif spec.kind in ("polynomial", "sublinear"):
-        out = ((tau - t) / tau) ** spec.k
+        out = ((tau_max - t) / tau_max) ** spec.k
     elif spec.kind == "geometric":
-        out = (1.0 + spec.rho) ** (-t / tau)
+        out = (1.0 + spec.rho) ** (-t / tau_max)
     else:
-        # exponential: at t == tau the second term is inf and exp gives 0
+        # exponential: at t == tau_max the second term is inf and exp gives 0
         with np.errstate(divide="ignore"):
-            out = np.exp(tau ** (-spec.k) - (tau - t) ** (-spec.k))
+            out = np.exp(tau_max ** (-spec.k) - (tau_max - t) ** (-spec.k))
     if isinstance(tau_tilde, np.ndarray):
         return out
     return float(out)
@@ -152,19 +157,19 @@ def discount_eval(spec: DiscountSpec, tau_tilde):
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """Finite set of playable resource limits, strictly increasing in (0, tau_max]."""
+    """Finite set of playable resource limits, strictly increasing in (0, tau_max],
+    where tau_max is the instance's one cap, which bounds the discount and cost too."""
 
     points: tuple[float, ...]
-    tau_max: float
+    tau_max: float = 1.0
 
     def __post_init__(self) -> None:
+        check_tau_max("tau_max", self.tau_max)
         if len(self.points) == 0:
             raise ConfigError("grid needs at least one point")
         # NaN fails every comparison below, so finiteness is checked first
         if not all(math.isfinite(p) for p in self.points):
             raise ConfigError("grid points must be finite")
-        if not math.isfinite(self.tau_max):
-            raise ConfigError("tau_max must be finite")
         if self.points[0] <= 0.0:
             raise ConfigError("grid points must be positive")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -194,8 +199,7 @@ def build_grid(m: int, tau_max: float) -> ResourceGrid:
     check_integer("grid size m", m)
     if m < 1:
         raise DomainError("grid size m must be >= 1")
-    if not tau_max > 0:
-        raise DomainError("tau_max must be positive")
+    check_tau_max("tau_max", tau_max)
     points = tuple((j / m) * tau_max for j in range(1, m + 1))
     return ResourceGrid(points=points, tau_max=float(tau_max))
 
@@ -247,8 +251,8 @@ def objective_vectors(objective: Objective, discount: DiscountSpec,
     """
     taus = grid.as_array()
     if isinstance(objective, MultiplicativeDiscount):
-        return discount_eval(discount, taus), np.zeros(grid.m)
-    return np.ones(grid.m), -cost_eval(objective, discount.tau_max, taus)
+        return discount_eval(discount, grid.tau_max, taus), np.zeros(grid.m)
+    return np.ones(grid.m), -cost_eval(objective, grid.tau_max, taus)
 
 
 @dataclass(frozen=True)
@@ -263,8 +267,6 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if len(self.arms) == 0:
             raise ConfigError("instance needs at least one arm")
-        if self.grid.tau_max != self.discount.tau_max:
-            raise ConfigError("grid and discount disagree on tau_max")
 
     @property
     def n(self) -> int:

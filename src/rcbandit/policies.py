@@ -270,7 +270,7 @@ class Policy:
         self._arms0: list[int] | None = None  # the selection awaiting its update
         self._js: list[int] = []
         self._init = range(self.grid.m)[self.init_limits]
-        self._init_rounds = self.n * len(self._init)
+        self._init_rounds = init_length(self.kind, instance)
         tiles = (reps * self.n, 1)
         scale, offset = objective_vectors(instance.objective, instance.discount,
                                           instance.grid)

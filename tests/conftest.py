@@ -21,7 +21,7 @@ def gaussian_instance(m: int = 10) -> InstanceSpec:
     return InstanceSpec(
         arms=arms,
         grid=build_grid(m, 1.0),
-        discount=DiscountSpec("linear", tau_max=1.0),
+        discount=DiscountSpec("linear"),
     )
 
 
@@ -35,7 +35,7 @@ def analytic_instance() -> InstanceSpec:
     return InstanceSpec(
         arms=arms,
         grid=build_grid(4, 1.0),
-        discount=DiscountSpec("linear", tau_max=1.0),
+        discount=DiscountSpec("linear"),
     )
 
 
@@ -45,7 +45,7 @@ def two_degenerate_instance() -> InstanceSpec:
     return InstanceSpec(
         arms=arms,
         grid=build_grid(4, 1.0),
-        discount=DiscountSpec("linear", tau_max=1.0),
+        discount=DiscountSpec("linear"),
     )
 
 

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from rcbandit import cli
+from rcbandit import cli, sim
 from rcbandit.cli import (
     build_parser,
     config_from_dict,
@@ -92,7 +92,7 @@ def test_config_parse_all_arm_kinds(tmp_path):
     cfg = config_from_dict(doc, tmp_path)
     inst = cfg.instance
     assert inst.grid == ResourceGrid((0.5, 1.0, 2.0), 2.0)
-    assert (inst.discount.kind, inst.discount.tau_max, inst.discount.rho) == (
+    assert (inst.discount.kind, inst.grid.tau_max, inst.discount.rho) == (
         "geometric", 2.0, 0.5)
     assert inst.objective == AdditiveCost(scale=0.5, power=2.0)
     assert inst.arms == (
@@ -147,7 +147,7 @@ def test_unset_fields_take_the_library_defaults(tmp_path):
     discount = DiscountSpec("linear")
     instance = InstanceSpec(
         arms=(DegenerateArm(reward=0.9, cost=0.2), *trace_env_load(tmp_path / "rows.csv")),
-        grid=build_grid(4, discount.tau_max), discount=discount)
+        grid=build_grid(4, ResourceGrid.tau_max), discount=discount)
     expected = ExperimentConfig(instance=instance,
                                 policies=tuple(PolicySpec(kind) for kind in POLICY_CLASSES),
                                 horizon=60)
@@ -482,6 +482,19 @@ def test_audit_gaussian_small(tmp_path, capsys):
     code = main(["audit", str(path), "--t", "100", "--runs", "50"])
     assert code == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_audit_fails_on_mis_specified_moments(monkeypatch, capsys):
+    """Moments shifted by 0.2, beyond the radius of 0.166 at t = 1000 and
+    alpha = 2, put the estimates outside the radius in most runs: every limit
+    prints FAIL, and the audit exits 1."""
+    true_moments = sim.true_mixed_moments
+    monkeypatch.setattr(sim, "true_mixed_moments",
+                        lambda arm, taus: true_moments(arm, taus) + 0.2)
+    assert main(["audit", "paper_synthetic_m10", "--t", "1000", "--runs", "20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.endswith(" FAIL") for line in lines)
 
 
 def test_audit_flags_take_the_library_defaults(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,94 +23,91 @@ from rcbandit.envs import sample_episode
 
 
 def test_linear_discount_boundaries():
-    spec = DiscountSpec("linear", tau_max=1.0)
-    assert discount_eval(spec, 0.0) == 1.0
-    assert discount_eval(spec, 0.3) == pytest.approx(0.7)
-    assert discount_eval(spec, 1.0) == 0.0
+    spec = DiscountSpec("linear")
+    assert discount_eval(spec, 1.0, 0.0) == 1.0
+    assert discount_eval(spec, 1.0, 0.3) == pytest.approx(0.7)
+    assert discount_eval(spec, 1.0, 1.0) == 0.0
 
 
 def test_geometric_discount_example():
-    spec = DiscountSpec("geometric", tau_max=1.0, rho=0.5)
-    assert discount_eval(spec, 1.0) == pytest.approx(1.0 / 1.5)
-    assert discount_eval(spec, 0.0) == 1.0
+    spec = DiscountSpec("geometric", rho=0.5)
+    assert discount_eval(spec, 1.0, 1.0) == pytest.approx(1.0 / 1.5)
+    assert discount_eval(spec, 1.0, 0.0) == 1.0
 
 
 def test_polynomial_and_sublinear():
-    poly = DiscountSpec("polynomial", tau_max=1.0, k=2.0)
-    assert discount_eval(poly, 0.5) == pytest.approx(0.25)
-    sub = DiscountSpec("sublinear", tau_max=1.0, k=0.5)
-    assert discount_eval(sub, 0.75) == pytest.approx(0.5)
+    poly = DiscountSpec("polynomial", k=2.0)
+    assert discount_eval(poly, 1.0, 0.5) == pytest.approx(0.25)
+    sub = DiscountSpec("sublinear", k=0.5)
+    assert discount_eval(sub, 1.0, 0.75) == pytest.approx(0.5)
 
 
 def test_exponential_discount_endpoints():
-    spec = DiscountSpec("exponential", tau_max=1.0, k=1.0)
-    assert discount_eval(spec, 0.0) == 1.0
+    spec = DiscountSpec("exponential", k=1.0)
+    assert discount_eval(spec, 1.0, 0.0) == 1.0
     # value at tau_max is the continuous limit, exactly zero
-    assert discount_eval(spec, 1.0) == 0.0
-    mid = discount_eval(spec, 0.5)
+    assert discount_eval(spec, 1.0, 1.0) == 0.0
+    mid = discount_eval(spec, 1.0, 0.5)
     assert 0.0 < mid < 1.0
 
 
 def _random_spec(rng):
+    """A random discount and the cap it is evaluated under."""
     kind = rng.choice(["linear", "polynomial", "sublinear", "geometric", "exponential"])
     tau_max = float(rng.uniform(0.1, 5.0))
     if kind == "polynomial":
-        return DiscountSpec(kind, tau_max, k=float(rng.uniform(1.01, 6.0)))
+        return DiscountSpec(kind, k=float(rng.uniform(1.01, 6.0))), tau_max
     if kind == "sublinear":
-        return DiscountSpec(kind, tau_max, k=float(rng.uniform(0.05, 0.95)))
+        return DiscountSpec(kind, k=float(rng.uniform(0.05, 0.95))), tau_max
     if kind == "geometric":
-        return DiscountSpec(kind, tau_max, rho=float(rng.uniform(0.01, 0.99)))
+        return DiscountSpec(kind, rho=float(rng.uniform(0.01, 0.99))), tau_max
     if kind == "exponential":
-        return DiscountSpec(kind, tau_max, k=float(rng.uniform(0.1, 4.0)))
-    return DiscountSpec(kind, tau_max)
+        return DiscountSpec(kind, k=float(rng.uniform(0.1, 4.0))), tau_max
+    return DiscountSpec(kind), tau_max
 
 
 def test_discount_monotone_and_bounded():
     rng = np.random.default_rng(20240901)
     for _ in range(1000):
-        spec = _random_spec(rng)
-        a, b = np.sort(rng.uniform(0.0, spec.tau_max, size=2))
-        ga = discount_eval(spec, float(a))
-        gb = discount_eval(spec, float(b))
+        spec, tau_max = _random_spec(rng)
+        a, b = np.sort(rng.uniform(0.0, tau_max, size=2))
+        ga = discount_eval(spec, tau_max, float(a))
+        gb = discount_eval(spec, tau_max, float(b))
         assert 0.0 <= gb <= ga <= 1.0
-        assert discount_eval(spec, 0.0) == pytest.approx(1.0)
+        assert discount_eval(spec, tau_max, 0.0) == pytest.approx(1.0)
 
 
 def test_discount_eval_vectorized_matches_scalar():
-    spec = DiscountSpec("geometric", tau_max=2.0, rho=0.3)
+    spec = DiscountSpec("geometric", rho=0.3)
     ts = np.linspace(0.0, 2.0, 7)
-    vec = discount_eval(spec, ts)
+    vec = discount_eval(spec, 2.0, ts)
     assert vec.shape == ts.shape
     for t, v in zip(ts, vec):
-        assert v == pytest.approx(discount_eval(spec, float(t)))
+        assert v == pytest.approx(discount_eval(spec, 2.0, float(t)))
 
 
 def test_discount_domain_errors():
-    spec = DiscountSpec("linear", tau_max=1.0)
+    spec = DiscountSpec("linear")
     with pytest.raises(DomainError):
-        discount_eval(spec, -0.01)
+        discount_eval(spec, 1.0, -0.01)
     with pytest.raises(DomainError):
-        discount_eval(spec, 1.01)
+        discount_eval(spec, 1.0, 1.01)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(kind="nope", tau_max=1.0),
-        dict(kind="linear", tau_max=0.0),
-        dict(kind="polynomial", tau_max=1.0, k=1.0),
-        dict(kind="sublinear", tau_max=1.0, k=1.2),
-        dict(kind="geometric", tau_max=1.0, rho=0.0),
-        dict(kind="geometric", tau_max=1.0, rho=1.0),
-        dict(kind="exponential", tau_max=1.0, k=0.0),
-        dict(kind="polynomial", tau_max=1.0),
+        dict(kind="nope"),
+        dict(kind="polynomial", k=1.0),
+        dict(kind="sublinear", k=1.2),
+        dict(kind="geometric", rho=0.0),
+        dict(kind="geometric", rho=1.0),
+        dict(kind="exponential", k=0.0),
+        dict(kind="polynomial"),
         # an infinite k makes gamma 0 at every grid point, and every gap 0
-        dict(kind="polynomial", tau_max=1.0, k=math.inf),
-        dict(kind="exponential", tau_max=1.0, k=math.inf),
-        dict(kind="polynomial", tau_max=1.0, k=math.nan),
-        # an infinite tau_max makes every discount value nan
-        dict(kind="linear", tau_max=math.inf),
-        dict(kind="linear", tau_max=math.nan),
+        dict(kind="polynomial", k=math.inf),
+        dict(kind="exponential", k=math.inf),
+        dict(kind="polynomial", k=math.nan),
     ],
 )
 def test_discount_spec_validation(kwargs):
@@ -143,7 +141,7 @@ def test_build_grid_properties():
 def test_build_grid_errors():
     with pytest.raises(DomainError):
         build_grid(0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         build_grid(5, 0.0)
     # an integral float, a bool or a numpy integer is not a grid size
     for m in (4.0, True, np.int64(4)):
@@ -200,6 +198,20 @@ def test_grid_rejects_non_finite(points, tau_max):
         ResourceGrid(points=points, tau_max=tau_max)
 
 
+@pytest.mark.parametrize("tau_max", [
+    "2", True, 0.0, -1.0,
+    # an infinite tau_max makes every discount value nan
+    math.inf, math.nan,
+])
+def test_grid_and_build_grid_reject_a_bad_cap(tau_max):
+    """The cap's one rule, checked before any limit is compared with it."""
+    message = f"^tau_max: expected a positive finite number, got {re.escape(repr(tau_max))}$"
+    with pytest.raises(ConfigError, match=message):
+        ResourceGrid((0.5,), tau_max)
+    with pytest.raises(ConfigError, match=message):
+        build_grid(3, tau_max)
+
+
 def _objective_value(objective, discount, mu, j, grid):
     """nu of (mu, grid point j) by way of objective_vectors."""
     scale, offset = objective_vectors(objective, discount, grid)
@@ -207,7 +219,7 @@ def _objective_value(objective, discount, mu, j, grid):
 
 
 def test_objective_value_examples():
-    disc = DiscountSpec("linear", tau_max=1.0)
+    disc = DiscountSpec("linear")
     grid = ResourceGrid((0.5, 0.7), 1.0)
     mult = MultiplicativeDiscount()
     assert _objective_value(mult, disc, 0.5, 0, grid) == pytest.approx(0.25)
@@ -218,7 +230,7 @@ def test_objective_value_examples():
 
 def test_objective_value_monotone_in_mu():
     rng = np.random.default_rng(11)
-    disc = DiscountSpec("linear", tau_max=1.0)
+    disc = DiscountSpec("linear")
     grid = build_grid(5, 1.0)
     for obj in (MultiplicativeDiscount(), AdditiveCost(scale=0.3, power=2.0)):
         for _ in range(200):
@@ -230,7 +242,7 @@ def test_objective_value_monotone_in_mu():
 
 
 def test_objective_vectors_consistency():
-    disc = DiscountSpec("linear", tau_max=1.0)
+    disc = DiscountSpec("linear")
     grid = build_grid(6, 1.0)
     rng = np.random.default_rng(3)
     for obj in (MultiplicativeDiscount(), AdditiveCost(scale=0.8, power=1.5)):
@@ -239,9 +251,9 @@ def test_objective_vectors_consistency():
         for j, tau in enumerate(grid.points):
             mu = float(rng.uniform(0, 1))
             if isinstance(obj, MultiplicativeDiscount):
-                want = discount_eval(disc, tau) * mu
+                want = discount_eval(disc, grid.tau_max, tau) * mu
             else:
-                want = mu - cost_eval(obj, disc.tau_max, tau)
+                want = mu - cost_eval(obj, grid.tau_max, tau)
             assert scale[j] * mu + offset[j] == pytest.approx(want)
 
 
@@ -273,7 +285,7 @@ def test_sample_episode_rejects_bad_draws():
     too, although first_admitting() censors them at every limit as admits()
     does."""
     grid = build_grid(4, 1.0)
-    disc = DiscountSpec("linear", tau_max=1.0)
+    disc = DiscountSpec("linear")
     rng = np.random.default_rng(0)
 
     def episode(*arms):
@@ -291,14 +303,11 @@ def test_sample_episode_rejects_bad_draws():
 
 def test_instance_spec_checks():
     grid = build_grid(4, 1.0)
-    disc = DiscountSpec("linear", tau_max=1.0)
+    disc = DiscountSpec("linear")
     inst = InstanceSpec(arms=(object(),), grid=grid, discount=disc)
     assert inst.n == 1
     with pytest.raises(ConfigError):
         InstanceSpec(arms=(), grid=grid, discount=disc)
-    with pytest.raises(ConfigError):
-        InstanceSpec(arms=(object(),), grid=grid,
-                     discount=DiscountSpec("linear", tau_max=2.0))
 
 
 def test_mix64_is_stable_and_spreads():
@@ -312,10 +321,10 @@ def test_mix64_is_stable_and_spreads():
 
 def test_math_sanity_of_exponential_formula():
     # exp(1/tau^k - 1/(tau-t)^k) stays below 1 for t in (0, tau)
-    spec = DiscountSpec("exponential", tau_max=2.0, k=0.7)
+    spec = DiscountSpec("exponential", k=0.7)
     ts = np.linspace(1e-6, 2.0 - 1e-6, 50)
-    vals = discount_eval(spec, ts)
+    vals = discount_eval(spec, 2.0, ts)
     # near tau_max the value may underflow to exactly 0, matching the limit
     assert np.all(vals < 1.0) and np.all(vals >= 0.0)
     assert np.all(vals[ts <= 1.0] > 0.0)
-    assert math.isclose(discount_eval(spec, 1e-12), 1.0, rel_tol=1e-6)
+    assert math.isclose(discount_eval(spec, 2.0, 1e-12), 1.0, rel_tol=1e-6)

@@ -146,7 +146,7 @@ def test_gaussian_arm_cached_factor_keeps_identity_and_pickles():
 def test_degenerate_instance_rounds():
     arms = (DegenerateArm(reward=1.0, cost=0.3), DegenerateArm(reward=1.0, cost=0.3))
     inst = InstanceSpec(arms=arms, grid=build_grid(2, 1.0),
-                        discount=DiscountSpec("linear", tau_max=1.0))
+                        discount=DiscountSpec("linear"))
     rewards, lo = sample_episode(inst, np.random.default_rng(0), 1)
     np.testing.assert_array_equal(rewards, [[1.0, 1.0]])
     # cost 0.3 is admitted by the first limit, 0.5
@@ -184,7 +184,7 @@ def test_sample_episode_lo_dtype_holds_m(n, m, dtype):
     """lo is in the instance's index type, which holds 0..max(n, m)."""
     arms = (DegenerateArm(reward=0.5, cost=0.3), DegenerateArm(reward=0.5, cost=2.0)) * (n // 2)
     inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
-                        discount=DiscountSpec("linear", tau_max=1.0))
+                        discount=DiscountSpec("linear"))
     _, lo = sample_episode(inst, np.random.default_rng(0), 3)
     assert lo.dtype == dtype == inst.index_dtype
     # a cost above every limit keeps the full value m

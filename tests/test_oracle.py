@@ -239,7 +239,7 @@ def test_arms_built_from_lists_give_the_tuple_built_table():
         arms = (GaussianArm(mean=seq((0.6, 0.45)), x=0.2, sigma=0.1),
                 TraceArm(rewards=seq((0.5, 0.9)), costs=seq((0.2, 0.8))))
         return InstanceSpec(arms=arms, grid=build_grid(4, 1.0),
-                            discount=DiscountSpec("linear", tau_max=1.0))
+                            discount=DiscountSpec("linear"))
 
     assert instance(list).arms == instance(tuple).arms
     listed, tupled = nu_table(instance(list)), nu_table(instance(tuple))

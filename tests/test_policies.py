@@ -101,7 +101,7 @@ def _inst(n_arms=1, points=(0.25, 0.5), objective=MultiplicativeDiscount(),
     return InstanceSpec(
         arms=arms,
         grid=ResourceGrid(points=points, tau_max=tau_max),
-        discount=DiscountSpec("linear", tau_max=tau_max),
+        discount=DiscountSpec("linear"),
         objective=objective,
     )
 

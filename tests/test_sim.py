@@ -98,7 +98,7 @@ def test_a_table_on_nearby_limits_is_refused(tmp_path):
 
     def instance(points):
         return InstanceSpec(arms=arms, grid=ResourceGrid(points=points, tau_max=1.0),
-                            discount=DiscountSpec("linear", tau_max=1.0))
+                            discount=DiscountSpec("linear"))
 
     inst = instance((0.25, 0.5))
     tab = nu_table(instance((0.25 + 1e-7, 0.5)))
@@ -379,7 +379,7 @@ def test_rep_bytes_is_what_one_repetition_holds(n, m):
     300 arms or 300 limits."""
     arms = (DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=1.0, cost=0.4)) * (n // 2)
     inst = InstanceSpec(arms=arms, grid=build_grid(m, 1.0),
-                        discount=DiscountSpec("linear", tau_max=1.0))
+                        discount=DiscountSpec("linear"))
     spec = PolicySpec("uniform_random")
     rewards, lo = sample_episode(inst, np.random.default_rng(0), 40)
     trace = _episode(inst, spec, 40, nu_table(inst), seed=0)
