@@ -268,7 +268,8 @@ def cmd_oracle(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.save(out / "nu_table.json")
-    print(f"optimal pair: arm {table.optimal_arm}, tau {table.optimal_tau:g}")
+    optimum = table.optimum()
+    print(f"optimal pair: arm {optimum['arm']}, tau {optimum['tau']:g}")
     print(f"nu_star: {table.nu_star:.10g}")
     print(f"min positive gap: {table.min_positive_gap():.10g}")
     print(f"wrote {out / 'nu_table.json'}")

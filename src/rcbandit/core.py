@@ -137,6 +137,7 @@ def discount_eval(spec: DiscountSpec, tau_max: float, tau_tilde):
 
     Raises DomainError if any value lies outside [0, tau_max].
     """
+    check_tau_max("tau_max", tau_max)
     t = np.asarray(tau_tilde, dtype=float)
     if np.any(t < 0.0) or np.any(t > tau_max):
         raise DomainError(f"tau_tilde must lie in [0, {tau_max}]")
@@ -167,6 +168,8 @@ class ResourceGrid:
         check_tau_max("tau_max", self.tau_max)
         if len(self.points) == 0:
             raise ConfigError("grid needs at least one point")
+        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in self.points):
+            raise ConfigError(f"grid points must be real numbers, got {self.points!r}")
         # NaN fails every comparison below, so finiteness is checked first
         if not all(math.isfinite(p) for p in self.points):
             raise ConfigError("grid points must be finite")
@@ -232,6 +235,7 @@ Objective = Union[MultiplicativeDiscount, AdditiveCost]
 
 def cost_eval(objective: AdditiveCost, tau_max: float, tau_tilde):
     """Evaluate the additive resource cost c(tau_tilde)."""
+    check_tau_max("tau_max", tau_max)
     t = np.asarray(tau_tilde, dtype=float)
     if np.any(t < 0.0) or np.any(t > tau_max):
         raise DomainError(f"tau_tilde must lie in [0, {tau_max}]")

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DomainError, InstanceSpec, admits, argmax_pair, check_integer, mix64,
-                   objective_vectors)
+from .core import (ConfigError, DomainError, InstanceSpec, admits, argmax_pair, check_integer,
+                   mix64, objective_vectors)
 
 ORACLE_METHODS = ("quadrature", "monte_carlo")
 DEFAULT_METHOD = "quadrature"
@@ -117,56 +117,60 @@ def true_mixed_moments(arm, taus, *, nodes: int = DEFAULT_NODES) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NuTable:
-    """Per-pair ground truth: mu, objective value nu, and sub-optimality gap.
+    """Per-pair ground truth of one instance: mu, objective value nu, and
+    sub-optimality gap, each an (instance.n, instance.grid.m) matrix, and the
+    optimum as optimal = (arm0, j), the 0-based arm and grid index.
 
     to_dict/save write it as JSON (nu_table.json); the package has no reader.
     """
 
-    taus: tuple[float, ...]
+    instance: InstanceSpec
     mu: np.ndarray
     se: np.ndarray
     nu: np.ndarray
     gap: np.ndarray
-    optimal_arm: int
-    optimal_tau: float
+    optimal: tuple[int, int]
     nu_star: float
     method: str
     budget: int
 
-    @property
-    def n(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.mu.shape[1]
+    def __post_init__(self) -> None:
+        shape = (self.instance.n, self.instance.grid.m)
+        for name in ("mu", "se", "nu", "gap"):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ConfigError(f"nu table: {name} has shape {got}, "
+                                  f"its instance's (n, m) is {shape}")
 
     def min_positive_gap(self) -> float:
         pos = self.gap[self.gap > 0]
         return float(pos.min()) if pos.size else 0.0
 
+    def optimum(self) -> dict:
+        """The optimum as written out: its 1-based arm, its limit and nu_star."""
+        arm0, j = self.optimal
+        return {"arm": arm0 + 1, "tau": float(self.instance.grid.as_array()[j]),
+                "nu_star": self.nu_star}
+
     def to_dict(self) -> dict:
+        taus = self.instance.grid.as_array().tolist()
         pairs = [
             {
                 "arm": i + 1,
-                "tau": float(self.taus[j]),
+                "tau": tau,
                 "mu": float(self.mu[i, j]),
                 "se": float(self.se[i, j]),
                 "nu": float(self.nu[i, j]),
                 "gap": float(self.gap[i, j]),
             }
-            for i in range(self.n)
-            for j in range(self.m)
+            for i in range(self.instance.n)
+            for j, tau in enumerate(taus)
         ]
         return {
             "method": self.method,
             "samples_or_nodes": self.budget,
             "pairs": pairs,
-            "optimal": {
-                "arm": self.optimal_arm,
-                "tau": self.optimal_tau,
-                "nu_star": self.nu_star,
-            },
+            "optimal": self.optimum(),
         }
 
     def save(self, path) -> None:
@@ -209,15 +213,10 @@ def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
             mu[i] = exact_rows[arm]
     scale, offset = objective_vectors(instance.objective, instance.discount, grid)
     nu = scale * mu + offset
-    arm0, j_opt = argmax_pair(nu)
-    nu_star = float(nu[arm0, j_opt])
-    gap = nu_star - nu
-    return NuTable(
-        taus=tuple(float(t) for t in taus),
-        mu=mu, se=se, nu=nu, gap=gap,
-        optimal_arm=arm0 + 1, optimal_tau=float(taus[j_opt]), nu_star=nu_star,
-        method=method, budget=budget,
-    )
+    optimal = argmax_pair(nu)
+    nu_star = float(nu[optimal])
+    return NuTable(instance=instance, mu=mu, se=se, nu=nu, gap=nu_star - nu,
+                   optimal=optimal, nu_star=nu_star, method=method, budget=budget)
 
 
 def check_alpha(alpha: float) -> None:

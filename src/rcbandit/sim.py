@@ -6,7 +6,9 @@ processes and still aggregate exactly as in serial execution. run_episode
 plays a block of repetitions of one policy in one loop over rounds, with one
 index and one argmax per round for the whole block; a single episode is a
 block of one. The fold over repetitions always happens in repetition-index
-order.
+order. An episode plays on the instance its oracle table holds, and every
+run computes its own table (ExperimentConfig.table), so regret is always
+priced by the gaps of the instance that is played.
 
 A round is censored by the one statement of the censoring rule in core:
 sample_episode computes lo = ResourceGrid.first_admitting(cost) for every
@@ -142,24 +144,11 @@ class ExperimentConfig:
                         samples=self.oracle_samples, seed=self.base_seed)
 
 
-def _check_table(table: NuTable, instance: InstanceSpec) -> None:
-    """Raise ConfigError, naming what differs, unless the table has one row
-    per arm and one column per grid point, at exactly the grid's limits."""
-    what = "nu table does not match the instance:"
-    shape = (instance.n, instance.grid.m)
-    if table.mu.shape != shape:
-        raise ConfigError(f"{what} its shape is {table.mu.shape}, (n, m) is {shape}")
-    for j, (tau, point) in enumerate(zip(table.taus, instance.grid.points)):
-        if tau != point:
-            raise ConfigError(f"{what} its limit {j + 1} is {tau!r}, "
-                              f"the grid's is {point!r}")
-
-
-def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
-                table: NuTable, seeds: list[int],
+def run_episode(spec: PolicySpec, horizon: int, table: NuTable, seeds: list[int],
                 keep_state: bool = False) -> list[RunTrace]:
     """Play one policy for `horizon` rounds on a block of repetitions, one per
-    seed, in lockstep; return their traces in seed order.
+    seed, in lockstep, on the instance of the table, whose gaps price the
+    regret; return their traces in seed order.
 
     Each repetition is fully deterministic given its seed, whatever block it
     is played in: its environment stream and its policy stream are split off
@@ -171,7 +160,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     Each round calls policy.select() and policy.update() once for the whole
     block; the per-round hook contract is stated in the policies module.
     """
-    _check_table(table, instance)
+    instance = table.instance
     check_horizon(horizon, [spec.kind], instance)
     draws = []
     for index, seed in enumerate(seeds):
@@ -187,7 +176,7 @@ def run_episode(instance: InstanceSpec, spec: PolicySpec, horizon: int,
     reps = len(seeds)
     policy = make_policy(spec, instance,
                          [np.random.default_rng(mix64(seed, 1)) for seed in seeds],
-                         (table.optimal_arm - 1, table.taus.index(table.optimal_tau)))
+                         table.optimal)
 
     # round after round, the arm and limit indices of every repetition
     code = instance.index_dtype.char
@@ -327,7 +316,7 @@ def _blocks(config: ExperimentConfig) -> list[range]:
     return [range(reps * k // count, reps * (k + 1) // count) for k in range(count)]
 
 
-def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Aggregate:
+def run_experiment(config: ExperimentConfig) -> Aggregate:
     """Run reps x policies episodes and fold them into mean/SE curves.
 
     Episode seeds are mix64(base_seed, policy index, repetition index). Each
@@ -338,14 +327,12 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
     aggregate matches serial execution exactly, whatever the blocks.
     A failed repetition aborts the experiment with its seed in the message.
 
-    The table is the caller's, on exactly the grid's limits (else ConfigError,
-    before anything is written), or config.table(). With an output directory,
-    a finished run writes the table it used to nu_table.json beside the other
-    artifacts; no run reads it back, so a rerun overwrites every file it writes.
+    Every run computes its own table, config.table(), on the config's
+    instance. With an output directory, a finished run writes it to
+    nu_table.json beside the other artifacts; no run reads it back, so a rerun
+    overwrites every file it writes.
     """
-    if table is None:
-        table = config.table()
-    _check_table(table, config.instance)
+    table = config.table()
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -359,7 +346,7 @@ def run_experiment(config: ExperimentConfig, table: NuTable | None = None) -> Ag
             for p, spec in enumerate(config.policies) for block in rep_blocks]
     _, specs, blocks, seeds = zip(*jobs)
     # run_episode's arguments, one column each
-    columns = (repeat(config.instance), specs, repeat(horizon), repeat(table), seeds,
+    columns = (specs, repeat(horizon), repeat(table), seeds,
                [config.dump_state and block[0] == 0 for block in blocks])
 
     sums = np.zeros((n_pol, horizon))
@@ -471,11 +458,7 @@ def _write_summary(path: Path, config: ExperimentConfig, agg: Aggregate) -> None
         "horizon": agg.horizon,
         "repetitions": agg.repetitions,
         "base_seed": config.base_seed,
-        "optimal": {
-            "arm": agg.table.optimal_arm,
-            "tau": agg.table.optimal_tau,
-            "nu_star": agg.table.nu_star,
-        },
+        "optimal": agg.table.optimum(),
         "policies": [
             {
                 "label": label,

@@ -204,12 +204,33 @@ def test_grid_rejects_non_finite(points, tau_max):
     math.inf, math.nan,
 ])
 def test_grid_and_build_grid_reject_a_bad_cap(tau_max):
-    """The cap's one rule, checked before any limit is compared with it."""
+    """The cap's one rule, checked before any limit is compared with it, and
+    by the discount and the cost, which divide by the cap they are given."""
     message = f"^tau_max: expected a positive finite number, got {re.escape(repr(tau_max))}$"
     with pytest.raises(ConfigError, match=message):
         ResourceGrid((0.5,), tau_max)
     with pytest.raises(ConfigError, match=message):
         build_grid(3, tau_max)
+    with pytest.raises(ConfigError, match=message):
+        discount_eval(DiscountSpec("linear"), tau_max, 0.0)
+    with pytest.raises(ConfigError, match=message):
+        cost_eval(AdditiveCost(), tau_max, 0.0)
+
+
+@pytest.mark.parametrize("points", [
+    ("0.5",), (True,), (0.25, False), (None,), (0.5j,),
+    # the type is checked before finiteness, which math.isfinite cannot take
+    (math.nan, "0.75"),
+])
+def test_grid_rejects_points_that_are_not_real_numbers(points):
+    message = f"^grid points must be real numbers, got {re.escape(repr(points))}$"
+    with pytest.raises(ConfigError, match=message):
+        ResourceGrid(points, 1.0)
+
+
+def test_grid_takes_any_real_points():
+    grid = ResourceGrid((1, np.float32(1.5), np.float64(2.0)), 2.0)
+    assert grid.as_array().tolist() == [1.0, 1.5, 2.0]
 
 
 def _objective_value(objective, discount, mu, j, grid):

@@ -61,6 +61,16 @@ TABLE_PINS = {
         "306091ebf341b8b67dfd02832b136f461e8baea733d1e40d9f22f67211934a28",
 }
 
+# the bytes of nu_table.json, as NuTable.save writes it, for each bundled config
+TABLE_FILE_PINS = {
+    "paper_synthetic_m10":
+        "2bbdbbbabe78f9cf04c96e65b59d966483f6f8551b345785a970320f6b82dcf7",
+    "paper_synthetic_m50":
+        "b5f12f9e32a85145c7a8eff1466a52e4444d797cf3eb481fe661d4c407380200",
+    "paper_synthetic_m100":
+        "ccce1fc8cec6001f3e1324347e1d5e59b9b9988f46fd2bfd5ef948b801dbc167",
+}
+
 
 def _update(h, trace, instance) -> None:
     h.update(np.add(trace.arm0, 1, dtype=np.int64).tobytes())
@@ -87,8 +97,7 @@ def test_small_config_pin(kind, small_setup):
     h = hashlib.sha256()
     # every repetition in one block, as run_experiment plays them
     seeds = [mix64(config.base_seed, p, rep) for rep in range(config.repetitions)]
-    for trace in run_episode(config.instance, config.policies[p], config.horizon,
-                             table, seeds):
+    for trace in run_episode(config.policies[p], config.horizon, table, seeds):
         _update(h, trace, config.instance)
     assert h.hexdigest() == SMALL_PINS[kind]
 
@@ -98,7 +107,7 @@ def test_gaussian_episode_pin(kind, gaussian_setup):
     instance, table = gaussian_setup
     horizon, digest = GAUSSIAN_PINS[kind]
     h = hashlib.sha256()
-    (trace,) = run_episode(instance, PolicySpec(kind), horizon, table, [GAUSSIAN_SEED])
+    (trace,) = run_episode(PolicySpec(kind), horizon, table, [GAUSSIAN_SEED])
     _update(h, trace, instance)
     assert h.hexdigest() == digest
 
@@ -109,8 +118,7 @@ def test_m100_klrcucb_pin():
     h = hashlib.sha256()
     # one index call covers the block; each repetition takes its own argmax
     seeds = [GAUSSIAN_SEED + 1, GAUSSIAN_SEED, GAUSSIAN_SEED + 2]
-    _, trace, _ = run_episode(config.instance, PolicySpec("klrcucb"), horizon,
-                              config.table(), seeds)
+    _, trace, _ = run_episode(PolicySpec("klrcucb"), horizon, config.table(), seeds)
     _update(h, trace, config.instance)
     assert h.hexdigest() == digest
 
@@ -122,3 +130,10 @@ def test_bundled_table_pin(name):
     for values in (table.mu, table.nu, table.gap):
         h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
     assert h.hexdigest() == TABLE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FILE_PINS))
+def test_bundled_table_file_pin(name, tmp_path):
+    load_config(name).table().save(tmp_path / "nu_table.json")
+    digest = hashlib.sha256((tmp_path / "nu_table.json").read_bytes()).hexdigest()
+    assert digest == TABLE_FILE_PINS[name]

@@ -141,10 +141,12 @@ def test_single_arm_table():
         discount=DiscountSpec("linear"),
     )
     tab = nu_table(inst)
-    assert tab.taus == (0.5, 1.0)
+    assert tab.instance is inst
+    assert [pair["tau"] for pair in tab.to_dict()["pairs"]] == [0.5, 1.0]
     assert tab.nu[0, 0] == 0.5
     assert tab.nu[0, 1] == 0.0
-    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.5)
+    assert tab.optimal == (0, 0)
+    assert tab.optimum() == {"arm": 1, "tau": 0.5, "nu_star": 0.5}
     assert tab.nu_star == 0.5
     assert tab.gap[0, 0] == 0.0
     assert tab.gap[0, 1] == 0.5
@@ -152,7 +154,7 @@ def test_single_arm_table():
 
 def test_two_degenerate_table():
     tab = nu_table(two_degenerate_instance())
-    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)
+    assert tab.optimal == (0, 0)
     assert tab.nu_star == pytest.approx(0.675, abs=1e-15)
     want_gap = np.array([[0.0, 0.225, 0.45, 0.675], [0.675] * 4])
     assert np.allclose(tab.gap, want_gap, atol=1e-15)
@@ -167,16 +169,17 @@ def test_analytic_instance_table():
     assert np.allclose(tab.mu[1], [0.0, 0.7, 0.7, 0.7], atol=1e-15)
     # UniformCostArm(0.8): mu = 0.8 tau'.
     assert np.allclose(tab.mu[2], [0.2, 0.4, 0.6, 0.8], atol=1e-15)
-    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)
+    assert tab.optimal == (0, 0)
     assert tab.nu_star == pytest.approx(0.675, abs=1e-15)
     assert np.all(tab.gap >= 0)
 
 
 def test_synthetic_instance_optimum():
     tab = nu_table(gaussian_instance())
-    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.6)
+    assert tab.optimal == (0, 5)
+    assert (tab.optimum()["arm"], tab.optimum()["tau"]) == (1, 0.6)
     assert tab.nu_star == pytest.approx(NU_STAR_SYNTH, abs=1e-9)
-    assert float(tab.gap[tab.optimal_arm - 1, tab.taus.index(tab.optimal_tau)]) == 0.0
+    assert float(tab.gap[tab.optimal]) == 0.0
     # Mixed moments are nondecreasing in tau' and stay inside [0, 1].
     assert np.all(np.diff(tab.mu, axis=1) >= -1e-12)
     assert np.all(tab.mu >= -1e-12)
@@ -273,14 +276,14 @@ def test_json_round_trip(tmp_path):
 
 
 def _table_with_gaps(gaps):
+    """A table with the given gaps, on a degenerate instance of their shape."""
     g = np.asarray(gaps, dtype=float)
+    n, m = g.shape
+    instance = InstanceSpec(arms=(DegenerateArm(reward=0.5, cost=0.0),) * n,
+                            grid=build_grid(m, 1.0), discount=DiscountSpec("linear"))
     zeros = np.zeros_like(g)
-    return NuTable(
-        taus=tuple(range(1, g.shape[1] + 1)),
-        mu=zeros, se=zeros, nu=-g, gap=g,
-        optimal_arm=1, optimal_tau=1.0, nu_star=0.0,
-        method="quadrature", budget=200,
-    )
+    return NuTable(instance=instance, mu=zeros, se=zeros, nu=-g, gap=g,
+                   optimal=(0, 0), nu_star=0.0, method="quadrature", budget=200)
 
 
 def test_regret_bound_frozen_value():
@@ -355,4 +358,4 @@ def test_additive_objective_table():
     tab = nu_table(inst)
     # nu = mu - 0.5 tau'; arm 1 at tau' = 0.25 gives 0.9 - 0.125.
     assert tab.nu[0, 0] == pytest.approx(0.775, abs=1e-15)
-    assert (tab.optimal_arm, tab.optimal_tau) == (1, 0.25)
+    assert tab.optimal == (0, 0)

@@ -417,7 +417,7 @@ def test_klucb_index_of_a_played_block_matches_the_bisection(monkeypatch):
 
     monkeypatch.setattr(policies, "_klucb_index_matrix", checked)
     horizon = init_length("klrcucb", instance) + 60
-    run_episode(instance, PolicySpec("klrcucb"), horizon, nu_table(instance),
+    run_episode(PolicySpec("klrcucb"), horizon, nu_table(instance),
                 [mix64(7, rep) for rep in range(3)])
     assert len(rounds) == 60
 

@@ -17,7 +17,6 @@ from rcbandit.core import (
     DiscountSpec,
     DomainError,
     InstanceSpec,
-    ResourceGrid,
     UsageError,
     admits,
     build_grid,
@@ -43,9 +42,9 @@ UNIFORM_MEAN_GAP = 0.50625
 UNIFORM_TOL = 0.00736  # 3 * std(gap) / sqrt(10^4)
 
 
-def _episode(instance, spec, horizon, table, seed, keep_state=False) -> RunTrace:
+def _episode(spec, horizon, table, seed, keep_state=False) -> RunTrace:
     """The trace of run_episode on a block of one repetition."""
-    (trace,) = run_episode(instance, spec, horizon, table, [seed], keep_state)
+    (trace,) = run_episode(spec, horizon, table, [seed], keep_state)
     return trace
 
 
@@ -63,9 +62,9 @@ def test_identical_seeds_identical_traces():
     inst = analytic_instance()
     tab = nu_table(inst)
     spec = PolicySpec("rcucb")
-    a = _episode(inst, spec, 500, tab, seed=42)
-    b = _episode(inst, spec, 500, tab, seed=42)
-    c = _episode(inst, spec, 500, tab, seed=43)
+    a = _episode(spec, 500, tab, seed=42)
+    b = _episode(spec, 500, tab, seed=42)
+    c = _episode(spec, 500, tab, seed=43)
     assert _traces_equal(a, b)
     assert not _traces_equal(a, c)
 
@@ -77,7 +76,7 @@ def test_single_pair_instance_has_zero_regret():
         discount=DiscountSpec("linear"),
     )
     tab = nu_table(inst)
-    trace = _episode(inst, PolicySpec("rcucb"), 200, tab, seed=1)
+    trace = _episode(PolicySpec("rcucb"), 200, tab, seed=1)
     assert np.all(trace.cum_regret == 0.0)
     assert np.all(tab.gap[trace.arm0, trace.tau_idx] == 0.0)
 
@@ -85,38 +84,16 @@ def test_single_pair_instance_has_zero_regret():
 def test_fixed_oracle_has_zero_regret():
     inst = analytic_instance()
     tab = nu_table(inst)
-    trace = _episode(inst, PolicySpec("fixed_oracle"), 300, tab, seed=9)
+    trace = _episode(PolicySpec("fixed_oracle"), 300, tab, seed=9)
     assert np.all(trace.cum_regret == 0.0)
-    assert np.all(trace.arm0 + 1 == tab.optimal_arm)
-    assert np.all(np.array(tab.taus)[trace.tau_idx] == tab.optimal_tau)
-
-
-def test_a_table_on_nearby_limits_is_refused(tmp_path):
-    """A table whose limits are not exactly the grid's is refused by
-    run_episode, and by run_experiment before it writes any file."""
-    arms = (DegenerateArm(reward=0.9, cost=0.2), DegenerateArm(reward=1.0, cost=0.4))
-
-    def instance(points):
-        return InstanceSpec(arms=arms, grid=ResourceGrid(points=points, tau_max=1.0),
-                            discount=DiscountSpec("linear"))
-
-    inst = instance((0.25, 0.5))
-    tab = nu_table(instance((0.25 + 1e-7, 0.5)))
-    message = r"its limit 1 is 0\.2500001, the grid's is 0\.25$"
-    with pytest.raises(ConfigError, match=message):
-        _episode(inst, PolicySpec("fixed_oracle"), 200, tab, seed=4)
-    out = tmp_path / "out"
-    cfg = ExperimentConfig(instance=inst, policies=(PolicySpec("fixed_oracle"),),
-                           horizon=200, output_dir=out)
-    with pytest.raises(ConfigError, match=message):
-        run_experiment(cfg, table=tab)
-    assert not out.exists()
+    assert np.all(trace.arm0 == tab.optimal[0])
+    assert np.all(trace.tau_idx == tab.optimal[1])
 
 
 def test_uniform_random_mean_regret_matches_gap_average():
     inst = two_degenerate_instance()
     tab = nu_table(inst)
-    trace = _episode(inst, PolicySpec("uniform_random"), 10_000, tab, seed=12)
+    trace = _episode(PolicySpec("uniform_random"), 10_000, tab, seed=12)
     per_round = trace.cum_regret[-1] / trace.horizon
     assert abs(per_round - UNIFORM_MEAN_GAP) <= UNIFORM_TOL
 
@@ -125,7 +102,7 @@ def test_trace_invariants():
     inst = analytic_instance()
     tab = nu_table(inst)
     for kind in ("rcucb", "klrcucb", "ucb", "ts", "uniform_random"):
-        trace = _episode(inst, PolicySpec(kind), 400, tab, seed=77)
+        trace = _episode(PolicySpec(kind), 400, tab, seed=77)
         assert trace.horizon == 400
         assert np.all(np.diff(trace.cum_regret) >= 0)
         assert np.all(tab.gap[trace.arm0, trace.tau_idx] >= 0)
@@ -138,10 +115,10 @@ def test_trace_invariants():
 def test_decomposition_empty_and_all_optimal():
     inst = two_degenerate_instance()
     tab = nu_table(inst)
-    empty = _episode(inst, PolicySpec("uniform_random"), 0, tab, seed=3)
+    empty = _episode(PolicySpec("uniform_random"), 0, tab, seed=3)
     assert empty.horizon == 0
     assert decomposition_check(empty, tab) == 0.0
-    optimal = _episode(inst, PolicySpec("fixed_oracle"), 250, tab, seed=3)
+    optimal = _episode(PolicySpec("fixed_oracle"), 250, tab, seed=3)
     assert decomposition_check(optimal, tab) == 0.0
     assert optimal.cum_regret[-1] == 0.0
 
@@ -150,15 +127,18 @@ def test_run_episode_horizon_validation():
     inst = analytic_instance()
     tab = nu_table(inst)
     with pytest.raises(ConfigError, match="initialization"):
-        _episode(inst, PolicySpec("ucb"), 5, tab, seed=0)
+        _episode(PolicySpec("ucb"), 5, tab, seed=0)
 
 
-def test_run_episode_table_mismatch():
-    inst = analytic_instance()
+def test_a_table_must_have_its_instance_shape():
+    """Each matrix of a table has one row per arm and one column per limit of
+    the instance it holds, so an episode on it prices every play."""
+    tab = nu_table(analytic_instance())
     other = nu_table(two_degenerate_instance())
-    with pytest.raises(ConfigError, match=r"nu table does not match the instance: "
-                       r"its shape is \(2, 4\), \(n, m\) is \(3, 4\)$"):
-        _episode(inst, PolicySpec("rcucb"), 100, other, seed=0)
+    for field in ("mu", "se", "nu", "gap"):
+        with pytest.raises(ConfigError, match=rf"^nu table: {field} has shape \(2, 4\), "
+                           r"its instance's \(n, m\) is \(3, 4\)$"):
+            dataclasses.replace(tab, **{field: getattr(other, field)})
 
 
 def test_cost_at_a_grid_point_is_censored_only_below_it():
@@ -166,14 +146,14 @@ def test_cost_at_a_grid_point_is_censored_only_below_it():
     inst = InstanceSpec(arms=(DegenerateArm(reward=0.8, cost=grid.points[1]),), grid=grid,
                         discount=DiscountSpec("linear"))
     tab = nu_table(inst)
-    played = _episode(inst, PolicySpec("uniform_random"), 400, tab, seed=2)
+    played = _episode(PolicySpec("uniform_random"), 400, tab, seed=2)
     at_or_above = played.tau_idx >= 1
     assert at_or_above.any() and not at_or_above.all()
     np.testing.assert_array_equal(played.censored, ~at_or_above)
     np.testing.assert_array_equal(played.rewards, np.where(at_or_above, 0.8, 0.0))
     # the estimator credits the reward to the cells that admit the cost, which
     # the oracle's closed form agrees with
-    rcucb = _episode(inst, PolicySpec("rcucb"), 50, tab, seed=2, keep_state=True)
+    rcucb = _episode(PolicySpec("rcucb"), 50, tab, seed=2, keep_state=True)
     for cell, mu in zip(rcucb.final_state, tab.mu[0]):
         if cell["tau"] >= grid.points[1]:
             assert cell["sum"] == pytest.approx(0.8 * cell["n"]) and cell["n"] > 0
@@ -234,7 +214,7 @@ def test_config_validation():
 def test_single_repetition_aggregate():
     cfg = _small_config(repetitions=1, policies=(PolicySpec("rcucb"),))
     agg = run_experiment(cfg)
-    trace = _episode(cfg.instance, cfg.policies[0], cfg.horizon, agg.table,
+    trace = _episode(cfg.policies[0], cfg.horizon, agg.table,
                      seed=mix64(5, 0, 0))
     assert np.array_equal(agg.mean_cum_regret[0], trace.cum_regret)
     assert np.all(agg.stderr_cum_regret == 0.0)
@@ -260,24 +240,28 @@ def test_aggregate_shapes_and_accessor():
     assert se >= 0
 
 
+class _FarGaussianArm(GaussianArm):
+    """A Gaussian arm whose sampler fails, with a closed-form mixed moment,
+    so that its oracle table builds without the quadrature (which would refuse
+    the arm's degenerate density first)."""
+
+    def mixed_moment(self, tau_prime: float) -> float:
+        return 0.0
+
+
 def test_failed_repetition_names_its_seed():
     from rcbandit.core import mix64
 
     bad = InstanceSpec(
-        arms=(GaussianArm(mean=(50.0, 50.0), x=0.0, sigma=1e-6),),
+        arms=(_FarGaussianArm(mean=(50.0, 50.0), x=0.0, sigma=1e-6),),
         grid=build_grid(2, 1.0),
         discount=DiscountSpec("linear"),
     )
-    tab = nu_table(InstanceSpec(
-        arms=(DegenerateArm(reward=0.5, cost=0.5),),
-        grid=build_grid(2, 1.0),
-        discount=DiscountSpec("linear"),
-    ))
     cfg = ExperimentConfig(instance=bad, policies=(PolicySpec("uniform_random"),),
                            horizon=10, repetitions=1, base_seed=99)
     seed = mix64(99, 0, 0)
     with pytest.raises(RuntimeError, match=str(seed)):
-        run_experiment(cfg, table=tab)
+        run_experiment(cfg)
 
 
 class _NanCostOnStream:
@@ -290,6 +274,9 @@ class _NanCostOnStream:
         cost = np.nan if rng.bit_generator.state == self.state else 0.5
         return np.full(size, 0.5), np.full(size, cost)
 
+    def mixed_moment(self, tau_prime: float) -> float:
+        return 0.5 if 0.5 <= tau_prime else 0.0
+
 
 def test_failed_repetition_in_a_block_names_its_seed():
     grid = build_grid(2, 1.0)
@@ -297,17 +284,15 @@ def test_failed_repetition_in_a_block_names_its_seed():
     # repetition 1's environment stream is mix64(seed, 0)
     bad = InstanceSpec(arms=(_NanCostOnStream(mix64(seed, 0)),), grid=grid,
                        discount=DiscountSpec("linear"))
-    tab = nu_table(InstanceSpec(arms=(DegenerateArm(reward=0.5, cost=0.5),), grid=grid,
-                                discount=DiscountSpec("linear")))
     cfg = ExperimentConfig(instance=bad, policies=(PolicySpec("uniform_random"),),
                            horizon=10, repetitions=2, base_seed=99)
     assert sim._blocks(cfg) == [range(2)]
     with pytest.raises(RuntimeError,
                        match=rf"repetition 1 of policy 'uniform_random' failed \(seed {seed}\)"):
-        run_experiment(cfg, table=tab)
+        run_experiment(cfg)
     # run_episode raises the draw's own error, marked with its seed's index
     with pytest.raises(DomainError, match="NaN cost") as failed:
-        run_episode(bad, PolicySpec("uniform_random"), 10, tab, [mix64(99, 0, 0), seed])
+        run_episode(PolicySpec("uniform_random"), 10, cfg.table(), [mix64(99, 0, 0), seed])
     assert failed.value.seed_index == 1
 
 
@@ -339,10 +324,10 @@ def test_block_matches_blocks_of_one(spec):
     inst = gaussian_instance(4)
     tab = nu_table(inst)
     seeds = [mix64(31, rep) for rep in range(5)]
-    block = run_episode(inst, spec, 300, tab, seeds, keep_state=True)
+    block = run_episode(spec, 300, tab, seeds, keep_state=True)
     assert len(block) == len(seeds)
     for trace, seed in zip(block, seeds):
-        alone = _episode(inst, spec, 300, tab, seed, keep_state=True)
+        alone = _episode(spec, 300, tab, seed, keep_state=True)
         assert _traces_equal(trace, alone)
         assert trace.final_state == alone.final_state
     assert not _traces_equal(block[0], block[1])
@@ -382,7 +367,7 @@ def test_rep_bytes_is_what_one_repetition_holds(n, m):
                         discount=DiscountSpec("linear"))
     spec = PolicySpec("uniform_random")
     rewards, lo = sample_episode(inst, np.random.default_rng(0), 40)
-    trace = _episode(inst, spec, 40, nu_table(inst), seed=0)
+    trace = _episode(spec, 40, nu_table(inst), seed=0)
     held = rewards.nbytes + lo.nbytes + sum(
         value.nbytes for value in vars(trace).values() if isinstance(value, np.ndarray))
     cfg = ExperimentConfig(instance=inst, policies=(spec,), horizon=40)
@@ -437,12 +422,12 @@ def test_pool_failures_name_their_seeds(monkeypatch):
     assert sim._blocks(cfg) == [range(0, 2), range(2, 4)]
     seeds = [mix64(5, 0, rep) for rep in range(4)]
 
-    def fail_rep_3(instance, spec, horizon, table, block_seeds, keep_state=False):
+    def fail_rep_3(spec, horizon, table, block_seeds, keep_state=False):
         if block_seeds == seeds[2:]:
             exc = DomainError("NaN cost")
             exc.seed_index = 1
             raise exc
-        return run_episode(instance, spec, horizon, table, block_seeds, keep_state)
+        return run_episode(spec, horizon, table, block_seeds, keep_state)
 
     monkeypatch.setattr(sim, "run_episode", fail_rep_3)
     with pytest.raises(RuntimeError,
@@ -545,11 +530,14 @@ def test_rerun_ignores_existing_table(tmp_path, prepare):
         assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
-def test_caller_table_is_written(tmp_path):
-    cfg = _small_config(output_dir=tmp_path, policies=(PolicySpec("rcucb"),))
-    tab = nu_table(cfg.instance, nodes=64)
-    run_experiment(cfg, table=tab)
-    assert json.loads((tmp_path / "nu_table.json").read_text()) == tab.to_dict()
+def test_the_run_writes_the_config_table(tmp_path):
+    """nu_table.json is config.table(), under the config's oracle settings."""
+    cfg = _small_config(output_dir=tmp_path, policies=(PolicySpec("rcucb"),),
+                        oracle_nodes=64)
+    run_experiment(cfg)
+    written = (tmp_path / "nu_table.json").read_text(encoding="utf-8")
+    assert written == json.dumps(cfg.table().to_dict(), indent=1)
+    assert json.loads(written)["samples_or_nodes"] == 64
 
 
 def _csv_trace_reference(rep, trace, grid, gap):

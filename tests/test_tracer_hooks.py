@@ -67,7 +67,7 @@ def test_traced_cells_count_what_each_update_touches(kind):
     table = nu_table(instance)
     tracer.install()
     try:
-        traces = sim.run_episode(instance, PolicySpec(kind), 60, table, seeds=[3, 4])
+        traces = sim.run_episode(PolicySpec(kind), 60, table, seeds=[3, 4])
     finally:
         tracer.uninstall()
     plays = sum(int(trace.tau_idx.size) for trace in traces)
