@@ -10,8 +10,8 @@ the exponent's -0.5 folded into them exactly, and reuses them for the
 normalizer and every limit, so every integral keeps the bits of the plain
 expression (see true_mixed_moments).
 
-Every run computes its own table; a saved table (NuTable.save) is never read
-back, so the ground truth a run uses cannot be stale.
+Every run computes its own table, whose gaps and optimum follow from its mu;
+a saved table (NuTable.save) is never read back, so none can be stale.
 """
 
 from __future__ import annotations
@@ -117,9 +117,14 @@ def true_mixed_moments(arm, taus, *, nodes: int = DEFAULT_NODES) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NuTable:
-    """Per-pair ground truth of one instance: mu, objective value nu, and
-    sub-optimality gap, each an (instance.n, instance.grid.m) matrix, and the
-    optimum as optimal = (arm0, j), the 0-based arm and grid index.
+    """Per-pair ground truth of one instance. Its fields are what was measured
+    and how: mu and its standard error se (0 where exact), each an
+    (instance.n, instance.grid.m) matrix, and the method and budget. The rest
+    is derived once from instance and mu, and is not a field, so
+    dataclasses.replace derives it again: nu = scale * mu + offset
+    (core.objective_vectors); optimal = (arm0, j), the 0-based arm and grid
+    index, by the policies' tie-break core.argmax_pair (smallest tau', then
+    smallest arm); nu_star = nu[optimal]; gap = nu_star - nu.
 
     to_dict/save write it as JSON (nu_table.json); the package has no reader.
     """
@@ -127,20 +132,25 @@ class NuTable:
     instance: InstanceSpec
     mu: np.ndarray
     se: np.ndarray
-    nu: np.ndarray
-    gap: np.ndarray
-    optimal: tuple[int, int]
-    nu_star: float
     method: str
     budget: int
 
     def __post_init__(self) -> None:
-        shape = (self.instance.n, self.instance.grid.m)
-        for name in ("mu", "se", "nu", "gap"):
+        instance = self.instance
+        shape = (instance.n, instance.grid.m)
+        for name in ("mu", "se"):
             got = getattr(self, name).shape
             if got != shape:
                 raise ConfigError(f"nu table: {name} has shape {got}, "
                                   f"its instance's (n, m) is {shape}")
+        scale, offset = objective_vectors(instance.objective, instance.discount, instance.grid)
+        nu = scale * self.mu + offset
+        optimal = argmax_pair(nu)
+        nu_star = float(nu[optimal])
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "optimal", optimal)
+        object.__setattr__(self, "nu_star", nu_star)
+        object.__setattr__(self, "gap", nu_star - nu)
 
     def min_positive_gap(self) -> float:
         pos = self.gap[self.gap > 0]
@@ -180,7 +190,7 @@ class NuTable:
 def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
              nodes: int = DEFAULT_NODES, samples: int = DEFAULT_SAMPLES,
              seed: int = 0) -> NuTable:
-    """Evaluate every pair of the instance and locate the optimum.
+    """Measure every pair of the instance; the table derives the rest.
 
     Closed-form and quadrature rows depend on the arm alone, so each distinct
     arm (arms are frozen dataclasses, equal when their fields are) is evaluated
@@ -188,14 +198,12 @@ def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
     sample batch per arm from its own stream mix64(seed, i) and reuses it
     across all grid points, so the same draws produce monotone mu estimates in
     tau'; equal arms get different streams and different rows, so Monte Carlo
-    rows are not shared. The optimum uses the policies' tie-break,
-    core.argmax_pair (smallest tau', then smallest arm). The settings pass
-    oracle_budget first, whatever the arms.
+    rows are not shared. The settings pass oracle_budget first, whatever the
+    arms.
     """
     budget = oracle_budget(method, nodes, samples)
-    grid = instance.grid
-    taus = grid.as_array()
-    n, m = instance.n, grid.m
+    taus = instance.grid.as_array()
+    n, m = instance.n, instance.grid.m
     mu = np.empty((n, m))
     se = np.zeros((n, m))
     exact_rows: dict = {}
@@ -211,12 +219,7 @@ def nu_table(instance: InstanceSpec, method: str = DEFAULT_METHOD, *,
             if arm not in exact_rows:
                 exact_rows[arm] = true_mixed_moments(arm, taus, nodes=nodes)
             mu[i] = exact_rows[arm]
-    scale, offset = objective_vectors(instance.objective, instance.discount, grid)
-    nu = scale * mu + offset
-    optimal = argmax_pair(nu)
-    nu_star = float(nu[optimal])
-    return NuTable(instance=instance, mu=mu, se=se, nu=nu, gap=nu_star - nu,
-                   optimal=optimal, nu_star=nu_star, method=method, budget=budget)
+    return NuTable(instance=instance, mu=mu, se=se, method=method, budget=budget)
 
 
 def check_alpha(alpha: float) -> None:
@@ -245,9 +248,7 @@ def regret_upper_bound(table: NuTable, horizon, alpha: float):
                             * ((alpha + 1.0) / (alpha - 1.0)) ** 2)
         )
         out = 4.0 * alpha * float(np.sum(1.0 / gaps)) * np.log(t) + const
-    if isinstance(horizon, np.ndarray):
-        return out
-    return float(out)
+    return out if isinstance(horizon, np.ndarray) else float(out)
 
 
 def concentration_bound(t, alpha: float):
@@ -260,6 +261,4 @@ def concentration_bound(t, alpha: float):
     out = (1.0 + np.log(tt) / math.log((alpha + 1.0) / 2.0)) * tt ** (
         -2.0 * alpha / (alpha + 1.0)
     )
-    if isinstance(t, np.ndarray):
-        return out
-    return float(out)
+    return out if isinstance(t, np.ndarray) else float(out)

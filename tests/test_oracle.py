@@ -1,5 +1,6 @@
 """Oracle values, nu tables, their JSON form, and bound evaluators."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from rcbandit.core import (
     DomainError,
     InstanceSpec,
     ResourceGrid,
+    argmax_pair,
     build_grid,
     objective_vectors,
 )
@@ -186,6 +188,22 @@ def test_synthetic_instance_optimum():
     assert np.all(tab.mu <= 1 + 1e-12)
 
 
+def test_a_replaced_table_derives_its_objective_gaps_and_optimum():
+    """A table's nu, gaps and optimum follow from its own mu and instance, so a
+    table with other mu cannot keep the old table's optimum or gaps."""
+    tab = nu_table(gaussian_instance())
+    inst = tab.instance
+    swapped = dataclasses.replace(tab, mu=tab.mu[::-1].copy())
+    scale, offset = objective_vectors(inst.objective, inst.discount, inst.grid)
+    nu = scale * swapped.mu + offset
+    optimal = argmax_pair(nu)
+    assert np.array_equal(swapped.nu, nu)
+    assert swapped.optimal == optimal
+    assert swapped.nu_star == float(nu[optimal])
+    assert np.array_equal(swapped.gap, float(nu[optimal]) - nu)
+    assert swapped.optimal != tab.optimal
+
+
 def test_monte_carlo_table_is_seed_deterministic():
     inst = gaussian_instance()
     a = nu_table(inst, "monte_carlo", samples=20_000, seed=7)
@@ -276,14 +294,18 @@ def test_json_round_trip(tmp_path):
 
 
 def _table_with_gaps(gaps):
-    """A table with the given gaps, on a degenerate instance of their shape."""
+    """A table with the given gaps, each row holding a 0, on a degenerate
+    instance of their shape: with a zero additive cost nu = mu + (-0.0) is mu,
+    so mu = -gaps gives nu_star = 0 and gap = 0 - (-gaps), the gaps exactly."""
     g = np.asarray(gaps, dtype=float)
     n, m = g.shape
     instance = InstanceSpec(arms=(DegenerateArm(reward=0.5, cost=0.0),) * n,
-                            grid=build_grid(m, 1.0), discount=DiscountSpec("linear"))
-    zeros = np.zeros_like(g)
-    return NuTable(instance=instance, mu=zeros, se=zeros, nu=-g, gap=g,
-                   optimal=(0, 0), nu_star=0.0, method="quadrature", budget=200)
+                            grid=build_grid(m, 1.0), discount=DiscountSpec("linear"),
+                            objective=AdditiveCost(scale=0.0))
+    table = NuTable(instance=instance, mu=-g, se=np.zeros_like(g), method="quadrature",
+                    budget=200)
+    assert np.array_equal(table.gap, g)
+    return table
 
 
 def test_regret_bound_frozen_value():

@@ -131,11 +131,11 @@ def test_run_episode_horizon_validation():
 
 
 def test_a_table_must_have_its_instance_shape():
-    """Each matrix of a table has one row per arm and one column per limit of
-    the instance it holds, so an episode on it prices every play."""
+    """Each measured matrix of a table has one row per arm and one column per
+    limit of the instance it holds, so an episode on it prices every play."""
     tab = nu_table(analytic_instance())
     other = nu_table(two_degenerate_instance())
-    for field in ("mu", "se", "nu", "gap"):
+    for field in ("mu", "se"):
         with pytest.raises(ConfigError, match=rf"^nu table: {field} has shape \(2, 4\), "
                            r"its instance's \(n, m\) is \(3, 4\)$"):
             dataclasses.replace(tab, **{field: getattr(other, field)})
