@@ -135,11 +135,9 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
     if cls is not TraceArm:
         return _typed(obj, where, cls)
     # a trace arm picks one arm of a trace file, so its keys are its own
-    values = _object(obj, where, {"kind": _str, "path": Path, "replay": _str, "arm": None},
-                     ("path",))
+    values = _object(obj, where, {"kind": _str, "path": Path, "arm": None}, ("path",))
     try:  # an absolute path replaces base_dir
-        arms = _build(where, trace_env_load, base_dir / values["path"],
-                      values.get("replay", TraceArm.replay))
+        arms = _build(where, trace_env_load, base_dir / values["path"])
     except OSError as exc:
         raise ConfigError(f"{where}.path: {exc}") from None
     idx = values.get("arm", 1)

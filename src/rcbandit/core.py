@@ -165,6 +165,8 @@ class ResourceGrid:
     tau_max: float = 1.0
 
     def __post_init__(self) -> None:
+        # a tuple, so equal grids compare equal and hash whatever sequence built them
+        object.__setattr__(self, "points", tuple(self.points))
         check_tau_max("tau_max", self.tau_max)
         if len(self.points) == 0:
             raise ConfigError("grid needs at least one point")

@@ -169,20 +169,13 @@ class UniformCostArm:
         return self.reward_mean * min(tau_prime, 1.0)
 
 
-REPLAY_MODES = ("sample", "cyclic")
-
-
 @dataclass(frozen=True)
 class TraceArm:
-    """Replays recorded (reward, cost) rows.
-
-    "sample" draws rows with replacement (keeps rounds i.i.d.); "cyclic"
-    replays rows in order within one sampling batch, for deterministic tests.
-    """
+    """Replays recorded (reward, cost) rows, drawn with replacement, so its
+    rounds are i.i.d."""
 
     rewards: tuple[float, ...]
     costs: tuple[float, ...]
-    replay: str = "sample"
 
     def __post_init__(self) -> None:
         # tuples, so the arm hashes: nu_table keys its rows by the arm
@@ -196,14 +189,9 @@ class TraceArm:
             raise ConfigError("trace rewards must lie in [0, 1]")
         if any(not c >= 0.0 for c in self.costs):
             raise ConfigError("trace costs must be non-negative")
-        if self.replay not in REPLAY_MODES:
-            raise ConfigError(f"unknown replay mode {self.replay!r}")
 
     def sample(self, rng, size):
-        if self.replay == "cyclic":
-            idx = np.arange(size) % len(self.rewards)
-        else:
-            idx = rng.integers(0, len(self.rewards), size=size)
+        idx = rng.integers(0, len(self.rewards), size=size)
         return np.asarray(self.rewards)[idx], np.asarray(self.costs)[idx]
 
     def mixed_moment(self, tau_prime: float) -> float:
@@ -241,7 +229,7 @@ def sample_episode(instance: InstanceSpec, rng: np.random.Generator,
     return rewards, lo
 
 
-def trace_env_load(path, replay: str = TraceArm.replay) -> tuple[TraceArm, ...]:
+def trace_env_load(path) -> tuple[TraceArm, ...]:
     """Load per-arm traces from a CSV with header ``arm,reward,cost``.
 
     Arm indices are 1-based, and every arm up to the largest index must have
@@ -277,5 +265,5 @@ def trace_env_load(path, replay: str = TraceArm.replay) -> tuple[TraceArm, ...]:
         if i not in rows:
             raise ConfigError(f"{path}: no rows for arm {i}")
         rewards, costs = zip(*rows[i])
-        arms.append(TraceArm(rewards=rewards, costs=costs, replay=replay))
+        arms.append(TraceArm(rewards=rewards, costs=costs))
     return tuple(arms)

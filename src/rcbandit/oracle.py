@@ -118,13 +118,14 @@ def true_mixed_moments(arm, taus, *, nodes: int = DEFAULT_NODES) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class NuTable:
     """Per-pair ground truth of one instance. Its fields are what was measured
-    and how: mu and its standard error se (0 where exact), each an
-    (instance.n, instance.grid.m) matrix, and the method and budget. The rest
-    is derived once from instance and mu, and is not a field, so
+    and how: mu and its standard error se (0 where exact), each held as a
+    read-only (instance.n, instance.grid.m) copy, and the method and budget.
+    The rest is derived once from instance and mu, and is not a field, so
     dataclasses.replace derives it again: nu = scale * mu + offset
     (core.objective_vectors); optimal = (arm0, j), the 0-based arm and grid
     index, by the policies' tie-break core.argmax_pair (smallest tau', then
-    smallest arm); nu_star = nu[optimal]; gap = nu_star - nu.
+    smallest arm); nu_star = nu[optimal]; gap = nu_star - nu; nu and gap are
+    read-only too.
 
     to_dict/save write it as JSON (nu_table.json); the package has no reader.
     """
@@ -139,18 +140,25 @@ class NuTable:
         instance = self.instance
         shape = (instance.n, instance.grid.m)
         for name in ("mu", "se"):
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ConfigError(f"nu table: {name} has shape {got}, "
+            # read-only copies, so no in-place write can leave nu, gap and optimal stale
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ConfigError(f"nu table: {name} has shape {value.shape}, "
                                   f"its instance's (n, m) is {shape}")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         scale, offset = objective_vectors(instance.objective, instance.discount, instance.grid)
         nu = scale * self.mu + offset
         optimal = argmax_pair(nu)
         nu_star = float(nu[optimal])
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "optimal", optimal)
-        object.__setattr__(self, "nu_star", nu_star)
-        object.__setattr__(self, "gap", nu_star - nu)
+        gap = nu_star - nu
+        nu.flags.writeable = gap.flags.writeable = False
+        # not fields, so set past the frozen __setattr__
+        vars(self).update(nu=nu, optimal=optimal, nu_star=nu_star, gap=gap)
+
+    def __reduce__(self):
+        # rebuilt by __post_init__, so a pool worker's copy is read-only too
+        return NuTable, (self.instance, self.mu, self.se, self.method, self.budget)
 
     def min_positive_gap(self) -> float:
         pos = self.gap[self.gap > 0]

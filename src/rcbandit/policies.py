@@ -95,11 +95,13 @@ class PolicySpec:
             raise ConfigError(f"label {self.label!r} must be a non-empty file name "
                               "part of printable characters, without / or \\")
         reads = POLICY_CLASSES[self.kind].reads
-        # the parameters follow kind and label; a prior may be any sequence
+        # the parameters follow kind and label; a prior may be any sequence, and
+        # one the kind does not read is held as the default, so the spec hashes
         for field in fields(self)[2:]:
-            if field.name not in reads and not np.array_equal(getattr(self, field.name),
-                                                              field.default):
-                raise ConfigError(f"{field.name}: {self.kind} has no such parameter")
+            if field.name not in reads:
+                if not np.array_equal(getattr(self, field.name), field.default):
+                    raise ConfigError(f"{field.name}: {self.kind} has no such parameter")
+                object.__setattr__(self, field.name, field.default)
         # written so that NaN fails every check; inf would give a degenerate index
         if "alpha" in reads:
             if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -113,8 +115,8 @@ class PolicySpec:
                 )
         if "c" in reads and not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"c must be non-negative and finite, got {self.c}")
-        if "prior" in reads:
-            check_beta(self.prior, self.indicator)
+        if "prior" in reads:  # a tuple, so the spec hashes
+            object.__setattr__(self, "prior", check_beta(self.prior, self.indicator))
 
 
 def init_length(kind: str, instance: InstanceSpec) -> int:

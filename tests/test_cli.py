@@ -73,7 +73,7 @@ def test_config_parse_all_arm_kinds(tmp_path):
                 {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1},
                 {"kind": "degenerate", "reward": 0.9, "cost": 0.2},
                 {"kind": "uniform_cost", "reward_mean": 0.8},
-                {"kind": "trace", "path": str(trace), "replay": "cyclic", "arm": 2},
+                {"kind": "trace", "path": str(trace), "arm": 2},
             ],
         },
         "policies": [
@@ -99,7 +99,7 @@ def test_config_parse_all_arm_kinds(tmp_path):
         GaussianArm(mean=(0.6, 0.45), x=0.2, sigma=0.1),
         DegenerateArm(reward=0.9, cost=0.2),
         UniformCostArm(reward_mean=0.8),
-        TraceArm(rewards=(0.1,), costs=(0.1,), replay="cyclic"),
+        TraceArm(rewards=(0.1,), costs=(0.1,)),
     )
     rcucb, klrcucb, ts, uniform = cfg.policies
     assert (rcucb.kind, rcucb.label, rcucb.alpha) == ("rcucb", "rcucb", 2.5)
@@ -299,10 +299,11 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
      "instance.discount.rho"),
     (_set(["instance", "objective"], {"kind": "additive_cost", "scale": "2", "power": 1.0}),
      "instance.objective.scale"),
-    # the kind and the replay mode are checked by the types that hold them
+    # the kind is checked by the type that holds it
     (_set(["instance", "discount"], {"kind": "cosine"}), "instance.discount"),
-    (_one_arm({"kind": "trace", "path": "rows.csv", "replay": "shuffle"}),
-     "instance.arms[0]"),
+    # a trace arm draws its rows one way, so it takes no replay mode
+    (_one_arm({"kind": "trace", "path": "rows.csv", "replay": "sample"}),
+     "instance.arms[0].replay"),
     # an infinite exponent makes every gap 0, and every policy's regret with it
     (_set(["instance", "discount"], {"kind": "polynomial", "k": float("inf")}),
      "instance.discount"),
@@ -325,7 +326,7 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["instance", "arms", 0, "c0"], 0.5), "instance.arms[0].c0"),
     (_set(["instance", "arms", 0, "reward"], 0.5, {"kind": "uniform_cost", "reward_mean": 0.8}),
      "instance.arms[0].reward"),
-    (_one_arm({"kind": "trace", "path": "rows.csv", "rpelay": "cyclic"}),
+    (_one_arm({"kind": "trace", "path": "rows.csv", "rpelay": "sample"}),
      "instance.arms[0].rpelay"),
     (_set(["policies", 0, "alhpa"], 9), "policies[0].alhpa"),
     # an integer field takes a JSON integer; an integral float is refused too

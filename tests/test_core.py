@@ -233,6 +233,14 @@ def test_grid_takes_any_real_points():
     assert grid.as_array().tolist() == [1.0, 1.5, 2.0]
 
 
+def test_equal_grids_compare_equal_and_hash_alike():
+    """The points are held as a tuple, whatever sequence built the grid."""
+    grid = ResourceGrid([0.5, 1.0])
+    assert grid == ResourceGrid((0.5, 1.0))
+    assert hash(grid) == hash(ResourceGrid((0.5, 1.0)))
+    assert grid.points == (0.5, 1.0)
+
+
 def _objective_value(objective, discount, mu, j, grid):
     """nu of (mu, grid point j) by way of objective_vectors."""
     scale, offset = objective_vectors(objective, discount, grid)

@@ -248,13 +248,6 @@ def test_uniform_cost_arm():
     assert arm.mixed_moment(0.25) == pytest.approx(0.15)
 
 
-def test_trace_arm_cyclic():
-    arm = TraceArm(rewards=(0.1, 0.2, 0.3), costs=(0.5, 0.6, 0.7), replay="cyclic")
-    r, c = arm.sample(np.random.default_rng(0), 6)
-    np.testing.assert_allclose(r, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
-    np.testing.assert_allclose(c, [0.5, 0.6, 0.7, 0.5, 0.6, 0.7])
-
-
 def test_trace_arm_sample_mode():
     arm = TraceArm(rewards=(0.1, 0.9), costs=(0.5, 0.6))
     r1, _ = arm.sample(np.random.default_rng(3), 1000)
@@ -278,8 +271,6 @@ def test_trace_arm_validation():
         TraceArm(rewards=(0.5,), costs=(-0.1,))
     with pytest.raises(ConfigError):
         TraceArm(rewards=(0.5, 0.5), costs=(0.1, float("nan")))
-    with pytest.raises(ConfigError):
-        TraceArm(rewards=(0.5,), costs=(0.1,), replay="shuffle")
 
 
 def _write(tmp_path, text):
@@ -290,7 +281,7 @@ def _write(tmp_path, text):
 
 def test_trace_env_load_roundtrip(tmp_path):
     p = _write(tmp_path, "arm,reward,cost\n1,0.1,0.5\n1,0.2,0.6\n2,0.9,0.1\n")
-    arms = trace_env_load(p, replay="cyclic")
+    arms = trace_env_load(p)
     assert len(arms) == 2
     assert arms[0].rewards == (0.1, 0.2)
     assert arms[1].costs == (0.1,)

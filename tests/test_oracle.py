@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -202,6 +203,22 @@ def test_a_replaced_table_derives_its_objective_gaps_and_optimum():
     assert swapped.nu_star == float(nu[optimal])
     assert np.array_equal(swapped.gap, float(nu[optimal]) - nu)
     assert swapped.optimal != tab.optimal
+
+
+def test_a_table_holds_its_arrays_read_only():
+    """An in-place write would leave the nu, gaps and optimum of the old mu, so
+    a table's arrays refuse it; the caller's array is copied and stays writeable."""
+    mu = nu_table(gaussian_instance()).mu.copy()
+    tab = NuTable(instance=gaussian_instance(), mu=mu, se=np.zeros_like(mu),
+                  method="quadrature", budget=0)
+    for name in ("mu", "se", "nu", "gap"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tab, name)[:] = 0.0
+    mu[:] = 0.0
+    assert not np.array_equal(tab.mu, mu)
+    # a pool worker's copy too
+    with pytest.raises(ValueError, match="read-only"):
+        pickle.loads(pickle.dumps(tab)).gap[:] = 0.0
 
 
 def test_monte_carlo_table_is_seed_deterministic():

@@ -688,6 +688,19 @@ def test_policy_spec_validation_and_warning():
             PolicySpec(kind="ucb", label=label)
 
 
+def test_equal_specs_compare_equal_and_hash_alike():
+    """A prior is held as a tuple of floats, whatever sequence set it; one that
+    the kind does not read is held as the default."""
+    spec = PolicySpec("ts", prior=[2.0, 3.0])
+    assert spec == PolicySpec("ts", prior=(2.0, 3.0))
+    assert hash(spec) == hash(PolicySpec("ts", prior=(2.0, 3.0)))
+    assert spec.prior == (2.0, 3.0)
+    assert PolicySpec("ts", prior=np.array([2, 3])) == spec
+    unread = PolicySpec("ucb", prior=np.array([1.0, 1.0]))
+    assert unread == PolicySpec("ucb")
+    assert hash(unread) == hash(PolicySpec("ucb"))
+
+
 def test_policies_hold_the_spec_defaults():
     """Each kind, built by make_policy from a spec that sets every parameter
     its class reads away from the default, runs with that spec; no policy
