@@ -271,6 +271,8 @@ class InstanceSpec:
     objective: Objective = MultiplicativeDiscount()
 
     def __post_init__(self) -> None:
+        # a tuple, so equal instances compare equal and hash whatever sequence built them
+        object.__setattr__(self, "arms", tuple(self.arms))
         if len(self.arms) == 0:
             raise ConfigError("instance needs at least one arm")
 

@@ -4,8 +4,9 @@ All three estimators keep the statistics of a block of repetitions played in
 lockstep: (reps * n_arms, m) arrays indexed [rep * n_arms + arm, grid point],
 the same memory as [rep, arm, grid point], so a block of one is the plain
 (n_arms, m) matrix. They store counts and sums rather than running means, so
-reads are exact. Callers read the arrays (counts, sums, successes, failures)
-directly, and reshape them to (reps, n_arms, m) as needed.
+reads are exact: the Beta posterior's counts are its trials and its sums its
+successes. Callers read the arrays (counts, sums) directly, and reshape them
+to (reps, n_arms, m) as needed.
 
 A round reaches every estimator as update_by_index(row, k, lo, reward), in
 grid indices only: the row of the played (rep, arm), k = j + 1 for the played
@@ -104,8 +105,10 @@ def check_beta(prior, indicator: str) -> tuple[float, float]:
     return float(prior[0]), float(prior[1])
 
 
-class BetaPosterior:
-    """Beta(a0 + S, b0 + F) posterior per pair, grown by Bernoulli trials.
+class BetaPosterior(_CountSumEstimator):
+    """Beta(a0 + S, b0 + N - S) posterior per pair, grown by Bernoulli trials:
+    counts holds each cell's trials N and sums its successes S, so the
+    failures N - S are computed only where they are read.
 
     An update touches every tau' <= tau_chosen. The trial success probability
     is reward * 1{tau' admits cost} under the "per_pair" indicator
@@ -120,13 +123,10 @@ class BetaPosterior:
 
     def __init__(self, n: int, grid: ResourceGrid, rngs: list[np.random.Generator],
                  prior: tuple[float, float], indicator: str):
-        self.grid = grid
-        self.n = n
+        super().__init__(n, grid, len(rngs))
         self.rngs = rngs
         self.prior = check_beta(prior, indicator)
         self.indicator = indicator
-        self.successes = np.zeros((len(rngs) * n, grid.m))
-        self.failures = np.zeros((len(rngs) * n, grid.m))
 
     def update_by_index(self, row: int, k: int, lo: int, reward: float) -> None:
         """One trial in each of the cells [0, k) of row, k = grid index of the play + 1;
@@ -137,18 +137,15 @@ class BetaPosterior:
         fail whatever their draw; the k uniforms are drawn all the same.
         """
         u = self.rngs[row // self.n].random(k)
+        touched = self.counts[row, :k]
+        touched += 1.0
         if lo < k:
-            hit = u < reward
-            if self.indicator == "per_pair":
-                hit[:lo] = False
-            self.successes[row, :k] += hit
-            self.failures[row, :k] += ~hit
-        else:
-            self.failures[row, :k] += 1.0
+            first = lo if self.indicator == "per_pair" else 0
+            self.sums[row, first:k] += u[first:] < reward
 
     def posterior_params(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.prior[0] + self.successes, self.prior[1] + self.failures
+        return self.prior[0] + self.sums, self.prior[1] + (self.counts - self.sums)
 
     def snapshot(self, rep: int = 0) -> list[dict]:
-        return _snapshot(self.grid, self.n, rep, (("s", int, self.successes),
-                                                  ("f", int, self.failures)))
+        return _snapshot(self.grid, self.n, rep, (("s", int, self.sums),
+                                                  ("f", int, self.counts - self.sums)))

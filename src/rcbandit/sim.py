@@ -114,6 +114,8 @@ class ExperimentConfig:
     dump_state: bool = False
 
     def __post_init__(self):
+        # a tuple, so equal configs compare equal and hash whatever sequence built them
+        object.__setattr__(self, "policies", tuple(self.policies))
         if not self.policies:
             raise ConfigError("at least one policy is required")
         # a float would fail deep in a run, or, as a seed, be truncated silently

@@ -19,7 +19,7 @@ from rcbandit.core import (
     mix64,
     objective_vectors,
 )
-from rcbandit.envs import sample_episode
+from rcbandit.envs import DegenerateArm, sample_episode
 
 
 def test_linear_discount_boundaries():
@@ -239,6 +239,16 @@ def test_equal_grids_compare_equal_and_hash_alike():
     assert grid == ResourceGrid((0.5, 1.0))
     assert hash(grid) == hash(ResourceGrid((0.5, 1.0)))
     assert grid.points == (0.5, 1.0)
+
+
+def test_equal_instances_compare_equal_and_hash_alike():
+    """The arms are held as a tuple, whatever sequence built the instance."""
+    arm = DegenerateArm(reward=0.9, cost=0.2)
+    grid, disc = build_grid(4, 1.0), DiscountSpec("linear")
+    instance = InstanceSpec([arm], grid, disc)
+    assert instance == InstanceSpec((arm,), grid, disc)
+    assert hash(instance) == hash(InstanceSpec((arm,), grid, disc))
+    assert instance.arms == (arm,)
 
 
 def _objective_value(objective, discount, mu, j, grid):

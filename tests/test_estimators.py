@@ -33,8 +33,9 @@ def posterior(n, grid, seed, prior=TS.prior, indicator=TS.indicator):
 
 
 def trials(post, arm0, j):
-    """(successes, failures) of one cell of the Beta posterior."""
-    return int(post.successes[arm0, j]), int(post.failures[arm0, j])
+    """(successes S, failures N - S) of one cell of the Beta posterior."""
+    s, n = int(post.sums[arm0, j]), int(post.counts[arm0, j])
+    return s, n - s
 
 
 def test_censored_update_running_mean():
@@ -202,8 +203,10 @@ def test_invariants_under_random_play():
     # the censored estimator never holds fewer observations than the naive one
     assert cen.counts.sum() >= nai.counts.sum()
 
-    # beta trial totals equal the censored counts (same touch rule)
-    np.testing.assert_array_equal(beta.successes + beta.failures, cen.counts)
+    # beta trial totals equal the censored counts (same touch rule), and a
+    # cell's successes lie between 0 and its trials
+    assert np.array_equal(beta.counts, cen.counts)
+    assert np.all(beta.sums >= 0) and np.all(beta.sums <= beta.counts)
 
 
 def test_snapshots():

@@ -2,13 +2,17 @@
 
 A pin hashes the (arm, limit, censored) sequence of an episode: the 1-based
 arms as int64 and the limits as float64, the bytes these digests were taken
-on. The byte identity test in the acceptance module compares two runs of the
-same checkout, so it cannot catch a refactor that changes behaviour; these
-constants can. A change that means to alter behaviour updates them and says
-why; a performance change leaves them as they are.
+on. A state pin hashes the estimator state each repetition ends with, in the
+form state_<label>.json is written. The byte identity test in the acceptance
+module compares two runs of the same checkout, so it cannot catch a refactor
+that changes behaviour; these constants can. A change that means to alter
+behaviour updates them and says why; a performance change leaves them as
+they are.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +33,17 @@ SMALL_PINS = {
     "ts": "5776da024464737b594af34e5913bd72fa6adb393dc2efc41e586cdd4c416906",
     "uniform_random": "565d03adc23fef1997ceeebea523dba3fdac33632356acf6542633d31809330b",
     "fixed_oracle": "60772ad1164c4469f6ef56d149b8a2e64b3f4ce8c39d8ef5b0d21ba59769a4e8",
+}
+
+# the estimator state each repetition ends with, as json.dumps(state, indent=1),
+# of every estimator kind on BYTE_IDENTITY_CONFIG, all repetitions hashed in
+# order; "ts-chosen_limit" is the config's ts under the other indicator
+STATE_PINS = {
+    "rcucb": "fedd682d9165684fea8d2fd8ed8efc71e4ba1460bcb2a8144a0592ca66e2ba3e",
+    "klrcucb": "e3037ce77beb5fba6fd72a479dce78881a3ba58f025f7082a891711bd875ffb7",
+    "ucb": "c655afa8354cad94b79dad83d7f14ef133defec56622b54efad04782a24933c3",
+    "ts": "8f88300eca07cc136c85c9a8291ab6d028fc42f583ee30b8df7600b771aba408",
+    "ts-chosen_limit": "de82a2795f10f287afb5e260860c06a7ab55ada73805d4d50a740f371dfd0776",
 }
 
 # one episode per kind on the m = 10 Gaussian instance: (horizon, digest);
@@ -100,6 +115,21 @@ def test_small_config_pin(kind, small_setup):
     for trace in run_episode(config.policies[p], config.horizon, table, seeds):
         _update(h, trace, config.instance)
     assert h.hexdigest() == SMALL_PINS[kind]
+
+
+@pytest.mark.parametrize("name", sorted(STATE_PINS))
+def test_small_config_state_pin(name, small_setup):
+    config, table = small_setup
+    kind, _, indicator = name.partition("-")
+    p = [spec.kind for spec in config.policies].index(kind)
+    spec = config.policies[p]
+    if indicator:
+        spec = dataclasses.replace(spec, indicator=indicator)
+    h = hashlib.sha256()
+    seeds = [mix64(config.base_seed, p, rep) for rep in range(config.repetitions)]
+    for trace in run_episode(spec, config.horizon, table, seeds, keep_state=True):
+        h.update(json.dumps(trace.final_state, indent=1).encode())
+    assert h.hexdigest() == STATE_PINS[name]
 
 
 @pytest.mark.parametrize("kind", sorted(GAUSSIAN_PINS))

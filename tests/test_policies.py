@@ -241,8 +241,8 @@ def test_ts_index_is_bit_identical(objective, reps, monkeypatch):
         seeds = [mix64(trial, r) for r in range(reps)]
         pol = build_policy("ts", inst, rngs=[np.random.default_rng(s) for s in seeds])
         est = pol.estimator
-        est.successes[:] = rng.integers(0, 50, size=est.successes.shape)
-        est.failures[:] = rng.integers(0, 50, size=est.failures.shape)
+        est.sums[:] = rng.integers(0, 50, size=est.sums.shape)
+        est.counts[:] = est.sums + rng.integers(0, 50, size=est.counts.shape)
         pol.t = init_length("ts", inst)
         pol.select()
         a, b = est.posterior_params()
@@ -584,8 +584,8 @@ def test_ts_posterior_concentration():
     inst = _inst(n_arms=2, points=(0.5,))
     pol = build_policy("ts", inst, rngs=[np.random.default_rng(2)])
     pol.t = 2  # past the sweep
-    pol.estimator.successes[0, 0] = 1_000_000
-    pol.estimator.failures[1, 0] = 1_000_000
+    pol.estimator.sums[0, 0] = pol.estimator.counts[0, 0] = 1_000_000
+    pol.estimator.counts[1, 0] = 1_000_000  # all failures
     wins = 0
     rounds = 10_000
     for _ in range(rounds):

@@ -175,6 +175,14 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def test_equal_configs_compare_equal_and_hash_alike():
+    """The policies are held as a tuple, whatever sequence built the config."""
+    config = _small_config(policies=[PolicySpec("ucb")])
+    assert config == _small_config(policies=(PolicySpec("ucb"),))
+    assert hash(config) == hash(_small_config(policies=(PolicySpec("ucb"),)))
+    assert config.policies == (PolicySpec("ucb"),)
+
+
 def test_config_validation():
     inst = analytic_instance()
     with pytest.raises(ConfigError, match="unique"):
