@@ -45,8 +45,8 @@ _REQUIRED, _ABSENT = object(), object()
 def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
     """obj[key] converted by cast, or default when the key is absent. Every
     config value is read here, so a missing field, a container that is not an
-    object, or a value cast rejects (ValueError, TypeError or OverflowError,
-    e.g. int(inf)) becomes a ConfigError naming the field path."""
+    object, or a value cast rejects (ValueError or TypeError) becomes a
+    ConfigError naming the field path."""
     path = f"{where}.{key}" if where else key
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config'}: expected an object")
@@ -58,7 +58,7 @@ def _read(obj, key: str, where: str, cast=None, default=_REQUIRED):
         return obj[key]
     try:
         return cast(obj[key])
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -75,18 +75,13 @@ def _object(obj, where: str, casts: dict, required=()) -> dict:
 
 
 def _build(where: str, ctor, *args, **kwargs):
-    """ctor(*args, **kwargs), with its validation errors prefixed by the field path."""
+    """ctor(*args, **kwargs), with its validation errors prefixed by the field
+    path: where.key for an error led by the key of a keyword argument."""
     try:
         return ctor(*args, **kwargs)
     except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _float(value) -> float:
-    """A JSON number; an integer passes, a bool or a string does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+        sep = "." if str(exc).partition(":")[0] in kwargs else ": "
+        raise ConfigError(f"{where}{sep}{exc}") from None
 
 
 def _str(value) -> str:
@@ -95,22 +90,12 @@ def _str(value) -> str:
     return value
 
 
-def _floats(value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("expected a list of numbers")
-    return tuple(_float(v) for v in value)
-
-
-# each field annotation's JSON cast; "X | None" defaults to None, which JSON cannot set
-_CASTS = {"float": _float, "str": _str, "tuple[float, float]": _floats}
-
-
 def _typed(obj, where: str, cls):
     """cls built from obj, whose keys are kind (a field of cls, or the key that
-    chose cls) and the fields of cls, each cast by _CASTS of its annotation and
-    required if it has no default."""
+    chose cls) and the fields of cls, each required if it has no default; a str
+    field takes a JSON string, and cls checks every other value (check_reals)."""
     fields = dataclasses.fields(cls)
-    casts = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in fields}
+    casts = {f.name: _str if f.type.startswith("str") else None for f in fields}
     values = _object(obj, where, {"kind": _str} | casts,
                      [f.name for f in fields if f.default is dataclasses.MISSING])
     return _build(where, cls, **{f.name: values[f.name] for f in fields if f.name in values})
@@ -148,7 +133,7 @@ def _parse_arm(obj: dict, where: str, base_dir: Path):
 
 
 def _parse_instance(obj: dict, base_dir: Path) -> InstanceSpec:
-    values = _object(obj, "instance", {"tau_max": _float, "grid_m": None, "grid_points": _floats,
+    values = _object(obj, "instance", {"tau_max": None, "grid_m": None, "grid_points": None,
                                        "discount": None, "objective": None, "arms": None},
                      ("discount", "arms"))
     tau_max = values.get("tau_max", ResourceGrid.tau_max)

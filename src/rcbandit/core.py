@@ -10,9 +10,10 @@ per repetition) and the oracle's optimum (over one matrix) share.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Union
 
 import numpy as np
@@ -38,6 +39,31 @@ def check_integer(name: str, value, error: type[ValueError] = DomainError) -> No
     """error, led by name, unless value is an int (not 2.0, True or np.int64)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name}: expected an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> float:
+    """value as a float; ConfigError, led by name, unless it is a real number
+    (not a bool or a string) that a float holds."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            return float(value)
+    raise ConfigError(f"{name}: expected a number, got {value!r}")
+
+
+def check_reals(spec) -> None:
+    """Hold each real field of the frozen dataclass spec as its annotation reads:
+    a float (or None, for "float | None"), or a tuple of floats from a flat
+    sequence, two for tuple[float, float]. ConfigError, led by the field, if not."""
+    for f in fields(spec):
+        v, kind = getattr(spec, f.name), f.type.removesuffix(" | None")
+        if kind == "float" and (v is not None or kind == f.type):
+            v = check_real(f.name, v)
+        elif kind.startswith("tuple[float"):  # a tuple, so the spec hashes
+            size = None if kind.endswith("...]") else kind.count("float")
+            if (items := np.asarray(v, dtype=object)).ndim != 1 or size not in (None, items.size):
+                raise ConfigError(f"{f.name}: expected {size or 'a list of'} numbers, got {v!r}")
+            v = tuple(check_real(f.name, x) for x in items)
+        object.__setattr__(spec, f.name, v)  # any other field as it was
 
 
 def check_tau_max(name: str, value) -> None:
@@ -92,7 +118,11 @@ def argmax_pair(index: np.ndarray):
     return [f % n for f in flat], [f // n for f in flat]
 
 
-DISCOUNT_KINDS = ("linear", "polynomial", "sublinear", "geometric", "exponential")
+# each discount kind's parameter and the open interval that holds it; a kind
+# refuses the other parameter (linear reads neither)
+DISCOUNT_KINDS = {"linear": (None, None, None), "polynomial": ("k", 1, math.inf),
+                  "sublinear": ("k", 0, 1), "geometric": ("rho", 0, 1),
+                  "exponential": ("k", 0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -115,21 +145,17 @@ class DiscountSpec:
     rho: float | None = None
 
     def __post_init__(self) -> None:
+        check_reals(self)
         if self.kind not in DISCOUNT_KINDS:
             raise ConfigError(f"unknown discount kind {self.kind!r}")
-        # NaN fails every check; an infinite k would zero every gap (polynomial)
-        if self.kind == "polynomial":
-            if self.k is None or not 1 < self.k < math.inf:
-                raise ConfigError("polynomial discount needs a finite k > 1")
-        elif self.kind == "sublinear":
-            if self.k is None or not 0 < self.k < 1:
-                raise ConfigError("sublinear discount needs k in (0, 1)")
-        elif self.kind == "geometric":
-            if self.rho is None or not 0 < self.rho < 1:
-                raise ConfigError("geometric discount needs rho in (0, 1)")
-        elif self.kind == "exponential":
-            if self.k is None or not 0 < self.k < math.inf:
-                raise ConfigError("exponential discount needs a finite k > 0")
+        read, low, high = DISCOUNT_KINDS[self.kind]
+        for name in ("k", "rho"):
+            value = getattr(self, name)
+            if name != read and value is not None:
+                raise ConfigError(f"{name}: {self.kind} has no such parameter")
+            # NaN fails the check; an infinite k would zero every gap (polynomial)
+            if name == read and (value is None or not low < value < high):
+                raise ConfigError(f"{self.kind} discount needs {name} in ({low}, {high})")
 
 
 def discount_eval(spec: DiscountSpec, tau_max: float, tau_tilde):
@@ -165,13 +191,10 @@ class ResourceGrid:
     tau_max: float = 1.0
 
     def __post_init__(self) -> None:
-        # a tuple, so equal grids compare equal and hash whatever sequence built them
-        object.__setattr__(self, "points", tuple(self.points))
         check_tau_max("tau_max", self.tau_max)
+        check_reals(self)
         if len(self.points) == 0:
             raise ConfigError("grid needs at least one point")
-        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in self.points):
-            raise ConfigError(f"grid points must be real numbers, got {self.points!r}")
         # NaN fails every comparison below, so finiteness is checked first
         if not all(math.isfinite(p) for p in self.points):
             raise ConfigError("grid points must be finite")
@@ -226,6 +249,7 @@ class AdditiveCost:
     power: float = 1.0
 
     def __post_init__(self) -> None:
+        check_reals(self)
         if not 0.0 <= self.scale <= 1.0:
             raise ConfigError("additive cost scale must lie in [0, 1]")
         if not 0 < self.power < math.inf:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DomainError, InstanceSpec, SamplingError, admits
+from .core import ConfigError, DomainError, InstanceSpec, SamplingError, admits, check_reals
 
 # rejection sampling budget: attempts allowed per requested draw
 MAX_ATTEMPTS_PER_DRAW = 10**6
@@ -64,10 +64,7 @@ class GaussianArm:
     sigma: float
 
     def __post_init__(self) -> None:
-        # a tuple, so the arm hashes: nu_table keys its rows by the arm
-        object.__setattr__(self, "mean", tuple(self.mean))
-        if len(self.mean) != 2:
-            raise ConfigError("mean must have exactly two components")
+        check_reals(self)  # mean as a tuple, so the arm hashes: nu_table keys its rows by it
         # a NaN mean would only show as a rejection sampler that never accepts
         if not all(math.isfinite(v) for v in self.mean):
             raise ConfigError("mean must be finite")
@@ -140,6 +137,7 @@ class DegenerateArm:
     cost: float
 
     def __post_init__(self) -> None:
+        check_reals(self)
         if not 0.0 <= self.reward <= 1.0:
             raise ConfigError("reward must lie in [0, 1]")
         if not self.cost >= 0.0:
@@ -159,6 +157,7 @@ class UniformCostArm:
     reward_mean: float
 
     def __post_init__(self) -> None:
+        check_reals(self)
         if not 0.0 <= self.reward_mean <= 1.0:
             raise ConfigError("reward_mean must lie in [0, 1]")
 
@@ -178,9 +177,7 @@ class TraceArm:
     costs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # tuples, so the arm hashes: nu_table keys its rows by the arm
-        object.__setattr__(self, "rewards", tuple(self.rewards))
-        object.__setattr__(self, "costs", tuple(self.costs))
+        check_reals(self)  # rows as tuples, so the arm hashes: nu_table keys its rows by it
         if len(self.rewards) == 0:
             raise ConfigError("trace arm needs at least one row")
         if len(self.rewards) != len(self.costs):

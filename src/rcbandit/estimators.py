@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, ResourceGrid
+from .core import ConfigError, ResourceGrid, check_real
 
 
 def _snapshot(grid: ResourceGrid, n: int, rep: int, columns) -> list[dict]:
@@ -95,11 +95,11 @@ TS_INDICATORS = ("per_pair", "chosen_limit")
 
 def check_beta(prior, indicator: str) -> tuple[float, float]:
     """The prior as two floats, the one check of PolicySpec and BetaPosterior:
-    ConfigError unless it is two positive finite numbers (NaN fails, a third
-    would be ignored) and indicator is one of TS_INDICATORS."""
-    if not (len(prior) == 2 and all(0 < p < np.inf for p in prior)):
-        raise ConfigError(f"Beta prior must be two positive finite numbers, "
-                          f"got {list(prior)}")
+    ConfigError unless it is two positive finite numbers (not bools; NaN fails,
+    a third would be ignored) and indicator is one of TS_INDICATORS."""
+    if not (np.asarray(prior, dtype=object).shape == (2,)
+            and all(0 < check_real("prior", p) < np.inf for p in prior)):
+        raise ConfigError(f"Beta prior must be two positive finite numbers, got {prior!r}")
     if indicator not in TS_INDICATORS:
         raise ConfigError(f"unknown TS indicator {indicator!r}")
     return float(prior[0]), float(prior[1])

@@ -64,7 +64,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ConfigError, InstanceSpec, UsageError, argmax_pair, objective_vectors
+from .core import (ConfigError, InstanceSpec, UsageError, argmax_pair, check_reals,
+                   objective_vectors)
 from .estimators import BetaPosterior, CensoredMomentEstimator, NaiveEstimator, check_beta
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ class PolicySpec:
     indicator: str = "per_pair"
 
     def __post_init__(self) -> None:
+        check_reals(self)
         if self.kind not in POLICY_CLASSES:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.label is None:
@@ -95,13 +97,11 @@ class PolicySpec:
             raise ConfigError(f"label {self.label!r} must be a non-empty file name "
                               "part of printable characters, without / or \\")
         reads = POLICY_CLASSES[self.kind].reads
-        # the parameters follow kind and label; a prior may be any sequence, and
-        # one the kind does not read is held as the default, so the spec hashes
+        # the parameters follow kind and label; one the kind does not read must
+        # keep its default
         for field in fields(self)[2:]:
-            if field.name not in reads:
-                if not np.array_equal(getattr(self, field.name), field.default):
-                    raise ConfigError(f"{field.name}: {self.kind} has no such parameter")
-                object.__setattr__(self, field.name, field.default)
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise ConfigError(f"{field.name}: {self.kind} has no such parameter")
         # written so that NaN fails every check; inf would give a degenerate index
         if "alpha" in reads:
             if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -115,8 +115,8 @@ class PolicySpec:
                 )
         if "c" in reads and not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"c must be non-negative and finite, got {self.c}")
-        if "prior" in reads:  # a tuple, so the spec hashes
-            object.__setattr__(self, "prior", check_beta(self.prior, self.indicator))
+        if "prior" in reads:
+            check_beta(self.prior, self.indicator)
 
 
 def init_length(kind: str, instance: InstanceSpec) -> int:

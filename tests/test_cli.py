@@ -312,7 +312,7 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["instance", "objective"], {"kind": "additive_cost", "power": float("inf")}),
      "instance.objective"),
     # a parameter the kind does not read would otherwise be ignored
-    (_set(["policies", 0], {"kind": "rcucb", "c": -5}), "policies[0]"),
+    (_set(["policies", 0], {"kind": "rcucb", "c": -5}), "policies[0].c"),
     # so would a key that no type holds, in every kind of object
     (_set(["repetiton"], 3), "repetiton"),
     (_set(["oracle", "node"], 8), "oracle.node"),
@@ -338,6 +338,17 @@ GAUSSIAN = {"kind": "gaussian", "mean": [0.6, 0.45], "x": 0.2, "sigma": 0.1}
     (_set(["oracle", "nodes"], 200.0), "oracle.nodes"),
     (_set(["oracle", "samples"], 1e6), "oracle.samples"),
     (_one_arm({"kind": "trace", "path": "rows.csv", "arm": 1.0}), "instance.arms[0].arm"),
+    # so would a discount parameter its kind does not read
+    (_set(["instance", "discount"], {"kind": "linear", "k": 2}), "instance.discount.k"),
+    # every real field is checked by the type that holds it
+    (_set(["instance", "arms", 0], {"kind": "uniform_cost", "reward_mean": "0.5"}),
+     "instance.arms[0].reward_mean"),
+    (_set(["instance", "arms", 0, "reward"], True), "instance.arms[0].reward"),
+    (_set(["instance", "objective"], {"kind": "additive_cost", "power": True}),
+     "instance.objective.power"),
+    (_set(["instance", "discount"], {"kind": "polynomial", "k": "2"}), "instance.discount.k"),
+    (_set(["policies", 0], {"kind": "ts", "prior": 1.0}), "policies[0].prior"),
+    (_set(["instance", "arms", 0, "mean"], 0.5, GAUSSIAN), "instance.arms[0].mean"),
 ])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     # an existing trace file, for the cases whose error is not a missing file

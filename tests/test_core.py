@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -19,7 +20,9 @@ from rcbandit.core import (
     mix64,
     objective_vectors,
 )
-from rcbandit.envs import DegenerateArm, sample_episode
+from rcbandit.envs import DegenerateArm, GaussianArm, TraceArm, UniformCostArm, sample_episode
+from rcbandit.estimators import BetaPosterior
+from rcbandit.policies import PolicySpec
 
 
 def test_linear_discount_boundaries():
@@ -113,6 +116,74 @@ def test_discount_domain_errors():
 def test_discount_spec_validation(kwargs):
     with pytest.raises(ConfigError):
         DiscountSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("linear", dict(k=2.0), "k"),
+    ("linear", dict(rho=0.5), "rho"),
+    ("geometric", dict(k=5.0, rho=0.5), "k"),
+    ("polynomial", dict(k=2.0, rho=0.5), "rho"),
+    ("exponential", dict(k=1.0, rho=0.5), "rho"),
+])
+def test_discount_refuses_a_parameter_its_kind_does_not_read(kind, params, field):
+    """A parameter the kind would ignore is refused by name, as a policy's is."""
+    with pytest.raises(ConfigError, match=f"^{field}: {kind} has no such parameter$"):
+        DiscountSpec(kind, **params)
+
+
+# a valid build of each config type
+_VALID = [
+    (PolicySpec, dict(kind="rcucb")),
+    (DiscountSpec, dict(kind="linear")),
+    (AdditiveCost, {}),
+    (ResourceGrid, dict(points=(0.5, 1.0))),
+    (GaussianArm, dict(mean=(0.5, 0.5), x=0.2, sigma=0.1)),
+    (DegenerateArm, dict(reward=0.5, cost=0.2)),
+    (UniformCostArm, dict(reward_mean=0.5)),
+    (TraceArm, dict(rewards=(0.5,), costs=(0.2,))),
+]
+# a kind that reads each policy and discount parameter
+_READER = {"alpha": "rcucb", "c": "klrcucb", "prior": "ts", "k": "polynomial", "rho": "geometric"}
+# the values that each real annotation refuses
+_NOT_REAL = {
+    "float": (True, "0.5"),
+    "tuple[float, float]": (0.5, (0.5, 0.5, 0.5), (True, 1.0)),
+    "tuple[float, ...]": ((True,),),
+}
+
+
+def _real_field_cases():
+    """Each refused value of each real field, by its annotation, of each config
+    type, set on a build that is valid otherwise."""
+    for cls, valid in _VALID:
+        for f in dataclasses.fields(cls):
+            for value in _NOT_REAL.get(f.type.removesuffix(" | None"), ()):
+                kwargs = dict(valid, **{f.name: value})
+                if f.name in _READER:
+                    kwargs["kind"] = _READER[f.name]
+                yield pytest.param(cls, kwargs, f.name, id=f"{cls.__name__}-{f.name}={value!r}")
+    yield pytest.param(
+        BetaPosterior, dict(n=1, grid=build_grid(2, 1.0), rngs=[], prior=(True, 1.0),
+                            indicator="per_pair"),
+        "prior", id="BetaPosterior-prior=(True, 1.0)")
+
+
+@pytest.mark.parametrize("cls, kwargs, field", _real_field_cases())
+def test_a_real_field_refuses_what_is_not_a_number(cls, kwargs, field):
+    """Every real field of every config type is checked by core.check_real, for a
+    config and a Python caller alike: a bool, a string, a bare number where a
+    pair belongs or a pair of the wrong length is refused, led by the field."""
+    with pytest.raises(ConfigError, match=f"^{field}: expected "):
+        cls(**kwargs)
+
+
+def test_a_real_field_holds_an_int_as_a_float():
+    """A Python int is held as the float that a JSON config gives."""
+    arm = GaussianArm(mean=(1, 0), x=0, sigma=1)
+    assert arm.mean == (1.0, 0.0)
+    assert all(type(v) is float for v in (*arm.mean, arm.x, arm.sigma))
+    assert type(PolicySpec("klrcucb", c=3).c) is float
+    assert type(DiscountSpec("polynomial", k=2).k) is float
 
 
 def test_build_grid_examples():
@@ -223,7 +294,8 @@ def test_grid_and_build_grid_reject_a_bad_cap(tau_max):
     (math.nan, "0.75"),
 ])
 def test_grid_rejects_points_that_are_not_real_numbers(points):
-    message = f"^grid points must be real numbers, got {re.escape(repr(points))}$"
+    # each case's last point is its first that is not a real number
+    message = f"^points: expected a number, got {re.escape(repr(points[-1]))}$"
     with pytest.raises(ConfigError, match=message):
         ResourceGrid(points, 1.0)
 

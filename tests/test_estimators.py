@@ -160,8 +160,9 @@ def test_beta_validation():
     with pytest.raises(ConfigError):
         posterior(1, GRID2, 0, indicator="other")
     # the rule PolicySpec applies too: one value would fail, a third be ignored,
-    # and an infinite one give a degenerate posterior
-    for prior in ((1.0,), (float("inf"), 1.0), (1.0, 2.0, 3.0)):
+    # and an infinite one give a degenerate posterior; a bare number or a string
+    # is no pair at all
+    for prior in ((1.0,), (float("inf"), 1.0), (1.0, 2.0, 3.0), 5, "ab"):
         with pytest.raises(ConfigError, match="prior"):
             posterior(1, GRID2, 0, prior=prior)
 
